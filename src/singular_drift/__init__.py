@@ -41,6 +41,7 @@ from .kolmogorov import (
     gamma_bound_check,
     gradient_sup,
     integral_operator,
+    picard_sweeps,
     solve_fwd,
     to_backward,
     weighted_norm,

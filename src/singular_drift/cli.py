@@ -41,8 +41,8 @@ def _pde_config(cfg: ExperimentConfig) -> PdeConfig:
         delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
     else:
         delta, p = cfg.delta, cfg.p
-    return PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, rho=cfg.rho,
-                     tol=cfg.tol, max_iter=cfg.max_iter, product_tol=cfg.product_tol)
+    return PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol,
+                     product_tol=cfg.product_tol)
 
 
 def _drift_field(cfg: ExperimentConfig, drift_path: str | None):
@@ -74,8 +74,8 @@ def cmd_solve_pde(args) -> int:
     u = to_backward(v)
     save_time_field(u, args.out, description="backward solution",
                     extra={"lambda": lam, "solver": report.to_dict()})
-    print(f"solved in {report.iterations} sweeps at lambda={lam:g}, "
-          f"rho={report.rho:g}; u written to {args.out}")
+    print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}; "
+          f"u written to {args.out}")
     return 0
 
 

@@ -265,19 +265,21 @@ class KappaRegion:
 
 
 def pick_kappa(region: KappaRegion) -> tuple:
-    """Canonical (delta, p): delta at the midpoint of its window, p at the
-    midpoint of (d/delta, q).  Raises EmptyRegion when no pair exists."""
+    """Canonical (delta, p) and p at the midpoint of (d/delta, q).
+
+    delta is the midpoint 1/2 of its window (beta, 1-beta) when that leaves
+    p room (q > 2d); otherwise the midpoint of (d/q, 1-beta), the deltas for
+    which d/delta < q.  Raises EmptyRegion when no pair exists.
+    """
     if region.is_empty():
         raise EmptyRegion(
             f"no (delta, p) with q={region.q} <= d/(1-beta)={region.dimension/(1-region.beta):.6g}"
         )
     delta = 0.5 * (region.beta + (1.0 - region.beta))  # = 1/2
+    if region.q <= region.dimension / delta:
+        # q <= 2d gives d/q >= 1/2 > beta, so d/q is the window's lower end
+        delta = 0.5 * (region.dimension / region.q + 1.0 - region.beta)
     lo = region.dimension / delta
-    if region.q <= lo:
-        raise EmptyRegion(
-            f"midpoint slice empty: q={region.q} <= d/delta={lo:.6g}; "
-            f"a larger delta would be needed"
-        )
     p = 0.5 * (lo + region.q)
     # belt and braces: keep strictly inside the open interval
     p = min(max(p, np.nextafter(lo, np.inf)), np.nextafter(region.q, -np.inf))

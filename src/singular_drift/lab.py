@@ -124,9 +124,7 @@ class ExperimentConfig:
     q: float = 3.0
     delta: float | None = None      # None: canonical midpoint choice
     p: float | None = None
-    rho: float | None = None
     tol: float = 1e-9
-    max_iter: int = 200
     product_tol: float = 2.0
     lam: float | None = None        # None: calibrate by doubling
     inverse_tol: float = 1e-9       # point inversion tolerance during simulation
@@ -220,8 +218,8 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
     else:
         delta, p = cfg.delta, cfg.p
-    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, rho=cfg.rho,
-                    tol=cfg.tol, max_iter=cfg.max_iter, product_tol=cfg.product_tol)
+    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol,
+                    product_tol=cfg.product_tol)
     if cfg.lam is None:
         lam, trace = calibrate_lambda(b, pde)
     else:
@@ -266,9 +264,7 @@ def _pipeline_summary(bundle, cfg: ExperimentConfig) -> dict:
         "p": bundle["pde"].p,
         "lambda": bundle["lam"],
         "lambda_trace": [list(t) for t in bundle["trace"]],
-        "rho": solve.rho,
-        "picard_iterations": solve.iterations,
-        "picard_ratios": list(solve.ratios),
+        "solver": solve.method,
         "gradient_bound": bundle["ctx"].gradient_bound,
     }
 

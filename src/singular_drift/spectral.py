@@ -202,9 +202,6 @@ class SpectralField:
     def component(self, i: int) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs[i : i + 1], self.real_flag)
 
-    def map_coeffs(self, fn) -> "SpectralField":
-        return SpectralField(self.grid, fn(self.coeffs), self.real_flag)
-
     # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
 
     def __add__(self, other: "SpectralField") -> "SpectralField":

@@ -32,6 +32,7 @@ from singular_drift.kolmogorov import (
     gamma_bound_check,
     gradient_sup,
     mild_residual,
+    picard_sweeps,
     solve_fwd,
     to_backward,
     uniqueness_crosscheck,
@@ -200,13 +201,20 @@ def test_criterion_04_pde_oracle(grid, pde):
 
 
 def test_criterion_05_contraction(rough_drift, pde, solution):
-    lam, v, report = solution
-    ratios_ok = all(r < 1.0 for r in report.ratios[2:])
-    res = mild_residual(v, rough_drift, lam, pde, report.rho)
-    ok = ratios_ok and res <= 2.0 * pde.tol
+    # the pipeline solves by one march; the Picard sweeps of the contraction
+    # argument run here as a diagnostic of the same operator.  Both residuals
+    # are unweighted: the auto-tuned weight exp(-rho t) underflows late nodes
+    lam, v, _ = solution
+    v_picard, report = picard_sweeps(rough_drift, lam, pde)
+    ratios = report.ratios[2:]
+    ratios_ok = len(ratios) > 0 and all(r < 1.0 for r in ratios)
+    res_picard = mild_residual(v_picard, rough_drift, lam, pde, 0.0)
+    res_march = mild_residual(v, rough_drift, lam, pde, 0.0)
+    ok = ratios_ok and max(res_picard, res_march) <= 2.0 * pde.tol
     verdict(5, "Picard contraction", ok,
             f"{report.iterations} sweeps, ratios<1 from sweep 3: {ratios_ok}, "
-            f"residual {res:.1e} <= {2.0 * pde.tol:.1e}")
+            f"residuals picard {res_picard:.1e} march {res_march:.1e} "
+            f"<= {2.0 * pde.tol:.1e}")
 
 
 def test_criterion_06_gradient_bound(calibration):
@@ -238,6 +246,9 @@ def test_criterion_07_zvonkin_inverse(transform):
 
 
 def test_criterion_08_uniqueness_crosscheck(rough_drift, pde, solution):
+    # not informative under the march: (delta, p) reaches the solve only
+    # through the stage at which each product stops, both choices stop at
+    # the same stage, and the gap is 0.0 by construction (ROADMAP item 3)
     lam, _, _ = solution
     other = PdeConfig(beta=BETA, delta=0.4, p=2.2, q=Q)
     gap = uniqueness_crosscheck(rough_drift, lam, pde, other)

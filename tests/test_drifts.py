@@ -150,6 +150,14 @@ def test_pick_kappa_point_is_admissible():
     assert region.contains(delta, p)
 
 
+def test_pick_kappa_widens_delta_when_one_half_is_too_small():
+    # d=2, q=3: delta = 1/2 would need p > 4 > q, but any delta in (2/3, 3/4)
+    # leaves p a window (d/delta, q)
+    region = KappaRegion(0.25, 3.0, 2)
+    delta, p = pick_kappa(region)
+    assert region.contains(delta, p)
+
+
 def test_pick_kappa_empty_region():
     with pytest.raises(EmptyRegion):
         pick_kappa(KappaRegion(0.25, 1.3, 1))        # q <= d/(1-beta)

@@ -15,6 +15,7 @@ from singular_drift.kolmogorov import (
     holder_diagnostic,
     integral_operator,
     mild_residual,
+    picard_sweeps,
     solve_fwd,
     to_backward,
     uniqueness_crosscheck,
@@ -118,18 +119,47 @@ def test_constant_drift_error_halves_with_dt(grid64):
 
 
 def test_picard_contracts_and_residual_is_small(rough_drift64):
-    v, report = solve_fwd(rough_drift64, 4.0, CFG)
+    v, report = picard_sweeps(rough_drift64, 4.0, CFG)
     assert report.converged
     assert all(r < 1.0 for r in report.ratios[2:])
     assert report.sup_diffs[-1] < CFG.tol
-    res = mild_residual(v, rough_drift64, 4.0, CFG, report.rho)
+    res = mild_residual(v, rough_drift64, 4.0, CFG, 0.0)
     assert res <= 2.0 * CFG.tol
 
 
 def test_solver_raises_when_budget_exhausted(rough_drift64):
     cfg = PdeConfig(beta=0.25, delta=0.5, p=2.5, q=3.0, max_iter=1)
     with pytest.raises(MaxIterExceeded):
-        solve_fwd(rough_drift64, 4.0, cfg)
+        picard_sweeps(rough_drift64, 4.0, cfg)
+
+
+@pytest.fixture(params=["1d", "2d"])
+def march_case(request, rough_drift64):
+    """(drift, config): the scalar 1-D fixture and a 2-D vector-valued drift."""
+    if request.param == "1d":
+        return rough_drift64, CFG
+    spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
+                     amplitude=0.1)
+    b = generate(spec, GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
+    return b, PdeConfig(beta=0.25, delta=0.5, p=4.5, q=5.0)
+
+
+def test_march_is_exact_fixed_point(march_case):
+    b, cfg = march_case
+    v, report = solve_fwd(b, 4.0, cfg)
+    assert v.components == b.grid.dimension
+    assert report.method == "march" and report.iterations == 1
+    assert np.max(np.abs((integral_operator(v, b, 4.0, cfg) - v).coeffs)) == 0.0
+
+
+def test_march_agrees_with_picard(march_case):
+    # the operator is causal, so Picard is exact at the first m nodes after m
+    # sweeps; it stops earlier on its tolerance when M is large
+    b, cfg = march_case
+    v, _ = solve_fwd(b, 4.0, cfg)
+    v_picard, report = picard_sweeps(b, 4.0, cfg)
+    assert report.method == "picard"
+    assert np.max(np.abs(v.coeffs - v_picard.coeffs)) <= 1e-10
 
 
 def test_zero_drift_gives_zero_solution(grid64):
