@@ -2,7 +2,8 @@
 
 All subcommands consume the same JSON experiment config (see
 ExperimentConfig.from_dict); artifacts use the documented binary formats with
-JSON sidecars.  SINGULAR_DRIFT_THREADS caps simulation workers.
+JSON sidecars.  solve-pde, calibrate and simulate build their transform with
+lab.prepare_transform, as the studies do; simulation is serial.
 """
 
 from __future__ import annotations
@@ -11,44 +12,36 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, SobolevIndex, heat_semigroup, \
-    load_time_field, save_time_field, sobolev_norm
-from .paraproduct import dealiased_multiply, product
-from .drifts import generate
-from .kolmogorov import PdeConfig, calibrate_lambda, gamma_bound_check, solve_fwd, to_backward
+from .spectral import GridSpec, SpectralField, heat_semigroup, load_time_field, \
+    load_time_field_meta, save_time_field
+from .paraproduct import dealiased_multiply
+from .drifts import assumption_check, generate
+from .kolmogorov import gamma_bound_check
 from .zvonkin import make_context, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
 from .lab import (
     ExperimentConfig,
+    _sim_config,
     config_digest,
+    prepare_transform,
     study_lambda,
     study_mollify,
     study_smooth_consistency,
 )
-from .drifts import KappaRegion, assumption_check, pick_kappa
 
 
 def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
 
 
-def _pde_config(cfg: ExperimentConfig) -> PdeConfig:
-    if cfg.delta is None or cfg.p is None:
-        delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
-    else:
-        delta, p = cfg.delta, cfg.p
-    return PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol,
-                     product_tol=cfg.product_tol)
-
-
-def _drift_field(cfg: ExperimentConfig, drift_path: str | None):
-    if drift_path:
-        return load_time_field(drift_path)
-    return generate(cfg.drift, cfg.grid(), cfg.horizon, cfg.pde_nodes)
+def _drift_snapshot(drift_path: str | None):
+    """The --drift snapshot, or None to let prepare_transform generate it."""
+    return load_time_field(drift_path) if drift_path else None
 
 
 def cmd_gen_drift(args) -> int:
@@ -65,13 +58,8 @@ def cmd_gen_drift(args) -> int:
 
 def cmd_solve_pde(args) -> int:
     cfg = _load_config(args.config)
-    b = _drift_field(cfg, args.drift)
-    pde = _pde_config(cfg)
-    lam = cfg.lam
-    if lam is None:
-        lam, _trace = calibrate_lambda(b, pde)
-    v, report = solve_fwd(b, lam, pde)
-    u = to_backward(v)
+    bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
+    u, lam, report = bundle["u"], bundle["lam"], bundle["solve_report"]
     save_time_field(u, args.out, description="backward solution",
                     extra={"lambda": lam, "solver": report.to_dict()})
     print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}; "
@@ -81,9 +69,8 @@ def cmd_solve_pde(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args.config)
-    b = _drift_field(cfg, args.drift)
-    pde = _pde_config(cfg)
-    lam, trace = calibrate_lambda(b, pde)
+    bundle = prepare_transform(replace(cfg, lam=None), _drift_snapshot(args.drift))
+    lam, trace = bundle["lam"], bundle["trace"]
     out = Path(args.out)
     out.write_text(json.dumps({"lambda": lam,
                                "trace": [list(t) for t in trace]}, indent=2))
@@ -99,25 +86,16 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.u:
-        u = load_time_field(args.u)
         lam = cfg.lam
         if lam is None:
-            meta = json.loads((Path(args.u).parent / (Path(args.u).name + ".json")).read_text())
-            lam = meta.get("manifest", {}).get("lambda")
+            lam = load_time_field_meta(args.u).get("manifest", {}).get("lambda")
             if lam is None:
                 raise SystemExit("lambda is neither in the config nor the u sidecar")
+        ctx = make_context(load_time_field(args.u), inverse_tol=cfg.inverse_tol)
     else:
-        b = _drift_field(cfg, args.drift)
-        pde = _pde_config(cfg)
-        lam = cfg.lam
-        if lam is None:
-            lam, _ = calibrate_lambda(b, pde)
-        v, _ = solve_fwd(b, lam, pde)
-        u = to_backward(v)
-    ctx = make_context(u)
-    sim = SimConfig(x0=cfg.x0, horizon=cfg.horizon, steps=cfg.steps,
-                    paths=cfg.paths, seed=cfg.seed, lam=float(lam))
-    ens = virtual_x(ctx, simulate_y(ctx, sim))
+        bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
+        ctx, lam = bundle["ctx"], bundle["lam"]
+    ens = virtual_x(ctx, simulate_y(ctx, _sim_config(cfg, float(lam))))
     save_ensemble(ens, args.out)
     term = ens.terminal()[:, 0]
     print(f"{cfg.paths} paths written to {args.out}; terminal mean "
@@ -128,7 +106,6 @@ def cmd_simulate(args) -> int:
 def _run_study(fn, args) -> int:
     cfg = _load_config(args.config)
     if args.out_dir:
-        from dataclasses import replace
         cfg = replace(cfg, out_dir=args.out_dir)
     report = fn(cfg)
     print(json.dumps({"study": report.study, "digest": report.digest,

@@ -30,6 +30,7 @@ from .spectral import (
     TimeField,
     bessel_power,
     gradient,
+    singular_values_sq,
     sobolev_norm,
 )
 from .paraproduct import drift_gradient_product
@@ -331,13 +332,10 @@ def gradient_sup(u: TimeField) -> float:
             mag = np.sqrt(np.sum(jac ** 2, axis=0))
             worst = max(worst, float(mag.max()))
             continue
-        # d = 2, vector u: closed-form largest singular value of 2x2 Jacobians
-        j = jac.reshape(u.components, d, -1)
-        fro2 = np.sum(j ** 2, axis=(0, 1))
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
-        smax = np.sqrt(0.5 * (fro2 + disc))
-        worst = max(worst, float(smax.max()))
+        # d = 2, vector u: largest singular value of the 2x2 Jacobians
+        j = np.moveaxis(jac.reshape(u.components, d, -1), -1, 0)   # (points, d, d)
+        _, smax_sq = singular_values_sq(j)
+        worst = max(worst, float(np.sqrt(smax_sq).max()))
     return worst
 
 

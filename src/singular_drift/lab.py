@@ -224,9 +224,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         lam, trace = calibrate_lambda(b, pde)
     else:
         lam, trace = float(cfg.lam), []
-    v, solve_report = solve_fwd(b, lam, pde)
-    u = to_backward(v)
-    ctx = make_context(u, inverse_tol=cfg.inverse_tol)
+    u, ctx, solve_report = _transform_at(cfg, b, lam, pde)
     return {
         "grid": grid,
         "b": b,
@@ -239,6 +237,13 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         "solve_report": solve_report,
         "prepare_seconds": time.perf_counter() - t0,
     }
+
+
+def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float, pde: PdeConfig) -> tuple:
+    """Solve at lam and build the transform: (backward u, context, solver report)."""
+    v, solve_report = solve_fwd(b, lam, pde)
+    u = to_backward(v)
+    return u, make_context(u, inverse_tol=cfg.inverse_tol), solve_report
 
 
 def _marginal(ens: PathEnsemble, frac: float, coord: int = 0) -> np.ndarray:
@@ -338,8 +343,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
         if lam == lam0:
             ctx = bundle["ctx"]
         else:
-            v, _ = solve_fwd(bundle["b"], lam, bundle["pde"])
-            ctx = make_context(to_backward(v))
+            _, ctx, _ = _transform_at(cfg, bundle["b"], lam, bundle["pde"])
         sim = _sim_config(cfg, lam)
         x = virtual_x(ctx, simulate_y(ctx, sim))
         marginals[lam] = {frac: _marginal(x, frac) for frac in REPORT_TIMES}

@@ -7,8 +7,10 @@ The process Y solves dY = mu(t, Y) dt + sigma(t, Y) dW with
 
 started from y0 = x0 + u(0, x0); X = psi(t, Y) is the virtual solution of the
 rough-drift equation.  Brownian increments come from counter-based streams so
-two simulations sharing a seed see identical noise regardless of worker count,
-mollification level, or lambda (exact common random numbers).
+two simulations sharing a seed see identical noise regardless of path count,
+mollification level, or lambda (exact common random numbers).  Simulation is
+serial: one Euler-Maruyama loop walks a fixed partition of the path axis,
+block after block, so the bytes are a pure function of the SimConfig.
 
 Stream rule: path p owns Philox(key=(seed, p)); step m consumes the uniform
 doubles at positions (2m, 2m+1) through a Box-Muller pair, of which the first
@@ -19,14 +21,12 @@ base_steps and summing adjacent fine increments.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .spectral import TimeField, evaluate
+from .spectral import TimeField, evaluate, singular_values_sq
 from .zvonkin import TransformContext, psi
 
 __all__ = [
@@ -41,10 +41,9 @@ __all__ = [
     "virtual_residual",
     "save_ensemble",
     "load_ensemble",
-    "worker_count",
 ]
 
-_PATH_BLOCK = 2048       # fixed partition of the path axis (not tied to workers)
+_PATH_BLOCK = 2048       # fixed partition of the path axis; bounds the noise and work arrays
 _ENSEMBLE_MAGIC = b"SDE1"
 
 STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
@@ -129,16 +128,6 @@ class PathEnsemble:
         return self.states[:, m, :]
 
 
-def worker_count() -> int:
-    """Worker cap from SINGULAR_DRIFT_THREADS; defaults to serial."""
-    raw = os.environ.get("SINGULAR_DRIFT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 # --- noise -----------------------------------------------------------------
 
 
@@ -177,17 +166,6 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
 # --- coefficients of the transformed equation --------------------------------
 
 
-def _sigma_min_sq(sigma: np.ndarray) -> np.ndarray:
-    """Smallest squared singular value of stacked (m, d, d) matrices, d <= 2."""
-    d = sigma.shape[-1]
-    if d == 1:
-        return sigma[:, 0, 0] ** 2
-    fro2 = np.sum(sigma ** 2, axis=(1, 2))
-    det = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
-    disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
-    return 0.5 * (fro2 - disc)
-
-
 def coefficients(ctx: TransformContext, lam: float, t: float, y) -> tuple:
     """Drift and diffusion of Y at (t, y); y is (m, d) or (d,).
 
@@ -201,7 +179,7 @@ def coefficients(ctx: TransformContext, lam: float, t: float, y) -> tuple:
     mu = (lam + 1.0) * u_val
     jac = evaluate(ctx.jacobian_at(t), x).reshape(-1, d, d)
     sigma = jac + np.eye(d)[None]
-    smin_sq = _sigma_min_sq(sigma)
+    smin_sq, _ = singular_values_sq(sigma)
     floor = 0.25 * (1.0 - 1e-6)
     if np.any(smin_sq < floor):
         raise EllipticityError(
@@ -215,32 +193,27 @@ def coefficients(ctx: TransformContext, lam: float, t: float, y) -> tuple:
 # --- simulators ----------------------------------------------------------------
 
 
-def _run_blocks(cfg: SimConfig, block_fn) -> np.ndarray:
-    """Evaluate block_fn(lo, hi) over the fixed path partition, possibly threaded.
+def _euler(cfg: SimConfig, start: np.ndarray, step) -> np.ndarray:
+    """Euler-Maruyama states (paths, steps+1, d) of state <- step(m, state, dW_m).
 
-    The partition never depends on the worker count, so ensemble bytes are a
-    pure function of cfg.
+    Every path starts at start.  The blocks of the fixed path partition run one
+    after another, each drawing its own increments.
     """
-    blocks = [(lo, min(lo + _PATH_BLOCK, cfg.paths))
-              for lo in range(0, cfg.paths, _PATH_BLOCK)]
-    d = cfg.dimension
-    out = np.empty((cfg.paths, cfg.steps + 1, d))
-    workers = worker_count()
-    if workers == 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            out[lo:hi] = block_fn(lo, hi)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(block_fn, lo, hi): (lo, hi) for lo, hi in blocks}
-        for fut, (lo, hi) in futures.items():
-            out[lo:hi] = fut.result()
+    out = np.empty((cfg.paths, cfg.steps + 1, cfg.dimension))
+    for lo in range(0, cfg.paths, _PATH_BLOCK):
+        hi = min(lo + _PATH_BLOCK, cfg.paths)
+        dw = _block_increments(cfg, lo, hi)
+        state = np.tile(start, (hi - lo, 1))
+        out[lo:hi, 0] = state
+        for m in range(cfg.steps):
+            state = step(m, state, dw[:, m])
+            out[lo:hi, m + 1] = state
     return out
 
 
 def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed") -> PathEnsemble:
     """Explicit Euler-Maruyama for Y from y0 = x0 + u(0, x0)."""
-    d = cfg.dimension
-    if d != ctx.u.grid.dimension:
+    if cfg.dimension != ctx.u.grid.dimension:
         raise ValueError("config dimension does not match the transform")
     if cfg.horizon != ctx.horizon:
         raise ValueError("config horizon does not match the transform")
@@ -248,19 +221,11 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed"
     y0 = x0 + evaluate(ctx.u_at(0.0), x0[None])[0]
     dt = cfg.dt
 
-    def block(lo, hi):
-        n = hi - lo
-        dw = _block_increments(cfg, lo, hi)
-        states = np.empty((n, cfg.steps + 1, d))
-        y = np.tile(y0, (n, 1))
-        states[:, 0] = y
-        for m in range(cfg.steps):
-            mu, sigma = coefficients(ctx, cfg.lam, m * dt, y)
-            y = y + mu * dt + np.einsum("pij,pj->pi", sigma, dw[:, m])
-            states[:, m + 1] = y
-        return states
+    def step(m, y, dw):
+        mu, sigma = coefficients(ctx, cfg.lam, m * dt, y)
+        return y + mu * dt + np.einsum("pij,pj->pi", sigma, dw)
 
-    states = _run_blocks(cfg, block)
+    states = _euler(cfg, y0, step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "block": _PATH_BLOCK, "y0": list(np.atleast_1d(y0))}
     return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
@@ -283,26 +248,13 @@ def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -
     Meant for smooth(ed) drifts; b is looked up at the latest drift node at or
     before t, matching piecewise-constant time dependence.
     """
-    d = cfg.dimension
-    if d != b.grid.dimension:
+    if cfg.dimension != b.grid.dimension:
         raise ValueError("config dimension does not match the drift")
     dt = cfg.dt
     x0 = np.asarray(cfg.x0)
     # drift nodes looked up once per step; sim and drift grids need not match
     fields = [b.at_time(min(m * dt, b.horizon), rule="left") for m in range(cfg.steps)]
-
-    def block(lo, hi):
-        n = hi - lo
-        dw = _block_increments(cfg, lo, hi)
-        states = np.empty((n, cfg.steps + 1, d))
-        x = np.tile(x0, (n, 1))
-        states[:, 0] = x
-        for m in range(cfg.steps):
-            x = x + evaluate(fields[m], x) * dt + dw[:, m]
-            states[:, m + 1] = x
-        return states
-
-    states = _run_blocks(cfg, block)
+    states = _euler(cfg, x0, lambda m, x, dw: x + evaluate(fields[m], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "block": _PATH_BLOCK}
     return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)

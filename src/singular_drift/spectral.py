@@ -27,6 +27,7 @@ __all__ = [
     "mollify",
     "sobolev_norm",
     "lp_grid_norm",
+    "singular_values_sq",
     "evaluate",
     "cutoff_profile",
     "save_field",
@@ -309,6 +310,18 @@ def gradient(f: SpectralField, zero_nyquist: bool = True) -> SpectralField:
 
 
 # --- norms ------------------------------------------------------------------
+
+
+def singular_values_sq(m: np.ndarray) -> tuple:
+    """Smallest and largest squared singular values of stacked (n, d, d)
+    matrices, d <= 2, in closed form."""
+    if m.shape[-1] == 1:
+        s = m[:, 0, 0] ** 2
+        return s, s
+    fro2 = np.sum(m ** 2, axis=(1, 2))
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
+    return 0.5 * (fro2 - disc), 0.5 * (fro2 + disc)
 
 
 def lp_grid_norm(f: SpectralField, p: float) -> float:

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from singular_drift import lab
 from singular_drift.cli import main
-from singular_drift.sde import load_ensemble
+from singular_drift.drifts import AssumptionViolated
+from singular_drift.sde import SimConfig, load_ensemble, simulate_y, virtual_x
 from singular_drift.spectral import load_time_field, load_time_field_meta
 
 
@@ -57,12 +59,34 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
     assert ens.states.shape == (200, 17, 1)
     assert "terminal mean" in capsys.readouterr().out
 
+    # with lam unset in the config, lambda comes from the u sidecar
+    p = tmp_path / "no-lam.json"
+    p.write_text(json.dumps(dict(TINY, lam=None)))
+    assert main(["simulate", "--config", str(p), "--u", str(u_path),
+                 "--out", str(ens_path)]) == 0
+    assert load_ensemble(ens_path).config.lam == 2.0
+
 
 def test_simulate_without_snapshot(tmp_path, config_path):
     ens_path = tmp_path / "paths.bin"
     assert main(["simulate", "--config", config_path, "--out", str(ens_path)]) == 0
     ens = load_ensemble(ens_path)
     assert ens.config.lam == 2.0
+    # the transform is the studies' own, inverse tolerance included
+    cfg = lab.ExperimentConfig.from_dict(TINY)
+    ctx = lab.prepare_transform(cfg)["ctx"]
+    sim = SimConfig(x0=cfg.x0, horizon=cfg.horizon, steps=cfg.steps,
+                    paths=cfg.paths, seed=cfg.seed, lam=cfg.lam)
+    ref = virtual_x(ctx, simulate_y(ctx, sim))
+    assert np.array_equal(np.asarray(ens.states), np.asarray(ref.states))
+
+
+def test_solve_pde_checks_admissibility(tmp_path):
+    # q = 5 lies outside (d/(1-beta), d/beta) = (4/3, 4) in 1-D
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(TINY, q=5.0)))
+    with pytest.raises(AssumptionViolated, match="q=5.0"):
+        main(["solve-pde", "--config", str(p), "--out", str(tmp_path / "u.bin")])
 
 
 def test_calibrate(tmp_path, capsys):
