@@ -19,7 +19,7 @@ import numpy as np
 
 from .spectral import GridSpec, SpectralField, heat_semigroup, load_time_field, \
     load_time_field_meta, save_time_field
-from .paraproduct import dealiased_multiply
+from .paraproduct import SOLVER_STAGE, dealiased_multiply
 from .drifts import assumption_check, generate
 from .kolmogorov import gamma_bound_check
 from .zvonkin import make_context, phi, psi
@@ -62,8 +62,8 @@ def cmd_solve_pde(args) -> int:
     u, lam, report = bundle["u"], bundle["lam"], bundle["solve_report"]
     save_time_field(u, args.out, description="backward solution",
                     extra={"lambda": lam, "solver": report.to_dict()})
-    print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}; "
-          f"u written to {args.out}")
+    print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}, "
+          f"product stage {SOLVER_STAGE}; u written to {args.out}")
     return 0
 
 

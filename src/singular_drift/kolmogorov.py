@@ -15,6 +15,10 @@ exponential-Euler march over the time nodes (Hochbruck & Ostermann,
 Picard iteration in an exponentially weighted sup-norm, the contraction
 argument of the theory, is kept as the diagnostic `picard_sweeps`.  The
 backward-time solution u is the time reversal of v.
+
+The product b . grad v is the fixed dyadic stage of
+`paraproduct.drift_gradient_product`, so the solve reads nothing of
+PdeConfig; (delta, p) are the norms of the diagnostics only.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .spectral import (
     SobolevIndex,
     SpectralField,
     TimeField,
-    bessel_power,
     gradient,
     singular_values_sq,
     sobolev_norm,
@@ -48,7 +51,6 @@ __all__ = [
     "gradient_sup",
     "calibrate_lambda",
     "holder_diagnostic",
-    "uniqueness_crosscheck",
     "gamma_bound_check",
     "mild_residual",
 ]
@@ -71,23 +73,16 @@ class PdeConfig:
     """Exponent choices and solver tolerances.
 
     (beta, q) is the admissibility window of the drift, (delta, p) the working
-    pair: products converge in H^{-beta}_p, the solution is controlled in
-    H^{1+delta}_p.
+    pair: products are measured in H^{-beta}_p, the solution in H^{1+delta}_p.
+    None of them reaches the march, whose products run at the fixed stage
+    paraproduct.SOLVER_STAGE; they are the norms of the diagnostics
+    (`picard_sweeps`, `mild_residual`, `paraproduct.ladder_agrees`).
 
     rho and max_iter are read only by the diagnostic `picard_sweeps`:
     rho = None lets it pick the weight rate from the measured gain of one
     sweep, and max_iter caps the sweeps.  `solve_fwd` marches once and
     ignores both.  tol stops the sweeps and bounds the mild residual that
     the checks accept for either solver.
-
-    product_tol is the absolute dyadic-tail acceptance for the regularized
-    products b . grad(v).  Band-limited drifts terminate their dyadic ladder
-    exactly, so any positive value is tight for them; drifts filling the whole
-    lattice at near-critical decay have a slowly decaying ladder, and the
-    default accepts the tail at the first stable stage for unit-amplitude
-    drifts.  The stage cutoff is then identical across time nodes, Picard
-    iterates and nearby (delta, p) choices, which keeps solves reproducible and
-    comparable.
     """
 
     beta: float
@@ -97,7 +92,6 @@ class PdeConfig:
     rho: float | None = None
     tol: float = 1e-9
     max_iter: int = 200
-    product_tol: float = 2.0
 
     def __post_init__(self):
         if not (0.0 < self.beta < 0.5):
@@ -108,8 +102,8 @@ class PdeConfig:
             raise ValueError("integrability exponents must exceed 1")
         if self.rho is not None and self.rho < 0:
             raise ValueError("weight rate must be nonnegative")
-        if not (self.tol > 0 and self.product_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol > 0:
+            raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -150,25 +144,11 @@ class SolveReport:
 # --- the mild integral operator -----------------------------------------------
 
 
-def _integrand(bm: SpectralField, vm: SpectralField, lam: float,
-               cfg: PdeConfig) -> np.ndarray:
-    """g = b . grad v + b - lam v at one time node, as coefficients.
-
-    The paraproduct tolerance is cfg.product_tol scaled by
-    1 + ||grad v||_{L^2}: the dyadic ladder of b . grad v is proportional to
-    the size of grad v, and early Picard sweeps pass through transient
-    iterates far larger than the fixed point, so an absolute tolerance sized
-    for the solution would spuriously reject them.
-    """
+def _integrand(bm: SpectralField, vm: SpectralField, lam: float) -> np.ndarray:
+    """g = b . grad v + b - lam v at one time node, as coefficients."""
     if not np.any(vm.coeffs):
         return bm.coeffs
-    grid = vm.grid
-    volume = grid.period ** grid.dimension
-    kappa_sq = grid.kappa_sq()[None]
-    grad_l2 = np.sqrt(volume * np.sum(kappa_sq * np.abs(vm.coeffs) ** 2))
-    tol = cfg.product_tol * (1.0 + grad_l2)
-    conv = drift_gradient_product(bm, vm, tol, cfg.product_index)
-    return conv.coeffs + bm.coeffs - lam * vm.coeffs
+    return drift_gradient_product(bm, vm).coeffs + bm.coeffs - lam * vm.coeffs
 
 
 def _step_factors(tf: TimeField) -> tuple:
@@ -191,7 +171,7 @@ def integral_operator(v: TimeField, b: TimeField, lam: float, cfg: PdeConfig) ->
     decay, weight = _step_factors(v)
     out = np.zeros_like(v.coeffs)
     for m in range(1, v.nodes + 1):
-        g = _integrand(b.node(m - 1), v.node(m - 1), lam, cfg)
+        g = _integrand(b.node(m - 1), v.node(m - 1), lam)
         out[m] = decay * out[m - 1] + weight * g
     return TimeField(v.grid, v.horizon, out, v.real_flag and b.real_flag)
 
@@ -224,13 +204,14 @@ def solve_fwd(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
     is one march v_m = E v_{m-1} + w g(v_{m-1}) from v_0 = 0.  The march does
     the operator's own floating-point operations in the same order, so
     integral_operator(v) equals v exactly.  The report reads one pass,
-    converged, with no sweep differences and weight rate 0.
+    converged, with no sweep differences and weight rate 0.  cfg keeps the
+    signature shared with picard_sweeps; the march reads none of it.
     """
     decay, weight = _step_factors(b)
     out = np.zeros_like(b.coeffs)
     for m in range(1, b.nodes + 1):
         vm = SpectralField(b.grid, out[m - 1], b.real_flag)
-        out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam, cfg)
+        out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
     # a second pass would change nothing, hence a measured gain of 0
     report = SolveReport(converged=True, iterations=1, rho=0.0, gain0=0.0,
                          weighted_diffs=(), sup_diffs=(), ratios=(), lam=float(lam),
@@ -382,19 +363,6 @@ def holder_diagnostic(u: TimeField, gamma: float, idx: SobolevIndex) -> float:
             val = sobolev_norm(u.node(j) - u.node(i), idx) / (times[j] - times[i]) ** gamma
             worst = max(worst, val)
     return float(worst)
-
-
-def uniqueness_crosscheck(b: TimeField, lam: float, cfg_a: PdeConfig,
-                          cfg_b: PdeConfig) -> float:
-    """Sup-grid distance between solutions computed under two (delta, p) choices."""
-    va, _ = solve_fwd(b, lam, cfg_a)
-    vb, _ = solve_fwd(b, lam, cfg_b)
-    worst = 0.0
-    for m in range(va.nodes + 1):
-        dv = va.node(m) - vb.node(m)
-        mag = np.sqrt(np.sum(dv.values() ** 2, axis=0))
-        worst = max(worst, float(mag.max()))
-    return worst
 
 
 def gamma_bound_check(rho: float, theta: float, t_range: tuple = (0.0, np.inf)) -> dict:

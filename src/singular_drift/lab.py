@@ -26,6 +26,7 @@ from scipy import stats
 from . import __version__
 from .spectral import GridSpec, TimeField, save_time_field
 from .drifts import DriftSpec, KappaRegion, assumption_check, generate, mollified_sequence, pick_kappa
+from .paraproduct import SOLVER_STAGE, ladder_agrees
 from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd, to_backward
 from .zvonkin import make_context
 from .sde import PathEnsemble, SimConfig, simulate_classical, simulate_y, virtual_x
@@ -125,7 +126,6 @@ class ExperimentConfig:
     delta: float | None = None      # None: canonical midpoint choice
     p: float | None = None
     tol: float = 1e-9
-    product_tol: float = 2.0
     lam: float | None = None        # None: calibrate by doubling
     inverse_tol: float = 1e-9       # point inversion tolerance during simulation
     x0: tuple = (0.0,)
@@ -208,7 +208,8 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     """Drift -> admissibility -> exponents -> (calibrated) solve -> transform.
 
     Returns a bundle with the drift b, PdeConfig, lambda, trace, backward u,
-    TransformContext, and the solver report.
+    TransformContext, the solver report, and ladder_agrees at the march's
+    last product (node M-1, where v(t_{M-1}) = u(t_1)).
     """
     t0 = time.perf_counter()
     grid = cfg.grid()
@@ -218,8 +219,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
     else:
         delta, p = cfg.delta, cfg.p
-    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol,
-                    product_tol=cfg.product_tol)
+    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol)
     if cfg.lam is None:
         lam, trace = calibrate_lambda(b, pde)
     else:
@@ -235,6 +235,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         "u": u,
         "ctx": ctx,
         "solve_report": solve_report,
+        "ladder_agrees": ladder_agrees(b.node(b.nodes - 1), u.node(1), pde.product_index),
         "prepare_seconds": time.perf_counter() - t0,
     }
 
@@ -270,6 +271,8 @@ def _pipeline_summary(bundle, cfg: ExperimentConfig) -> dict:
         "lambda": bundle["lam"],
         "lambda_trace": [list(t) for t in bundle["trace"]],
         "solver": solve.method,
+        "product_stage": SOLVER_STAGE,
+        "ladder_agrees": bundle["ladder_agrees"],
         "gradient_bound": bundle["ctx"].gradient_bound,
     }
 
@@ -456,6 +459,7 @@ def _persist(cfg: ExperimentConfig, report: StudyReport, bundle) -> Path | None:
         "study": report.study,
         "digest": report.digest,
         "seeds": {"master": cfg.seed, "drift": cfg.drift.seed},
+        "product_stage": SOLVER_STAGE,
         "environment": report.environment,
         "files": {},
     }

@@ -35,7 +35,6 @@ from singular_drift.kolmogorov import (
     picard_sweeps,
     solve_fwd,
     to_backward,
-    uniqueness_crosscheck,
 )
 from singular_drift.zvonkin import lipschitz_probe, make_context, phi, psi
 from singular_drift.sde import SimConfig, brownian_increments, simulate_y, virtual_x
@@ -245,17 +244,32 @@ def test_criterion_07_zvonkin_inverse(transform):
             f"round-trip {worst:.1e} <= 2e-12, lipschitz probe {lip:.4f} <= 2")
 
 
-def test_criterion_08_uniqueness_crosscheck(rough_drift, pde, solution):
-    # not informative under the march: (delta, p) reaches the solve only
-    # through the stage at which each product stops, both choices stop at
-    # the same stage, and the gap is 0.0 by construction (ROADMAP item 3)
-    lam, _, _ = solution
-    other = PdeConfig(beta=BETA, delta=0.4, p=2.2, q=Q)
-    gap = uniqueness_crosscheck(rough_drift, lam, pde, other)
-    ok = gap <= 10.0 * pde.tol
-    verdict(8, "uniqueness across (delta, p)", ok,
-            f"sup-grid gap {gap:.1e} <= {10.0 * pde.tol:.0e} for "
-            f"({pde.delta},{pde.p}) vs (0.4,2.2)")
+def _sup_grid_gap(coarse, fine):
+    """sup over the coarse nodes and the grid of |coarse(t_m) - fine(t_m)|,
+    fine having twice as many time steps."""
+    worst = 0.0
+    for m in range(coarse.nodes + 1):
+        dv = coarse.node(m) - fine.node(2 * m)
+        worst = max(worst, float(np.sqrt(np.sum(dv.values() ** 2, axis=0)).max()))
+    return worst
+
+
+def test_criterion_08_time_self_convergence(grid, rough_drift, pde, solution):
+    # the rough drift is time-independent, so the M, 2M and 4M drifts carry
+    # identical nodes and the gaps are pure time-discretization error; the
+    # bounds are criterion 4's first-order ones
+    lam, v, _ = solution
+    b2, b4 = (generate(ROUGH_SPEC, grid, T, k * M) for k in (2, 4))
+    assert all(np.array_equal(b4.node(m).coeffs, rough_drift.node(0).coeffs)
+               for m in range(b4.nodes + 1))
+    v2, _ = solve_fwd(b2, lam, pde)
+    v4, _ = solve_fwd(b4, lam, pde)
+    g1, g2 = _sup_grid_gap(v, v2), _sup_grid_gap(v2, v4)
+    ratio = g2 / g1
+    ok = g1 <= 3.0 / M and 0.4 <= ratio <= 0.6
+    verdict(8, "time self-convergence on the rough drift", ok,
+            f"sup-grid gap M vs 2M {g1:.2e} <= {3.0 / M:.2e}, "
+            f"2M vs 4M {g2:.2e}, ratio {ratio:.3f} in [0.4, 0.6]")
 
 
 def test_criterion_09_stability(rough_drift, pde, solution):

@@ -51,6 +51,7 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
     meta = load_time_field_meta(u_path)
     assert meta["manifest"]["lambda"] == 2.0
     assert meta["manifest"]["solver"]["converged"]
+    assert "product stage 4" in capsys.readouterr().out
 
     ens_path = tmp_path / "paths.bin"
     assert main(["simulate", "--config", config_path, "--u", str(u_path),

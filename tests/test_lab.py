@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from singular_drift.drifts import DriftSpec
+from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.lab import (
     ExperimentConfig,
     bootstrap_ci,
@@ -98,6 +99,14 @@ def test_experiment_config_roundtrip():
     assert back == cfg
 
 
+def test_experiment_config_rejects_product_tol():
+    # the solver's product runs at a fixed stage; the old tolerance is no key
+    d = tiny_config().to_dict()
+    d["product_tol"] = 2.0
+    with pytest.raises(TypeError, match="product_tol"):
+        ExperimentConfig.from_dict(d)
+
+
 def test_experiment_config_validates_x0():
     with pytest.raises(ValueError):
         tiny_config(x0=(0.0, 0.0))
@@ -148,8 +157,11 @@ def test_study_mollify_smoke(tmp_path):
         assert (root / name).exists(), name
     manifest = json.loads((root / "manifest.json").read_text())
     assert manifest["digest"] == rep.digest
+    assert manifest["product_stage"] == SOLVER_STAGE == 4
     saved = json.loads((root / "report.json").read_text())
     assert saved["levels"] == rep.levels
+    assert saved["pipeline"]["product_stage"] == SOLVER_STAGE
+    assert saved["pipeline"]["ladder_agrees"] is True
 
 
 def test_study_lambda_smoke():

@@ -5,11 +5,13 @@ import pytest
 
 from singular_drift.spectral import GridSpec, SobolevIndex, SpectralField, evaluate
 from singular_drift.paraproduct import (
+    SOLVER_STAGE,
     NonConvergent,
     _pad_coeffs,
     _truncate_coeffs,
     dealiased_multiply,
     drift_gradient_product,
+    ladder_agrees,
     product,
     product_bound_ratio,
 )
@@ -170,7 +172,7 @@ def test_drift_gradient_product_trig_oracle(grid64):
     x = grid64.axis_points()
     b = SpectralField.from_grid(grid64, np.sin(x)[None])
     u = SpectralField.from_grid(grid64, np.cos(2 * x)[None])
-    out = drift_gradient_product(b, u, 1e-10, IDX)
+    out = drift_gradient_product(b, u)
     want = SpectralField.from_grid(grid64, (np.cos(3 * x) - np.cos(x))[None])
     assert np.max(np.abs(out.coeffs - want.coeffs)) < 1e-13
 
@@ -182,7 +184,7 @@ def test_drift_gradient_product_2d_oracle(grid64_2d):
     bc = np.stack([np.sin(yy), np.zeros_like(yy)])
     b = SpectralField.from_grid(grid64_2d, bc)
     u = SpectralField.from_grid(grid64_2d, np.cos(xx)[None])
-    out = drift_gradient_product(b, u, 1e-10, IDX)
+    out = drift_gradient_product(b, u)
     want = SpectralField.from_grid(grid64_2d, (-np.sin(yy) * np.sin(xx))[None])
     assert np.max(np.abs(out.coeffs - want.coeffs)) < 1e-13
 
@@ -190,7 +192,20 @@ def test_drift_gradient_product_2d_oracle(grid64_2d):
 def test_drift_gradient_product_checks_components(grid64, sine_field):
     b2 = SpectralField(grid64, np.zeros((2, 64), dtype=complex))
     with pytest.raises(ValueError):
-        drift_gradient_product(b2, sine_field, 1e-6, IDX)
+        drift_gradient_product(b2, sine_field)
+
+
+def test_ladder_disagrees_when_the_drift_sits_past_the_stage():
+    # b = A cos(20x) is cut by the stage-4 low-pass (1 up to |k| = 16, 0 from
+    # 24) and dropped by stage 3, so with a large enough A the ladder refines
+    # past stage 4 and returns the full product at stage 6
+    grid = GridSpec(1, 128, 2.0 * np.pi)
+    x = grid.axis_points()
+    b = SpectralField.from_grid(grid, (1e3 * np.cos(20 * x))[None])
+    u = SpectralField.from_grid(grid, (0.01 * np.sin(x))[None])
+    assert SOLVER_STAGE == 4
+    assert not ladder_agrees(b, u, IDX)
+    assert ladder_agrees(b, 1e-6 * u, IDX)
 
 
 # --- the observable product constant ---------------------------------------------------
