@@ -17,8 +17,9 @@ argument of the theory, is kept as the diagnostic `picard_sweeps`.  The
 backward-time solution u is the time reversal of v.
 
 The product b . grad v is the fixed dyadic stage of
-`paraproduct.drift_gradient_product`, so the solve reads nothing of
-PdeConfig; (delta, p) are the norms of the diagnostics only.
+`paraproduct.drift_gradient_product`, so the solve, the operator and the
+lambda calibration take no PdeConfig; (delta, p) are the norms of the
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -75,14 +76,14 @@ class PdeConfig:
     (beta, q) is the admissibility window of the drift, (delta, p) the working
     pair: products are measured in H^{-beta}_p, the solution in H^{1+delta}_p.
     None of them reaches the march, whose products run at the fixed stage
-    paraproduct.SOLVER_STAGE; they are the norms of the diagnostics
-    (`picard_sweeps`, `mild_residual`, `paraproduct.ladder_agrees`).
+    paraproduct.SOLVER_STAGE, so `solve_fwd` takes no PdeConfig; they are
+    the norms of the diagnostics (`picard_sweeps`, `mild_residual`,
+    `paraproduct.ladder_agrees`).
 
     rho and max_iter are read only by the diagnostic `picard_sweeps`:
     rho = None lets it pick the weight rate from the measured gain of one
-    sweep, and max_iter caps the sweeps.  `solve_fwd` marches once and
-    ignores both.  tol stops the sweeps and bounds the mild residual that
-    the checks accept for either solver.
+    sweep, and max_iter caps the sweeps.  tol stops the sweeps and bounds
+    the mild residual that the checks accept for either solver.
     """
 
     beta: float
@@ -158,7 +159,7 @@ def _step_factors(tf: TimeField) -> tuple:
     return np.exp(-dt * a), -np.expm1(-dt * a) / a
 
 
-def integral_operator(v: TimeField, b: TimeField, lam: float, cfg: PdeConfig) -> TimeField:
+def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     """One application of the mild right-hand side on the shared time grid.
 
     Per mode the step integral int_{t_l}^{t_{l+1}} exp(-(t_m - r) a) g(r) dr is
@@ -197,15 +198,14 @@ def _weighted_sup(node_vals: np.ndarray, times: np.ndarray, rho: float) -> float
 # --- the solver and the Picard diagnostic -------------------------------------------
 
 
-def solve_fwd(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
+def solve_fwd(b: TimeField, lam: float) -> tuple:
     """Fixed point of the mild integral operator, plus a report.
 
     integral_operator computes node m from nodes < m only, so its fixed point
     is one march v_m = E v_{m-1} + w g(v_{m-1}) from v_0 = 0.  The march does
     the operator's own floating-point operations in the same order, so
     integral_operator(v) equals v exactly.  The report reads one pass,
-    converged, with no sweep differences and weight rate 0.  cfg keeps the
-    signature shared with picard_sweeps; the march reads none of it.
+    converged, with no sweep differences and weight rate 0.
     """
     decay, weight = _step_factors(b)
     out = np.zeros_like(b.coeffs)
@@ -240,7 +240,7 @@ def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
     gain0 = float("nan")
 
     for k in range(1, cfg.max_iter + 1):
-        v_new = integral_operator(v, b, lam, cfg)
+        v_new = integral_operator(v, b, lam)
         dn = _node_norms(v_new - v, idx)
         diff_nodes.append(dn)
         sup_diffs.append(float(dn.max()))
@@ -296,7 +296,7 @@ def to_backward(v: TimeField) -> TimeField:
 def mild_residual(v: TimeField, b: TimeField, lam: float, cfg: PdeConfig,
                   rho: float) -> float:
     """Weighted norm of v - I(v); small for a converged fixed point."""
-    return weighted_norm(v - integral_operator(v, b, lam, cfg), rho, cfg.solution_index)
+    return weighted_norm(v - integral_operator(v, b, lam), rho, cfg.solution_index)
 
 
 # --- diagnostics -------------------------------------------------------------------
@@ -320,8 +320,7 @@ def gradient_sup(u: TimeField) -> float:
     return worst
 
 
-def calibrate_lambda(b: TimeField, cfg: PdeConfig, target: float = 0.5,
-                     max_doublings: int = 40) -> tuple:
+def calibrate_lambda(b: TimeField, target: float = 0.5, max_doublings: int = 40) -> tuple:
     """Double lambda from 1 until gradient_sup(u_lambda) <= target.
 
     Returns (lambda, trace) with trace = [(lambda_i, gradient_sup_i), ...].
@@ -340,7 +339,7 @@ def calibrate_lambda(b: TimeField, cfg: PdeConfig, target: float = 0.5,
                 f"{target} was met; refine the time grid or weaken the drift",
                 trace=trace,
             )
-        v, _report = solve_fwd(b, lam, cfg)
+        v, _report = solve_fwd(b, lam)
         g = gradient_sup(to_backward(v))
         trace.append((lam, g))
         if g <= target:

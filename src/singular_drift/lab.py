@@ -221,10 +221,10 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         delta, p = cfg.delta, cfg.p
     pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol)
     if cfg.lam is None:
-        lam, trace = calibrate_lambda(b, pde)
+        lam, trace = calibrate_lambda(b)
     else:
         lam, trace = float(cfg.lam), []
-    u, ctx, solve_report = _transform_at(cfg, b, lam, pde)
+    u, ctx, solve_report = _transform_at(cfg, b, lam)
     return {
         "grid": grid,
         "b": b,
@@ -240,9 +240,9 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     }
 
 
-def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float, pde: PdeConfig) -> tuple:
+def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float) -> tuple:
     """Solve at lam and build the transform: (backward u, context, solver report)."""
-    v, solve_report = solve_fwd(b, lam, pde)
+    v, solve_report = solve_fwd(b, lam)
     u = to_backward(v)
     return u, make_context(u, inverse_tol=cfg.inverse_tol), solve_report
 
@@ -346,7 +346,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
         if lam == lam0:
             ctx = bundle["ctx"]
         else:
-            _, ctx, _ = _transform_at(cfg, bundle["b"], lam, bundle["pde"])
+            _, ctx, _ = _transform_at(cfg, bundle["b"], lam)
         sim = _sim_config(cfg, lam)
         x = virtual_x(ctx, simulate_y(ctx, sim))
         marginals[lam] = {frac: _marginal(x, frac) for frac in REPORT_TIMES}

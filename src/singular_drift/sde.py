@@ -6,9 +6,13 @@ The process Y solves dY = mu(t, Y) dt + sigma(t, Y) dW with
     sigma(t, y) = grad u(t, psi(t, y)) + I,
 
 started from y0 = x0 + u(0, x0); X = psi(t, Y) is the virtual solution of the
-rough-drift equation.  Brownian increments come from counter-based streams so
-two simulations sharing a seed see identical noise regardless of path count,
-mollification level, or lambda (exact common random numbers).  Simulation is
+rough-drift equation.  The Euler loop advances the pair (Y_m, X_m): each step
+evaluates mu and sigma at X_m and solves X_{m+1} = psi(t_{m+1}, Y_{m+1}), so
+psi is solved once per node, and `virtual_x` hands back the X the steps used.
+
+Brownian increments come from counter-based streams so two simulations
+sharing a seed see identical noise regardless of path count, mollification
+level, or lambda (exact common random numbers).  Simulation is
 serial: one Euler-Maruyama loop walks a fixed partition of the path axis,
 block after block, so the bytes are a pure function of the SimConfig.
 
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import TimeField, evaluate, singular_values_sq
-from .zvonkin import TransformContext, psi
+from .zvonkin import TransformContext, psi, transform_jacobian
 
 __all__ = [
     "EllipticityError",
@@ -102,21 +106,26 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """States on the uniform step grid, shape (paths, steps+1, d)."""
+    """States on the uniform step grid, shape (paths, steps+1, d).
+
+    virtual, set only by simulate_y, holds X = psi(t, Y) at the same nodes;
+    it is None for every other ensemble.
+    """
 
     states: np.ndarray
     config: SimConfig
     label: str
     provenance: dict
+    virtual: np.ndarray | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.float64)
         expect = (self.config.paths, self.config.steps + 1, self.config.dimension)
-        if s.shape != expect:
-            raise ValueError(f"states shape {s.shape} != {expect}")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
+        for name in ("states",) if self.virtual is None else ("states", "virtual"):
+            s = np.array(getattr(self, name), dtype=np.float64)
+            if s.shape != expect:
+                raise ValueError(f"{name} shape {s.shape} != {expect}")
+            s.setflags(write=False)
+            object.__setattr__(self, name, s)
 
     def terminal(self) -> np.ndarray:
         return self.states[:, -1, :]
@@ -166,26 +175,24 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
 # --- coefficients of the transformed equation --------------------------------
 
 
-def coefficients(ctx: TransformContext, lam: float, t: float, y) -> tuple:
-    """Drift and diffusion of Y at (t, y); y is (m, d) or (d,).
+def coefficients(ctx: TransformContext, lam: float, t: float, x) -> tuple:
+    """Drift and diffusion of Y at time t, where X = psi(t, Y) sits at x;
+    x is (m, d) or (d,).
 
-    mu = (lam+1) u(t, psi(t,y)), sigma = grad u(t, psi(t,y)) + I.  The lower
-    singular-value floor 1/2 is asserted on every evaluation.
+    mu = (lam+1) u(t, x), sigma = grad u(t, x) + I.  The lower singular-value
+    floor 1/2 is asserted on every evaluation.
     """
     d = ctx.u.grid.dimension
-    pts = np.atleast_2d(np.asarray(y, dtype=float))
-    x = psi(ctx, t, pts)
-    u_val = evaluate(ctx.u_at(t), x)
-    mu = (lam + 1.0) * u_val
-    jac = evaluate(ctx.jacobian_at(t), x).reshape(-1, d, d)
-    sigma = jac + np.eye(d)[None]
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    mu = (lam + 1.0) * evaluate(ctx.u_at(t), pts)
+    sigma = transform_jacobian(ctx, t, pts) + np.eye(d)[None]
     smin_sq, _ = singular_values_sq(sigma)
     floor = 0.25 * (1.0 - 1e-6)
     if np.any(smin_sq < floor):
         raise EllipticityError(
             f"min singular value {np.sqrt(smin_sq.min()):.6f} fell below 1/2"
         )
-    if np.asarray(y).ndim == 1:
+    if np.asarray(x).ndim == 1:
         return mu[0], sigma[0]
     return mu, sigma
 
@@ -193,53 +200,71 @@ def coefficients(ctx: TransformContext, lam: float, t: float, y) -> tuple:
 # --- simulators ----------------------------------------------------------------
 
 
-def _euler(cfg: SimConfig, start: np.ndarray, step) -> np.ndarray:
-    """Euler-Maruyama states (paths, steps+1, d) of state <- step(m, state, dW_m).
+def _euler(cfg: SimConfig, start, step) -> np.ndarray:
+    """Euler-Maruyama nodes (..., paths, steps+1, d) of state <- step(m, state, dW_m).
 
-    Every path starts at start.  The blocks of the fixed path partition run one
-    after another, each drawing its own increments.
+    A block of n paths starts from start(n), its states (..., n, d).  The
+    blocks of the fixed path partition run one after another, each drawing its
+    own increments.
     """
-    out = np.empty((cfg.paths, cfg.steps + 1, cfg.dimension))
+    out = None
     for lo in range(0, cfg.paths, _PATH_BLOCK):
         hi = min(lo + _PATH_BLOCK, cfg.paths)
         dw = _block_increments(cfg, lo, hi)
-        state = np.tile(start, (hi - lo, 1))
-        out[lo:hi, 0] = state
+        state = start(hi - lo)
+        if out is None:
+            out = np.empty(state.shape[:-2] + (cfg.paths, cfg.steps + 1, cfg.dimension))
+        out[..., lo:hi, 0, :] = state
         for m in range(cfg.steps):
             state = step(m, state, dw[:, m])
-            out[lo:hi, m + 1] = state
+            out[..., lo:hi, m + 1, :] = state
     return out
 
 
 def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed") -> PathEnsemble:
-    """Explicit Euler-Maruyama for Y from y0 = x0 + u(0, x0)."""
+    """Explicit Euler-Maruyama for Y from y0 = x0 + u(0, x0), carrying X.
+
+    The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m): a step takes mu
+    and sigma at X_m, forms Y_{m+1} and solves psi once at t_{m+1}.  X_0 is
+    solved on each block's start states as one batch.  X is kept in the
+    ensemble's `virtual` field.
+    """
     if cfg.dimension != ctx.u.grid.dimension:
         raise ValueError("config dimension does not match the transform")
     if cfg.horizon != ctx.horizon:
         raise ValueError("config horizon does not match the transform")
     x0 = np.asarray(cfg.x0)
     y0 = x0 + evaluate(ctx.u_at(0.0), x0[None])[0]
+    times = cfg.times
     dt = cfg.dt
 
-    def step(m, y, dw):
-        mu, sigma = coefficients(ctx, cfg.lam, m * dt, y)
-        return y + mu * dt + np.einsum("pij,pj->pi", sigma, dw)
+    def pair(m, y):
+        return np.stack([y, psi(ctx, times[m], y)])
 
-    states = _euler(cfg, y0, step)
+    def step(m, yx, dw):
+        mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[1])
+        return pair(m + 1, yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw))
+
+    y, x = _euler(cfg, lambda n: pair(0, np.tile(y0, (n, 1))), step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "block": _PATH_BLOCK, "y0": list(np.atleast_1d(y0))}
-    return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
+    return PathEnsemble(states=y, config=cfg, label=label, provenance=prov, virtual=x)
 
 
 def virtual_x(ctx: TransformContext, ens: PathEnsemble, label: str = "virtual") -> PathEnsemble:
-    """X_m = psi(t_m, Y_m) nodewise; psi is solved fresh at every node."""
-    cfg = ens.config
-    out = np.empty_like(np.asarray(ens.states))
-    for m, t in enumerate(cfg.times):
-        out[:, m] = psi(ctx, t, ens.states[:, m])
+    """The virtual solution X = psi(t, Y) that simulate_y carried along ens.
+
+    These are the points at which the Euler steps evaluated mu and sigma; psi
+    is not solved again, so ctx (the transform ens was simulated with) is not
+    read.  Raises ValueError for an ensemble without X (classical or loaded
+    from disk).
+    """
+    if ens.virtual is None:
+        raise ValueError(f"ensemble {ens.label!r} carries no virtual solution; "
+                         f"it was not made by simulate_y")
     prov = dict(ens.provenance)
     prov["transformed_from"] = ens.label
-    return PathEnsemble(states=out, config=cfg, label=label, provenance=prov)
+    return PathEnsemble(states=ens.virtual, config=ens.config, label=label, provenance=prov)
 
 
 def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -> PathEnsemble:
@@ -254,7 +279,8 @@ def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -
     x0 = np.asarray(cfg.x0)
     # drift nodes looked up once per step; sim and drift grids need not match
     fields = [b.at_time(min(m * dt, b.horizon), rule="left") for m in range(cfg.steps)]
-    states = _euler(cfg, x0, lambda m, x, dw: x + evaluate(fields[m], x) * dt + dw)
+    states = _euler(cfg, lambda n: np.tile(x0, (n, 1)),
+                    lambda m, x, dw: x + evaluate(fields[m], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "block": _PATH_BLOCK}
     return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
@@ -285,8 +311,7 @@ def virtual_residual(ctx: TransformContext, lam: float, ens: PathEnsemble,
         worst = max(worst, float(defect.max()))
         if m == cfg.steps:
             break
-        jac = evaluate(ctx.jacobian_at(t), x_m).reshape(-1, d, d)
-        sigma = jac + np.eye(d)[None]
+        sigma = transform_jacobian(ctx, t, x_m) + np.eye(d)[None]
         acc = acc + (lam + 1.0) * u_m * dt \
             + np.einsum("pij,pj->pi", sigma, increments[:, m])
     return worst

@@ -30,8 +30,6 @@ __all__ = [
     "singular_values_sq",
     "evaluate",
     "cutoff_profile",
-    "save_field",
-    "load_field",
     "save_time_field",
     "load_time_field",
 ]
@@ -501,38 +499,13 @@ class TimeField:
 
 # --- snapshot format ----------------------------------------------------------
 #
-# Binary payload: little-endian f64 pairs (re, im), component-major then
-# row-major over the FFT-ordered lattice; complex128 '<c16' has exactly that
-# layout.  Sidecar JSON carries the geometry.
+# Binary payload of a time field: little-endian f64 pairs (re, im), node-major,
+# then component-major, then row-major over the FFT-ordered lattice; complex128
+# '<c16' has exactly that layout.  Sidecar JSON carries the geometry.
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
-
-
-def save_field(f: SpectralField, path, description: str = "") -> Path:
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(f.coeffs.astype("<c16")).tobytes())
-    meta = {
-        "d": f.grid.dimension,
-        "N": f.grid.modes_per_axis,
-        "L": f.grid.period,
-        "components": f.components,
-        "real_flag": f.real_flag,
-        "description": description,
-    }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
-    return path
-
-
-def load_field(path) -> SpectralField:
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    grid = GridSpec(meta["d"], meta["N"], meta["L"])
-    raw = np.frombuffer(path.read_bytes(), dtype="<c16")
-    shape = (meta["components"],) + grid.spatial_shape
-    return SpectralField(grid, raw.reshape(shape).astype(np.complex128),
-                         real_flag=meta["real_flag"])
 
 
 def save_time_field(tf: TimeField, path, description: str = "",

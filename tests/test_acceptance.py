@@ -80,14 +80,14 @@ def rough_drift(grid):
 
 
 @pytest.fixture(scope="module")
-def calibration(rough_drift, pde):
-    return calibrate_lambda(rough_drift, pde)
+def calibration(rough_drift):
+    return calibrate_lambda(rough_drift)
 
 
 @pytest.fixture(scope="module")
-def solution(rough_drift, pde, calibration):
+def solution(rough_drift, calibration):
     lam, _ = calibration
-    v, report = solve_fwd(rough_drift, lam, pde)
+    v, report = solve_fwd(rough_drift, lam)
     return lam, v, report
 
 
@@ -180,14 +180,14 @@ def test_criterion_03_product_oracle(grid, pde):
             f"over 100 pairs")
 
 
-def test_criterion_04_pde_oracle(grid, pde):
+def test_criterion_04_pde_oracle(grid):
     c, lam = 0.7, 2.0
     errs = {}
     for steps in (M, 2 * M):
         coeffs = np.zeros((1,) + grid.spatial_shape, dtype=complex)
         coeffs[0, 0] = c
         b = TimeField.from_nodes([SpectralField(grid, coeffs)] * (steps + 1), T)
-        v, _ = solve_fwd(b, lam, pde)
+        v, _ = solve_fwd(b, lam)
         times = np.linspace(0.0, T, steps + 1)
         exact = c * (1.0 - np.exp(-(1.0 + lam) * times)) / (1.0 + lam)
         errs[steps] = max(abs(float(np.real(v.node(m).coeffs[0, 0])) - exact[m])
@@ -254,7 +254,7 @@ def _sup_grid_gap(coarse, fine):
     return worst
 
 
-def test_criterion_08_time_self_convergence(grid, rough_drift, pde, solution):
+def test_criterion_08_time_self_convergence(grid, rough_drift, solution):
     # the rough drift is time-independent, so the M, 2M and 4M drifts carry
     # identical nodes and the gaps are pure time-discretization error; the
     # bounds are criterion 4's first-order ones
@@ -262,8 +262,8 @@ def test_criterion_08_time_self_convergence(grid, rough_drift, pde, solution):
     b2, b4 = (generate(ROUGH_SPEC, grid, T, k * M) for k in (2, 4))
     assert all(np.array_equal(b4.node(m).coeffs, rough_drift.node(0).coeffs)
                for m in range(b4.nodes + 1))
-    v2, _ = solve_fwd(b2, lam, pde)
-    v4, _ = solve_fwd(b4, lam, pde)
+    v2, _ = solve_fwd(b2, lam)
+    v4, _ = solve_fwd(b4, lam)
     g1, g2 = _sup_grid_gap(v, v2), _sup_grid_gap(v2, v4)
     ratio = g2 / g1
     ok = g1 <= 3.0 / M and 0.4 <= ratio <= 0.6
@@ -279,7 +279,7 @@ def test_criterion_09_stability(rough_drift, pde, solution):
     n_list = (2, 4, 8, 16, 32)
     v_gaps, g_gaps = [], []
     for b_n in mollified_sequence(rough_drift, n_list):
-        v_n, _ = solve_fwd(b_n, lam, pde)
+        v_n, _ = solve_fwd(b_n, lam)
         v_gaps.append(max(sobolev_norm(v_n.node(m) - v.node(m), idx)
                           for m in range(v.nodes + 1)))
         g_gaps.append(gradient_sup(to_backward(v_n) - u))
@@ -291,10 +291,10 @@ def test_criterion_09_stability(rough_drift, pde, solution):
             f"sup|grad u_n - grad u| strictly down: {g_dec}")
 
 
-def test_criterion_10_trivial_sde(grid, pde):
+def test_criterion_10_trivial_sde(grid):
     zero = DriftSpec(family="smooth-test", seed=1, beta=BETA, amplitude=0.0)
     b0 = generate(zero, grid, T, M)
-    v0, _ = solve_fwd(b0, 1.0, pde)
+    v0, _ = solve_fwd(b0, 1.0)
     ctx = make_context(to_backward(v0))
     x0 = 0.3
     sim = SimConfig(x0=(x0,), horizon=T, steps=M, paths=PATHS, seed=77, lam=1.0)

@@ -78,7 +78,7 @@ def test_integral_operator_single_mode_exact(grid64):
     b = TimeField.from_nodes(
         [SpectralField(grid64, coeffs, real_flag=False)] * (steps + 1), 1.0)
     v0 = TimeField.zero(grid64, 1.0, steps)
-    out = integral_operator(v0, b, 2.0, CFG)
+    out = integral_operator(v0, b, 2.0)
     a_k = 1.0 + 0.5 * k ** 2
     times = np.linspace(0.0, 1.0, steps + 1)
     want = c * (1.0 - np.exp(-times * a_k)) / a_k
@@ -92,7 +92,7 @@ def test_integral_operator_rejects_mismatched_grids(grid64):
     b = constant_drift(grid64, 1.0, 8)
     v = TimeField.zero(grid64, 1.0, 16)
     with pytest.raises(ValueError):
-        integral_operator(v, b, 1.0, CFG)
+        integral_operator(v, b, 1.0)
 
 
 # --- the fixed point ---------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_constant_drift_oracle(grid64):
     # constant drift; the solver must hit it within the left-rule error 3/M
     c, lam, steps = 0.7, 2.0, 32
     b = constant_drift(grid64, c, steps)
-    v, report = solve_fwd(b, lam, CFG)
+    v, report = solve_fwd(b, lam)
     assert report.converged
     times = np.linspace(0.0, 1.0, steps + 1)
     exact = c * (1.0 - np.exp(-(1.0 + lam) * times)) / (1.0 + lam)
@@ -117,7 +117,7 @@ def test_constant_drift_error_halves_with_dt(grid64):
     errs = []
     for steps in (32, 64):
         b = constant_drift(grid64, c, steps)
-        v, _ = solve_fwd(b, lam, CFG)
+        v, _ = solve_fwd(b, lam)
         times = np.linspace(0.0, 1.0, steps + 1)
         exact = c * (1.0 - np.exp(-(1.0 + lam) * times)) / (1.0 + lam)
         errs.append(max(abs(float(np.real(v.node(m).coeffs[0, 0])) - exact[m])
@@ -152,18 +152,18 @@ def march_case(request, rough_drift64):
 
 
 def test_march_is_exact_fixed_point(march_case):
-    b, cfg = march_case
-    v, report = solve_fwd(b, 4.0, cfg)
+    b, _ = march_case
+    v, report = solve_fwd(b, 4.0)
     assert v.components == b.grid.dimension
     assert report.method == "march" and report.iterations == 1
-    assert np.max(np.abs((integral_operator(v, b, 4.0, cfg) - v).coeffs)) == 0.0
+    assert np.max(np.abs((integral_operator(v, b, 4.0) - v).coeffs)) == 0.0
 
 
 def test_march_agrees_with_picard(march_case):
     # the operator is causal, so Picard is exact at the first m nodes after m
     # sweeps; it stops earlier on its tolerance when M is large
     b, cfg = march_case
-    v, _ = solve_fwd(b, 4.0, cfg)
+    v, _ = solve_fwd(b, 4.0)
     v_picard, report = picard_sweeps(b, 4.0, cfg)
     assert report.method == "picard"
     assert np.max(np.abs(v.coeffs - v_picard.coeffs)) <= 1e-10
@@ -173,7 +173,7 @@ def test_fixed_stage_equals_the_reference_ladder(march_case):
     # the solver's rule before its stage was fixed: each term through the
     # ladder at tolerance 2 (1 + ||grad v||_{L^2}) in H^{-beta}_p
     b, cfg = march_case
-    v, _ = solve_fwd(b, 4.0, cfg)
+    v, _ = solve_fwd(b, 4.0)
     grid = b.grid
     d = grid.dimension
     for m in (1, v.nodes // 2, v.nodes):
@@ -192,7 +192,7 @@ def test_fixed_stage_equals_the_reference_ladder(march_case):
 
 def test_zero_drift_gives_zero_solution(grid64):
     b = TimeField.zero(grid64, 1.0, 8)
-    v, report = solve_fwd(b, 2.0, CFG)
+    v, report = solve_fwd(b, 2.0)
     assert not np.any(v.coeffs)
     assert report.iterations == 1
 
@@ -257,7 +257,7 @@ def test_holder_diagnostic_linear_motion(grid64):
 def test_calibrate_lambda_smooth_drift(grid64):
     b = generate(DriftSpec(family="smooth-test", seed=1, beta=0.25,
                            amplitude=0.2), grid64, 1.0, 16)
-    lam, trace = calibrate_lambda(b, CFG)
+    lam, trace = calibrate_lambda(b)
     assert lam == 1.0
     assert trace[-1][1] <= 0.5
     assert [t[0] for t in trace] == [2.0 ** i for i in range(len(trace))]
@@ -269,9 +269,9 @@ def test_calibrate_lambda_fails_on_coarse_time_grid(grid64):
     b = generate(DriftSpec(family="random-fourier", seed=42, beta=0.25,
                            eta=0.3, amplitude=1.0), grid64, 1.0, 4)
     with pytest.raises(CalibrationFailed, match="time-resolution bound"):
-        calibrate_lambda(b, CFG)
+        calibrate_lambda(b)
     try:
-        calibrate_lambda(b, CFG)
+        calibrate_lambda(b)
     except CalibrationFailed as exc:
         assert len(exc.trace) == 3                # lambda = 1, 2, 4 were tried
         assert all(g > 0.5 for _, g in exc.trace)

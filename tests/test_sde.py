@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import singular_drift.sde as sde
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate
-from singular_drift.zvonkin import TransformContext, make_context
+from singular_drift.zvonkin import TransformContext, make_context, psi
 from singular_drift.sde import (
     EllipticityError,
     PathEnsemble,
@@ -30,6 +31,16 @@ def small_sim(**over):
     kw = dict(x0=(0.3,), horizon=1.0, steps=16, paths=64, seed=11, lam=1.0)
     kw.update(over)
     return SimConfig(**kw)
+
+
+def ctx_2d():
+    """u(t) = (1 - t/2) (0.2 sin(x1 + x2), 0.15 cos(x1 - x2)) on N=16, 4 nodes."""
+    grid = GridSpec(2, 16, 2.0 * np.pi)
+    x1, x2 = np.meshgrid(grid.axis_points(), grid.axis_points(), indexing="ij")
+    vals = np.stack([0.2 * np.sin(x1 + x2), 0.15 * np.cos(x1 - x2)])
+    nodes = [SpectralField.from_grid(grid, (1.0 - 0.5 * t) * vals)
+             for t in np.linspace(0.0, 1.0, 5)]
+    return make_context(TimeField.from_nodes(nodes, 1.0))
 
 
 # --- configuration -----------------------------------------------------------------
@@ -97,12 +108,10 @@ def test_coefficients_zero_transform(grid64):
 
 
 def test_coefficients_closed_form(grid64):
-    # u = 0.4 sin x: mu(y) = (lam+1) 0.4 sin(psi(y)), sigma = 1 + 0.4 cos(psi(y))
+    # u = 0.4 sin x: mu = (lam+1) 0.4 sin(x), sigma = 1 + 0.4 cos(x) at X = x
     ctx = make_context(sine_time_field(grid64, 0.4, 4))
-    y = np.array([1.2])
-    mu, sigma = coefficients(ctx, 2.0, 0.0, y)
-    from singular_drift.zvonkin import psi
-    x = psi(ctx, 0.0, y)
+    x = np.array([1.2])
+    mu, sigma = coefficients(ctx, 2.0, 0.0, x)
     assert abs(mu[0] - 3.0 * 0.4 * np.sin(x[0])) < 1e-10
     assert abs(sigma[0, 0] - (1.0 + 0.4 * np.cos(x[0]))) < 1e-10
 
@@ -179,6 +188,52 @@ def test_virtual_x_inverts_transform(grid64):
         assert np.max(np.abs(back - ys.states[:, m])) < 1e-9
 
 
+def test_psi_solved_once_per_node(grid64, monkeypatch):
+    ctx = make_context(sine_time_field(grid64, 0.3, 8))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return psi(*args)
+
+    monkeypatch.setattr(sde, "psi", counted)
+    cfg = small_sim(paths=3000, steps=4)       # two blocks of the path partition
+    ys = simulate_y(ctx, cfg)
+    assert len(calls) == 2 * (cfg.steps + 1)
+    virtual_x(ctx, ys)
+    assert len(calls) == 2 * (cfg.steps + 1)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_virtual_x_is_the_x_the_steps_used(grid64, case):
+    if case == "1d":
+        ctx, cfg = make_context(sine_time_field(grid64, 0.3, 8)), small_sim(paths=3000)
+    else:
+        ctx, cfg = ctx_2d(), small_sim(x0=(0.3, -0.2), steps=8, paths=200)
+    ys = simulate_y(ctx, cfg)
+    y, x = np.asarray(ys.states), np.asarray(virtual_x(ctx, ys).states)
+    dw = brownian_increments(cfg)
+    for m, t in enumerate(cfg.times):
+        assert np.max(np.abs(x[:, m] - psi(ctx, t, y[:, m]))) <= 1e-14
+        if m == cfg.steps:
+            break
+        mu, sigma = coefficients(ctx, cfg.lam, t, x[:, m])
+        rebuilt = y[:, m] + mu * cfg.dt + np.einsum("pij,pj->pi", sigma, dw[:, m])
+        assert np.array_equal(rebuilt, y[:, m + 1])
+
+
+def test_virtual_x_needs_a_virtual_solution(tmp_path, grid64):
+    ctx = zero_ctx(grid64, steps=4)
+    cfg = small_sim(paths=8)
+    b = TimeField.zero(grid64, 1.0, 4)
+    with pytest.raises(ValueError, match="no virtual solution"):
+        virtual_x(ctx, simulate_classical(b, cfg))
+    loaded = load_ensemble(save_ensemble(simulate_y(ctx, cfg), tmp_path / "e.bin"))
+    assert loaded.virtual is None
+    with pytest.raises(ValueError, match="no virtual solution"):
+        virtual_x(ctx, loaded)
+
+
 def test_virtual_residual_small_on_virtual_ensemble(grid64):
     ctx = make_context(sine_time_field(grid64, 0.3, 16))
     cfg = small_sim(paths=24)
@@ -196,6 +251,10 @@ def test_path_ensemble_accessors(grid64):
     with pytest.raises(ValueError):
         PathEnsemble(states=np.zeros((8, 3, 1)), config=cfg, label="bad",
                      provenance={})
+    assert ens.virtual.shape == ens.states.shape and not ens.virtual.flags.writeable
+    with pytest.raises(ValueError, match="virtual shape"):
+        PathEnsemble(states=ens.states, config=cfg, label="bad", provenance={},
+                     virtual=np.zeros((8, 3, 1)))
 
 
 # --- snapshot format ------------------------------------------------------------------------

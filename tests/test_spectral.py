@@ -14,11 +14,9 @@ from singular_drift.spectral import (
     evaluate,
     gradient,
     heat_semigroup,
-    load_field,
     load_time_field,
     lp_grid_norm,
     mollify,
-    save_field,
     save_time_field,
     sobolev_norm,
 )
@@ -299,14 +297,6 @@ def test_time_field_validation(grid64):
 
 
 # --- snapshots ---------------------------------------------------------------------
-
-
-def test_field_snapshot_roundtrip(tmp_path, grid64, sine_field):
-    p = save_field(sine_field, tmp_path / "f.bin", description="test")
-    back = load_field(p)
-    assert back.grid == grid64
-    assert np.array_equal(back.coeffs, sine_field.coeffs)
-    assert back.real_flag == sine_field.real_flag
 
 
 def test_time_field_snapshot_roundtrip(tmp_path, rough_drift64):
