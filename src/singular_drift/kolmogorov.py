@@ -169,12 +169,19 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     """
     if v.grid != b.grid or v.nodes != b.nodes or v.horizon != b.horizon:
         raise ValueError("v and b must share grid and time nodes")
-    decay, weight = _step_factors(v)
-    out = np.zeros_like(v.coeffs)
-    for m in range(1, v.nodes + 1):
-        g = _integrand(b.node(m - 1), v.node(m - 1), lam)
-        out[m] = decay * out[m - 1] + weight * g
-    return TimeField(v.grid, v.horizon, out, v.real_flag and b.real_flag)
+    return TimeField(v.grid, v.horizon, _march(b, lam, v), v.real_flag and b.real_flag)
+
+
+def _march(b: TimeField, lam: float, v: TimeField | None = None) -> np.ndarray:
+    """out_m = E out_{m-1} + w g(src_{m-1}) from out_0 = 0, where src is v,
+    or out itself when v is None (the march of solve_fwd)."""
+    decay, weight = _step_factors(b)
+    out = np.zeros_like(b.coeffs)
+    src = out if v is None else v.coeffs
+    for m in range(1, b.nodes + 1):
+        vm = SpectralField(b.grid, src[m - 1], b.real_flag)
+        out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
+    return out
 
 
 # --- norms over time grids ------------------------------------------------------
@@ -207,16 +214,11 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     integral_operator(v) equals v exactly.  The report reads one pass,
     converged, with no sweep differences and weight rate 0.
     """
-    decay, weight = _step_factors(b)
-    out = np.zeros_like(b.coeffs)
-    for m in range(1, b.nodes + 1):
-        vm = SpectralField(b.grid, out[m - 1], b.real_flag)
-        out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
     # a second pass would change nothing, hence a measured gain of 0
     report = SolveReport(converged=True, iterations=1, rho=0.0, gain0=0.0,
                          weighted_diffs=(), sup_diffs=(), ratios=(), lam=float(lam),
                          method="march")
-    return TimeField(b.grid, b.horizon, out, b.real_flag), report
+    return TimeField(b.grid, b.horizon, _march(b, lam), b.real_flag), report
 
 
 def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:

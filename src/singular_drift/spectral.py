@@ -345,11 +345,15 @@ def sobolev_norm(f: SpectralField, idx: SobolevIndex) -> float:
 
 # --- pointwise evaluation ----------------------------------------------------
 
-_EVAL_CHUNK = 4096
-
 
 def evaluate(f: SpectralField, x) -> np.ndarray:
-    """Direct Fourier summation at arbitrary points.
+    """Direct Fourier summation at arbitrary points, one kernel per dimension.
+
+    d = 1: Horner's rule on each component (`_horner_eval`).  d = 2: per
+    component one matrix product (zgemm) of the axis-0 phase matrix with the
+    coefficient plane, summed row-wise against the axis-1 phase matrix.  Each
+    point gets the same operations whatever the batch size, so the first n
+    rows of a batch equal an n-point call bit for bit.
 
     x: shape (d,) for one point or (m, d) for a batch.  Returns (components,)
     or (m, components); real when real_flag is set.
@@ -358,24 +362,18 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     if pts.shape[1] != f.grid.dimension:
         raise ValueError(f"points must have {f.grid.dimension} coordinates")
     m = pts.shape[0]
-    out = np.empty((m, f.components), dtype=complex)
-    for lo in range(0, m, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, m)
-        chunk = pts[lo:hi]
-        if f.grid.dimension == 1 and f.components == 1:
-            out[lo:hi, 0] = _horner_eval(f.grid, f.coeffs[0], chunk[:, 0])
-        elif f.grid.dimension == 1:
-            e = _phase_matrix(f.grid, chunk[:, 0])
-            out[lo:hi] = e @ f.coeffs.reshape(f.components, -1).T
-        else:
-            e0 = _phase_matrix(f.grid, chunk[:, 0])
-            e1 = _phase_matrix(f.grid, chunk[:, 1])
-            out[lo:hi] = np.einsum("mk,ckl,ml->mc", e0, f.coeffs, e1, optimize=True)
+    # one point runs as a two-row batch: numpy's in-place complex product and
+    # BLAS's matrix-vector path both round a lone row differently
+    rows = np.repeat(pts, 2, axis=0) if m == 1 else pts
+    if f.grid.dimension == 1:
+        per_comp = [_horner_eval(f.grid, c, rows[:, 0]) for c in f.coeffs]
+    else:
+        e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
+        per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
+    out = np.stack(per_comp, axis=1)[:m]
     if f.real_flag:
         out = out.real
-    if np.asarray(x).ndim == 1:
-        return out[0]
-    return out
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -166,14 +166,16 @@ def test_simulate_classical_constant_drift(grid64):
 
 
 def test_simulation_reproducible_across_runs(grid64):
-    ctx = make_context(sine_time_field(grid64, 0.3, 8))
-    cfg = small_sim(paths=48)
-    a = simulate_y(ctx, cfg)
-    b = simulate_y(ctx, cfg)
-    assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
-    # 3000 paths span two blocks of the path partition; the head is unchanged
-    wide = simulate_y(ctx, small_sim(paths=3000))
-    assert np.array_equal(np.asarray(wide.states)[:48], np.asarray(a.states))
+    cases = [(make_context(sine_time_field(grid64, 0.3, 8)), {}),
+             (ctx_2d(), dict(x0=(0.3, -0.2), steps=8))]
+    for ctx, over in cases:
+        cfg = small_sim(paths=48, **over)
+        a = simulate_y(ctx, cfg)
+        b = simulate_y(ctx, cfg)
+        assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
+        # 3000 paths span two blocks of the path partition; the head is unchanged
+        wide = simulate_y(ctx, small_sim(paths=3000, **over))
+        assert np.array_equal(np.asarray(wide.states)[:48], np.asarray(a.states))
 
 
 def test_virtual_x_inverts_transform(grid64):

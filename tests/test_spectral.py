@@ -257,6 +257,19 @@ def test_evaluate_2d(grid64_2d):
     assert np.max(np.abs(evaluate(f, pts)[:, 0] - want)) < 1e-11
 
 
+@pytest.mark.parametrize("dim, modes, comps", [(1, 64, 1), (1, 64, 2), (2, 32, 2)])
+def test_evaluate_heads_independent_of_batch_size(dim, modes, comps):
+    grid = GridSpec(dim, modes, 2.0 * np.pi)
+    rng = np.random.default_rng(5)
+    f = SpectralField.from_grid(grid, rng.standard_normal((comps,) + grid.spatial_shape))
+    # more than 4096 points, so a chunked evaluation would split the batch
+    p = rng.uniform(0.0, grid.period, size=(5000, dim))
+    full = evaluate(f, p)
+    for n in range(1, 65):
+        assert np.array_equal(evaluate(f, p[:n]), full[:n]), n
+    assert np.array_equal(evaluate(f, p[0]), full[0])
+
+
 def test_evaluate_periodicity(grid64, sine_field):
     a = evaluate(sine_field, np.array([[0.7]]))
     b = evaluate(sine_field, np.array([[0.7 + 2 * np.pi]]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import singular_drift.zvonkin as zvonkin
 from singular_drift.spectral import TimeField
 from singular_drift.zvonkin import (
     InverseDiverged,
@@ -84,9 +85,9 @@ def test_psi_zero_transform_shortcut(grid64):
     assert np.array_equal(psi(ctx, 0.5, y), y)
 
 
-def test_psi_budget_exhaustion_raises(grid64):
-    u = sine_time_field(grid64, 0.4, 2)
-    ctx = make_context(u, inverse_max_iter=1)
+def test_psi_budget_exhaustion_raises(grid64, monkeypatch):
+    monkeypatch.setattr(zvonkin, "INVERSE_MAX_ITER", 1)
+    ctx = make_context(sine_time_field(grid64, 0.4, 2))
     with pytest.raises(InverseDiverged):
         psi(ctx, 0.0, np.array([[1.0]]))
 
