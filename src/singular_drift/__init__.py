@@ -14,6 +14,7 @@ from .spectral import (
     SpectralField,
     TimeField,
     bessel_power,
+    cutoff_profile,
     dyadic_cutoff,
     evaluate,
     gradient,
@@ -21,7 +22,7 @@ from .spectral import (
     mollify,
     sobolev_norm,
 )
-from .paraproduct import NonConvergent, cutoff_profile, product, drift_gradient_product
+from .paraproduct import NonConvergent, product, drift_gradient_product
 from .drifts import (
     AssumptionViolated,
     DriftSpec,

@@ -57,6 +57,15 @@ __all__ = [
 ]
 
 
+# the certificate sup |grad u| <= 1/2: below it x + u is inverted by a
+# contraction and I + grad u has singular values >= 1/2
+GRADIENT_TARGET = 0.5
+# lambda doublings calibrate_lambda tries after lambda = 1
+MAX_DOUBLINGS = 40
+# sweeps the diagnostic picard_sweeps may spend
+PICARD_MAX_ITER = 200
+
+
 class MaxIterExceeded(Exception):
     """Picard sweeps did not contract at this (lambda, rho); raise lambda or refine."""
 
@@ -71,7 +80,7 @@ class CalibrationFailed(Exception):
 
 @dataclass(frozen=True)
 class PdeConfig:
-    """Exponent choices and solver tolerances.
+    """Exponents and the diagnostic tolerance.
 
     (beta, q) is the admissibility window of the drift, (delta, p) the working
     pair: products are measured in H^{-beta}_p, the solution in H^{1+delta}_p.
@@ -80,19 +89,15 @@ class PdeConfig:
     the norms of the diagnostics (`picard_sweeps`, `mild_residual`,
     `paraproduct.ladder_agrees`).
 
-    rho and max_iter are read only by the diagnostic `picard_sweeps`:
-    rho = None lets it pick the weight rate from the measured gain of one
-    sweep, and max_iter caps the sweeps.  tol stops the sweeps and bounds
-    the mild residual that the checks accept for either solver.
+    tol stops the Picard sweeps of `picard_sweeps` and bounds the mild
+    residual that the checks accept for either solver.
     """
 
     beta: float
     delta: float
     p: float
     q: float
-    rho: float | None = None
     tol: float = 1e-9
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.beta < 0.5):
@@ -101,12 +106,8 @@ class PdeConfig:
             raise ValueError(f"delta={self.delta} outside ({self.beta}, {1-self.beta})")
         if not self.p > 1 or not self.q > 1:
             raise ValueError("integrability exponents must exceed 1")
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("weight rate must be nonnegative")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
     @property
     def solution_index(self) -> SobolevIndex:
@@ -230,23 +231,24 @@ def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
     never exceeds one, so the weighted stopping criterion of the contraction
     theory holds a fortiori; stopping on the weighted norm alone would be
     deceptive at large rho, where the weight underflows the late nodes and
-    declares victory during the Picard transient.  Raises MaxIterExceeded if
-    cfg.max_iter sweeps are spent first.
+    declares victory during the Picard transient.  The weight rate rho is
+    picked after the second sweep from the measured gain (`_auto_rho`).
+    Raises MaxIterExceeded if PICARD_MAX_ITER sweeps are spent first.
     """
     idx = cfg.solution_index
     times = b.times
     v = TimeField.zero(b.grid, b.horizon, b.nodes, components=b.components)
     diff_nodes = []     # per sweep: node norms of v_{k+1} - v_k
     sup_diffs = []
-    rho = cfg.rho
+    rho = None
     gain0 = float("nan")
 
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, PICARD_MAX_ITER + 1):
         v_new = integral_operator(v, b, lam)
         dn = _node_norms(v_new - v, idx)
         diff_nodes.append(dn)
         sup_diffs.append(float(dn.max()))
-        if k == 2 and rho is None:
+        if k == 2:
             rho, gain0 = _auto_rho(diff_nodes, times, cfg)
         if sup_diffs[-1] < cfg.tol:
             rho_eff = 0.0 if rho is None else float(rho)
@@ -261,7 +263,7 @@ def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
         v = v_new
 
     raise MaxIterExceeded(
-        f"no contraction after {cfg.max_iter} sweeps at lam={lam}, rho={rho}; "
+        f"no contraction after {PICARD_MAX_ITER} sweeps at lam={lam}, rho={rho}; "
         f"last sup diff {sup_diffs[-1]:.3e}"
     )
 
@@ -305,50 +307,48 @@ def mild_residual(v: TimeField, b: TimeField, lam: float, cfg: PdeConfig,
 
 
 def gradient_sup(u: TimeField) -> float:
-    """sup over nodes and grid points of the Jacobian operator norm of u."""
+    """sup over nodes and grid points of the Jacobian operator norm of u,
+    the largest singular value of the d x d matrix grad u; u has d components."""
     d = u.grid.dimension
+    if u.components != d:
+        raise ValueError(f"u must have {d} components, got {u.components}")
     worst = 0.0
     for m in range(u.nodes + 1):
-        jac = gradient(u.node(m)).values()      # (components*d,) + spatial
-        if u.components == 1 or d == 1:
-            # a single row or column: operator norm = euclidean magnitude
-            mag = np.sqrt(np.sum(jac ** 2, axis=0))
-            worst = max(worst, float(mag.max()))
-            continue
-        # d = 2, vector u: largest singular value of the 2x2 Jacobians
-        j = np.moveaxis(jac.reshape(u.components, d, -1), -1, 0)   # (points, d, d)
+        jac = gradient(u.node(m)).values()      # (d*d,) + spatial
+        j = np.moveaxis(jac.reshape(d, d, -1), -1, 0)   # (points, d, d)
         _, smax_sq = singular_values_sq(j)
         worst = max(worst, float(np.sqrt(smax_sq).max()))
     return worst
 
 
-def calibrate_lambda(b: TimeField, target: float = 0.5, max_doublings: int = 40) -> tuple:
-    """Double lambda from 1 until gradient_sup(u_lambda) <= target.
+def calibrate_lambda(b: TimeField) -> tuple:
+    """Double lambda from 1 until gradient_sup(u_lambda) <= GRADIENT_TARGET.
 
     Returns (lambda, trace) with trace = [(lambda_i, gradient_sup_i), ...].
-    Raises CalibrationFailed after max_doublings unsuccessful doublings.
+    Raises CalibrationFailed after MAX_DOUBLINGS unsuccessful doublings, or
+    once lambda passes nodes/horizon.
     """
     # the killing term is frozen on the left node, so the step integral is
     # only faithful while lam * dt <= 1; past that the scheme amplifies
     lam_cap = b.nodes / b.horizon
     lam = 1.0
     trace = []
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if lam > lam_cap:
             raise CalibrationFailed(
                 f"lambda {lam:g} exceeds the time-resolution bound "
                 f"{lam_cap:g} (= nodes/horizon) before the gradient target "
-                f"{target} was met; refine the time grid or weaken the drift",
+                f"{GRADIENT_TARGET} was met; refine the time grid or weaken the drift",
                 trace=trace,
             )
         v, _report = solve_fwd(b, lam)
         g = gradient_sup(to_backward(v))
         trace.append((lam, g))
-        if g <= target:
+        if g <= GRADIENT_TARGET:
             return lam, trace
         lam *= 2.0
     raise CalibrationFailed(
-        f"gradient stayed above {target} after {max_doublings} doublings "
+        f"gradient stayed above {GRADIENT_TARGET} after {MAX_DOUBLINGS} doublings "
         f"(last value {trace[-1][1]:.4f})", trace=trace,
     )
 

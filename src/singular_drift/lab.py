@@ -83,9 +83,8 @@ def ks_stat(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def bootstrap_ci(a, b, n_boot: int = 1000, seed: int = 0,
-                 level: float = 0.95) -> tuple:
-    """Percentile bootstrap CI for W1(a, b) with paired index resampling."""
+def bootstrap_ci(a, b, n_boot: int = 1000, seed: int = 0) -> tuple:
+    """Percentile 95% bootstrap CI for W1(a, b) with paired index resampling."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
@@ -95,8 +94,8 @@ def bootstrap_ci(a, b, n_boot: int = 1000, seed: int = 0,
     n = a.size
     for i in range(n_boot):
         idx = rng.integers(0, n, n)
-        vals[i] = np.mean(np.abs(np.sort(a[idx]) - np.sort(b[idx])))
-    tail = 0.5 * (1.0 - level)
+        vals[i] = wasserstein1(a[idx], b[idx])
+    tail = 0.5 * (1.0 - 0.95)
     return float(np.quantile(vals, tail)), float(np.quantile(vals, 1.0 - tail))
 
 
@@ -123,9 +122,6 @@ class ExperimentConfig:
     horizon: float = 1.0
     pde_nodes: int = 128
     q: float = 3.0
-    delta: float | None = None      # None: canonical midpoint choice
-    p: float | None = None
-    tol: float = 1e-9
     lam: float | None = None        # None: calibrate by doubling
     inverse_tol: float = 1e-9       # point inversion tolerance during simulation
     x0: tuple = (0.0,)
@@ -209,17 +205,15 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
 
     Returns a bundle with the drift b, PdeConfig, lambda, trace, backward u,
     TransformContext, the solver report, and ladder_agrees at the march's
-    last product (node M-1, where v(t_{M-1}) = u(t_1)).
+    last product (node M-1, where v(t_{M-1}) = u(t_1)).  The PdeConfig
+    always carries pick_kappa's canonical (delta, p) and the default tol.
     """
     t0 = time.perf_counter()
     grid = cfg.grid()
     b = drift if drift is not None else generate(cfg.drift, grid, cfg.horizon, cfg.pde_nodes)
     report = assumption_check(b, cfg.drift.beta, cfg.q)
-    if cfg.delta is None or cfg.p is None:
-        delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
-    else:
-        delta, p = cfg.delta, cfg.p
-    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q, tol=cfg.tol)
+    delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
+    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q)
     if cfg.lam is None:
         lam, trace = calibrate_lambda(b)
     else:
@@ -321,15 +315,7 @@ def study_mollify(cfg: ExperimentConfig) -> StudyReport:
     timings["floor"] = time.perf_counter() - t0
 
     trend = kendall_trend(list(cfg.n_list), terminal_w1)
-    report = StudyReport(
-        study="mollify", digest=config_digest(cfg), config=cfg.to_dict(),
-        environment=environment_fingerprint(),
-        pipeline=_pipeline_summary(bundle, cfg),
-        levels=levels, trend=trend, floor=floor, timings=timings,
-        notes=cfg.note,
-    )
-    _persist(cfg, report, bundle)
-    return report
+    return _finish("mollify", cfg, bundle, levels, trend, floor, timings)
 
 
 def study_lambda(cfg: ExperimentConfig) -> StudyReport:
@@ -369,14 +355,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
             row["within_3_floors"] = bool(row[f"w1_t{1.0:g}"] <= 3.0 * floor)
             levels.append(row)
 
-    report = StudyReport(
-        study="lambda", digest=config_digest(cfg), config=cfg.to_dict(),
-        environment=environment_fingerprint(),
-        pipeline=_pipeline_summary(bundle, cfg),
-        levels=levels, trend={}, floor=floor, timings=timings, notes=cfg.note,
-    )
-    _persist(cfg, report, bundle)
-    return report
+    return _finish("lambda", cfg, bundle, levels, {}, floor, timings)
 
 
 def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
@@ -421,17 +400,23 @@ def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
     floor = wasserstein1(_marginal(x_floor, 1.0), _marginal(x_d, 1.0))
     timings["floor"] = time.perf_counter() - t0
 
-    report = StudyReport(
-        study="consistency", digest=config_digest(cfg), config=cfg.to_dict(),
-        environment=environment_fingerprint(),
-        pipeline=_pipeline_summary(bundle, cfg),
-        levels=levels, trend={}, floor=floor, timings=timings, notes=cfg.note,
-    )
-    _persist(cfg, report, bundle)
-    return report
+    return _finish("consistency", cfg, bundle, levels, {}, floor, timings)
 
 
 # --- persistence --------------------------------------------------------------------
+
+
+def _finish(study: str, cfg: ExperimentConfig, bundle, levels: list, trend: dict,
+            floor: float, timings: dict) -> StudyReport:
+    """Assemble a study's report and persist it when cfg.out_dir is set."""
+    report = StudyReport(
+        study=study, digest=config_digest(cfg), config=cfg.to_dict(),
+        environment=environment_fingerprint(),
+        pipeline=_pipeline_summary(bundle, cfg),
+        levels=levels, trend=trend, floor=floor, timings=timings, notes=cfg.note,
+    )
+    _persist(cfg, report, bundle)
+    return report
 
 
 def _persist(cfg: ExperimentConfig, report: StudyReport, bundle) -> Path | None:

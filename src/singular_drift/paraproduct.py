@@ -17,7 +17,6 @@ from .spectral import (
     GridSpec,
     SobolevIndex,
     SpectralField,
-    cutoff_profile,
     dyadic_cutoff,
     gradient,
     sobolev_norm,
@@ -26,7 +25,6 @@ from .spectral import (
 __all__ = [
     "NonConvergent",
     "SOLVER_STAGE",
-    "cutoff_profile",
     "dealiased_multiply",
     "product",
     "drift_gradient_product",

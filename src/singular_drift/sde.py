@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import TimeField, evaluate, singular_values_sq
+from .kolmogorov import GRADIENT_TARGET
 from .zvonkin import TransformContext, psi, transform_jacobian
 
 __all__ = [
@@ -55,7 +56,7 @@ STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
 
 
 class EllipticityError(RuntimeError):
-    """The diffusion matrix lost its lower singular-value floor of 1/2."""
+    """The diffusion matrix lost its lower singular-value floor 1 - GRADIENT_TARGET."""
 
 
 @dataclass(frozen=True)
@@ -176,24 +177,23 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
 
 
 def coefficients(ctx: TransformContext, lam: float, t: float, x) -> tuple:
-    """Drift and diffusion of Y at time t, where X = psi(t, Y) sits at x;
-    x is (m, d) or (d,).
+    """Drift (m, d) and diffusion (m, d, d) of Y at time t, where X = psi(t, Y)
+    sits at the (m, d) batch x.
 
     mu = (lam+1) u(t, x), sigma = grad u(t, x) + I.  The lower singular-value
-    floor 1/2 is asserted on every evaluation.
+    floor 1 - GRADIENT_TARGET, which the gradient certificate guarantees, is
+    asserted on every evaluation.
     """
     d = ctx.u.grid.dimension
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    mu = (lam + 1.0) * evaluate(ctx.u_at(t), pts)
-    sigma = transform_jacobian(ctx, t, pts) + np.eye(d)[None]
+    mu = (lam + 1.0) * evaluate(ctx.u_at(t), x)
+    sigma = transform_jacobian(ctx, t, x) + np.eye(d)[None]
     smin_sq, _ = singular_values_sq(sigma)
-    floor = 0.25 * (1.0 - 1e-6)
+    floor = (1.0 - GRADIENT_TARGET) ** 2 * (1.0 - 1e-6)
     if np.any(smin_sq < floor):
         raise EllipticityError(
-            f"min singular value {np.sqrt(smin_sq.min()):.6f} fell below 1/2"
+            f"min singular value {np.sqrt(smin_sq.min()):.6f} fell below "
+            f"{1.0 - GRADIENT_TARGET:g}"
         )
-    if np.asarray(x).ndim == 1:
-        return mu[0], sigma[0]
     return mu, sigma
 
 

@@ -169,17 +169,18 @@ class SpectralField:
         return SpectralField(grid, c)
 
     @staticmethod
-    def from_grid(grid: GridSpec, values, real_flag: bool | None = None) -> "SpectralField":
-        """Collocate grid samples; values shape (components,)+spatial or spatial."""
+    def from_grid(grid: GridSpec, values) -> "SpectralField":
+        """Collocate grid samples; values shape (components,)+spatial or spatial.
+
+        The field is real when the samples are: a real array, or a complex one
+        with zero imaginary parts.
+        """
         v = np.asarray(values)
         if v.ndim == grid.dimension:
             v = v[None]
         axes = tuple(range(1, grid.dimension + 1))
         coeffs = np.fft.fftn(v, axes=axes) / grid.n_modes
-        if real_flag is None:
-            real_flag = bool(np.isrealobj(values)) or bool(
-                np.max(np.abs(np.asarray(values).imag)) == 0.0
-            )
+        real_flag = bool(np.isrealobj(v)) or bool(np.max(np.abs(v.imag)) == 0.0)
         return SpectralField(grid, coeffs, real_flag=real_flag)
 
     # --- evaluation -------------------------------------------------------
@@ -204,12 +205,12 @@ class SpectralField:
     # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
+        _check_compatible(self, other)
         return SpectralField(self.grid, self.coeffs + other.coeffs,
                              self.real_flag and other.real_flag)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
+        _check_compatible(self, other)
         return SpectralField(self.grid, self.coeffs - other.coeffs,
                              self.real_flag and other.real_flag)
 
@@ -220,9 +221,11 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _check_same_grid(f: SpectralField, g: SpectralField):
+def _check_compatible(f: SpectralField, g: SpectralField):
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
+    if f.components != g.components:
+        raise ValueError(f"fields have {f.components} and {g.components} components")
 
 
 def _apply_multiplier(f: SpectralField, mult: np.ndarray, real_ok: bool = True) -> SpectralField:
@@ -284,7 +287,7 @@ def dyadic_cutoff(f: SpectralField, j: int) -> SpectralField:
     return _apply_multiplier(f, cutoff_profile(r))
 
 
-def gradient(f: SpectralField, zero_nyquist: bool = True) -> SpectralField:
+def gradient(f: SpectralField) -> SpectralField:
     """Spectral gradient.
 
     Output has components ordered (comp0 d/dx_0, ..., comp0 d/dx_{d-1},
@@ -297,11 +300,9 @@ def gradient(f: SpectralField, zero_nyquist: bool = True) -> SpectralField:
     mesh = g.kappa_mesh()
     for axis in range(g.dimension):
         mult = 1j * mesh[axis]
-        if zero_nyquist:
-            sel = [slice(None)] * g.dimension
-            sel[axis] = n // 2
-            mult = mult.copy()
-            mult[tuple(sel)] = 0.0
+        sel = [slice(None)] * g.dimension
+        sel[axis] = n // 2
+        mult[tuple(sel)] = 0.0
         for c in range(f.components):
             out[c * g.dimension + axis] = f.coeffs[c] * mult
     return SpectralField(g, out, f.real_flag)
@@ -355,12 +356,10 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     point gets the same operations whatever the batch size, so the first n
     rows of a batch equal an n-point call bit for bit.
 
-    x: shape (d,) for one point or (m, d) for a batch.  Returns (components,)
-    or (m, components); real when real_flag is set.
+    x: a batch of shape (m, d); one point is a one-row batch.  Returns
+    (m, components), real when real_flag is set.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != f.grid.dimension:
-        raise ValueError(f"points must have {f.grid.dimension} coordinates")
+    pts = _points(x, f.grid.dimension)
     m = pts.shape[0]
     # one point runs as a two-row batch: numpy's in-place complex product and
     # BLAS's matrix-vector path both round a lone row differently
@@ -371,9 +370,15 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
     out = np.stack(per_comp, axis=1)[:m]
-    if f.real_flag:
-        out = out.real
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return out.real if f.real_flag else out
+
+
+def _points(x, d: int) -> np.ndarray:
+    """x as a float (m, d) batch; any other shape is refused."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points must form an (m, {d}) batch, got shape {pts.shape}")
+    return pts
 
 
 def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -489,7 +494,8 @@ class TimeField:
         return TimeField(self.grid, self.horizon, self.coeffs[::-1], self.real_flag)
 
     def __sub__(self, other: "TimeField") -> "TimeField":
-        if self.grid != other.grid or self.coeffs.shape != other.coeffs.shape:
+        if (self.grid != other.grid or self.horizon != other.horizon
+                or self.coeffs.shape != other.coeffs.shape):
             raise ValueError("time fields are not compatible")
         return TimeField(self.grid, self.horizon, self.coeffs - other.coeffs,
                          self.real_flag and other.real_flag)

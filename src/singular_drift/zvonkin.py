@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, TimeField, evaluate, gradient
-from .kolmogorov import gradient_sup
+from .spectral import SpectralField, TimeField, _points, evaluate, gradient
+from .kolmogorov import GRADIENT_TARGET, gradient_sup
 
 __all__ = [
     "InverseDiverged",
@@ -61,14 +61,12 @@ class TransformContext:
 
 
 def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
-    """Certify and package a backward solution for transform work."""
-    d = u.grid.dimension
-    if u.components != d:
-        raise ValueError(f"u must have {d} components, got {u.components}")
+    """Certify and package a backward solution for transform work; u must
+    have one component per axis."""
     bound = gradient_sup(u)
-    if not bound <= 0.5 + 1e-12:
+    if not bound <= GRADIENT_TARGET + 1e-12:
         raise ValueError(
-            f"gradient certificate failed: sup |grad u| = {bound:.6f} > 1/2; "
+            f"gradient certificate failed: sup |grad u| = {bound:.6f} > {GRADIENT_TARGET:g}; "
             f"raise lambda before building the transform"
         )
     if not inverse_tol > 0:
@@ -79,31 +77,23 @@ def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
                             inverse_tol=float(inverse_tol))
 
 
-def _as_batch(x, d: int):
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    if pts.shape[1] != d:
-        raise ValueError(f"points must have {d} coordinates")
-    return pts, single
-
-
 def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
-    """Forward transform x + u(t, x); accepts one point or a batch."""
+    """Forward transform x + u(t, x) on an (m, d) batch of points."""
     return np.asarray(x, dtype=float) + evaluate(ctx.u_at(t), x)
 
 
 def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
-    """Inverse transform by the contraction x_{k+1} = y - u(t, x_k), x_0 = y.
+    """Inverse transform by the contraction x_{k+1} = y - u(t, x_k), x_0 = y,
+    on an (m, d) batch of points.
 
     Each point iterates until its update is below inverse_tol; points that
     converge are frozen while the rest continue.  Raises InverseDiverged if
     INVERSE_MAX_ITER sweeps are spent first.
     """
-    pts, single = _as_batch(y, ctx.u.grid.dimension)
+    pts = _points(y, ctx.u.grid.dimension)
     u_t = ctx.u_at(t)
     if not np.any(u_t.coeffs):
-        return pts[0].copy() if single else pts.copy()
+        return pts.copy()
     x = pts.copy()
     active = np.arange(pts.shape[0])
     tol_sq = ctx.inverse_tol ** 2
@@ -115,7 +105,7 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
         keep = move_sq >= tol_sq
         active = active[keep]
         if active.size == 0:
-            return x[0] if single else x
+            return x
     raise InverseDiverged(
         f"{active.size} point(s) still moving after {INVERSE_MAX_ITER} "
         f"iterations (gradient bound {ctx.gradient_bound:.4f})"
@@ -123,12 +113,11 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
 
 
 def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
-    """grad u(t, x) as (d, d) matrices, J[i, j] = d_j u_i; batch-aware."""
+    """grad u(t, x) as (m, d, d) matrices, J[i, j] = d_j u_i, on an (m, d)
+    batch of points."""
     d = ctx.u.grid.dimension
-    pts, single = _as_batch(x, d)
-    vals = evaluate(ctx.jacobian_at(t), pts)        # (m, d*d)
-    jac = vals.reshape(pts.shape[0], d, d)
-    return jac[0] if single else jac
+    vals = evaluate(ctx.jacobian_at(t), x)        # (m, d*d)
+    return vals.reshape(-1, d, d)
 
 
 def lipschitz_probe(ctx: TransformContext, samples: int = 1000, seed: int = 0) -> float:
@@ -163,7 +152,7 @@ def time_continuity_probe(ctx: TransformContext, gamma: float = 0.25,
         t1, t2 = rng.uniform(0.0, ctx.horizon, size=2)
         if abs(t2 - t1) < 1e-9:
             continue
-        y = rng.uniform(0.0, span, size=d)
+        y = rng.uniform(0.0, span, size=(1, d))
         p1 = psi(ctx, t1, y)
         p2 = psi(ctx, t2, y)
         worst = max(worst, float(np.linalg.norm(p2 - p1) / abs(t2 - t1) ** gamma))

@@ -236,7 +236,7 @@ def test_criterion_07_zvonkin_inverse(transform):
     xs = rng.uniform(0.0, 2 * np.pi, size=(1000, 1))
     worst = 0.0
     for t, x in zip(ts, xs):
-        back = psi(transform, t, phi(transform, t, x))
+        back = psi(transform, t, phi(transform, t, x[None]))
         worst = max(worst, float(np.abs(back - x).max()))
     lip = lipschitz_probe(transform, samples=1000, seed=0)
     ok = worst <= 2e-12 and lip <= 2.0 + 1e-6

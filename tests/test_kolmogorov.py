@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import singular_drift.kolmogorov as kolmogorov
 from singular_drift.spectral import (
     GridSpec,
     SobolevIndex,
@@ -49,10 +50,8 @@ def constant_drift(grid, c, steps, horizon=1.0):
     {"delta": 0.2},                       # below beta
     {"delta": 0.8},                       # above 1 - beta
     {"p": 1.0},
-    {"rho": -1.0},
     {"tol": 0.0},
     {"q": 1.0},
-    {"max_iter": 0},
 ])
 def test_pde_config_rejects_bad_values(kwargs):
     base = {"beta": 0.25, "delta": 0.5, "p": 2.5, "q": 3.0}
@@ -134,10 +133,10 @@ def test_picard_contracts_and_residual_is_small(rough_drift64):
     assert res <= 2.0 * CFG.tol
 
 
-def test_solver_raises_when_budget_exhausted(rough_drift64):
-    cfg = PdeConfig(beta=0.25, delta=0.5, p=2.5, q=3.0, max_iter=1)
+def test_solver_raises_when_budget_exhausted(rough_drift64, monkeypatch):
+    monkeypatch.setattr(kolmogorov, "PICARD_MAX_ITER", 1)
     with pytest.raises(MaxIterExceeded):
-        picard_sweeps(rough_drift64, 4.0, cfg)
+        picard_sweeps(rough_drift64, 4.0, CFG)
 
 
 @pytest.fixture(params=["1d", "2d"])

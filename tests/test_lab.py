@@ -29,7 +29,7 @@ ROUGH = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
 
 def tiny_config(**over):
     kw = dict(name="tiny", drift=ROUGH, modes=64, pde_nodes=16, steps=16,
-              paths=300, seed=5, lam=2.0, n_list=(2, 4), tol=1e-9)
+              paths=300, seed=5, lam=2.0, n_list=(2, 4))
     kw.update(over)
     return ExperimentConfig(**kw)
 
@@ -94,16 +94,18 @@ def test_bootstrap_ci_brackets_point_estimate():
 
 
 def test_experiment_config_roundtrip():
-    cfg = tiny_config(lambda_list=(2.0, 4.0), delta=0.5, p=2.5)
+    cfg = tiny_config(lambda_list=(2.0, 4.0))
     back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
 
 
-def test_experiment_config_rejects_product_tol():
-    # the solver's product runs at a fixed stage; the old tolerance is no key
+@pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol"])
+def test_experiment_config_rejects_removed_keys(key):
+    # the solver's product runs at a fixed stage, (delta, p) is always
+    # pick_kappa's pair and the residual tolerance is PdeConfig's
     d = tiny_config().to_dict()
-    d["product_tol"] = 2.0
-    with pytest.raises(TypeError, match="product_tol"):
+    d[key] = 2.0
+    with pytest.raises(TypeError, match=key):
         ExperimentConfig.from_dict(d)
 
 

@@ -110,10 +110,12 @@ def test_coefficients_zero_transform(grid64):
 def test_coefficients_closed_form(grid64):
     # u = 0.4 sin x: mu = (lam+1) 0.4 sin(x), sigma = 1 + 0.4 cos(x) at X = x
     ctx = make_context(sine_time_field(grid64, 0.4, 4))
-    x = np.array([1.2])
+    x = np.array([[1.2]])
     mu, sigma = coefficients(ctx, 2.0, 0.0, x)
-    assert abs(mu[0] - 3.0 * 0.4 * np.sin(x[0])) < 1e-10
-    assert abs(sigma[0, 0] - (1.0 + 0.4 * np.cos(x[0]))) < 1e-10
+    assert abs(mu[0, 0] - 3.0 * 0.4 * np.sin(x[0, 0])) < 1e-10
+    assert abs(sigma[0, 0, 0] - (1.0 + 0.4 * np.cos(x[0, 0]))) < 1e-10
+    with pytest.raises(ValueError, match="batch"):
+        coefficients(ctx, 2.0, 0.0, x[0])
 
 
 def test_coefficients_ellipticity_floor(grid64):

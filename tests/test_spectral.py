@@ -75,6 +75,17 @@ def test_field_arithmetic_is_linear(grid64, sine_field):
     assert np.allclose(s.coeffs, g.coeffs)
 
 
+def test_field_arithmetic_refuses_mismatched_operands(grid64, sine_field):
+    pair = SpectralField.constant(grid64, [1.0, 2.0])
+    for op in (lambda f, g: f + g, lambda f, g: f - g):
+        with pytest.raises(ValueError, match="components"):
+            op(sine_field, pair)
+    short = TimeField.from_nodes([sine_field] * 3, 1.0)
+    long = TimeField.from_nodes([sine_field] * 3, 2.0)
+    with pytest.raises(ValueError, match="not compatible"):
+        short - long
+
+
 # --- multiplier operators ---------------------------------------------------------
 
 
@@ -225,10 +236,12 @@ def test_evaluate_closed_form_offgrid(grid64):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_evaluate_single_point_shape(grid64, sine_field):
-    out = evaluate(sine_field, np.array([1.0]))
-    assert out.shape == (1,)
-    assert abs(out[0] - np.sin(1.0)) < 1e-12
+@pytest.mark.parametrize("shape", [(1,), (5, 1, 1), (5, 2), (5,)],
+                         ids=["one-point", "three-axes", "wrong-d", "flat"])
+def test_evaluate_rejects_non_batch_points(sine_field, shape):
+    # points form an (m, d) batch; one point is a one-row batch
+    with pytest.raises(ValueError, match="batch"):
+        evaluate(sine_field, np.ones(shape))
 
 
 def test_evaluate_matches_grid_values(grid64):
@@ -267,7 +280,6 @@ def test_evaluate_heads_independent_of_batch_size(dim, modes, comps):
     full = evaluate(f, p)
     for n in range(1, 65):
         assert np.array_equal(evaluate(f, p[:n]), full[:n]), n
-    assert np.array_equal(evaluate(f, p[0]), full[0])
 
 
 def test_evaluate_periodicity(grid64, sine_field):

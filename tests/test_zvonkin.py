@@ -74,9 +74,12 @@ def test_round_trip(sine_ctx):
     assert worst <= 2e-12
 
 
-def test_psi_single_point_shape(sine_ctx):
-    out = psi(sine_ctx, 0.0, np.array([1.0]))
-    assert out.shape == (1,)
+def test_transform_rejects_single_point(sine_ctx):
+    # points form an (m, d) batch; one point is a one-row batch
+    for fn in (phi, psi, transform_jacobian):
+        with pytest.raises(ValueError, match="batch"):
+            fn(sine_ctx, 0.0, np.array([1.0]))
+        assert fn(sine_ctx, 0.0, np.array([[1.0]])).shape[0] == 1
 
 
 def test_psi_zero_transform_shortcut(grid64):
