@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import integrate, special
 
 from .spectral import (
     SobolevIndex,
@@ -371,7 +370,11 @@ def gamma_bound_check(rho: float, theta: float, t_range: tuple = (0.0, np.inf)) 
 
     The integral is computed after the substitution w = r^{1-theta}, which
     removes the endpoint singularity; requires rho >= 1 and 0 <= theta < 1.
+    SciPy's quadrature is imported here, on first use, so that importing the
+    package does not load it.
     """
+    from scipy import integrate, special
+
     if rho < 1:
         raise ValueError("the bound is stated for rho >= 1")
     if not (0.0 <= theta < 1.0):

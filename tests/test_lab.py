@@ -1,11 +1,18 @@
 """Sample statistics against scipy, config plumbing, and study smoke runs."""
 
+import itertools
 import json
+import math
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import singular_drift
 from singular_drift.drifts import DriftSpec
 from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.lab import (
@@ -76,6 +83,74 @@ def test_kendall_trend_signs():
     up = kendall_trend([1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 4.0, 5.0])
     assert up["tau"] == pytest.approx(1.0)
     assert not up["decreasing_at_5pct"]
+    assert down["p_method"] == up["p_method"] == "exact"
+
+
+def test_kendall_trend_matches_scipy():
+    rng = np.random.default_rng(8)
+    for _ in range(400):
+        n = int(rng.integers(3, 13))
+        levels = np.sort(rng.choice(1000, n, replace=False))
+        values = rng.standard_normal(n)
+        got = kendall_trend(levels, values)
+        tau, p_two = stats.kendalltau(levels, values)
+        assert got["tau"] == tau                      # bitwise
+        assert got["p_method"] == "exact"
+        if tau < 0:
+            assert abs(got["p_one_sided"] - 0.5 * p_two) <= 1e-12
+
+
+def test_kendall_trend_with_ties_uses_the_normal_law():
+    got = kendall_trend([1, 2, 3, 4, 5], [5.0, 4.0, 4.0, 2.0, 1.0])
+    tau, _ = stats.kendalltau([1, 2, 3, 4, 5], [5.0, 4.0, 4.0, 2.0, 1.0])
+    assert got["tau"] == tau
+    assert got["p_method"] == "normal"
+    assert got["p_one_sided"] == pytest.approx(0.011488700751603033, rel=1e-12)
+    assert got["decreasing_at_5pct"]
+
+
+def test_kendall_trend_p_is_exact_by_enumeration():
+    # P(S <= s_obs) over all orderings, the mass at s_obs included, for every
+    # sign of tau (tau = 0 occurs for n >= 3)
+    for n in range(2, 8):
+        def s_stat(q):
+            return sum((q[j] > q[i]) - (q[j] < q[i])
+                       for i, j in itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        mass = Counter(s_stat(q) for q in perms)
+        for q in perms:
+            s = s_stat(q)
+            want = sum(c for t, c in mass.items() if t <= s) / math.factorial(n)
+            assert kendall_trend(range(n), q)["p_one_sided"] == want, (n, q)
+    assert kendall_trend([1, 2, 3, 4], [2, 1, 4, 3])["p_one_sided"] == 20 / 24
+    assert kendall_trend([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])["p_one_sided"] == 1.0
+
+
+@pytest.mark.parametrize("levels, values", [
+    ([1, 2, 3], [1.0, 2.0]),          # mismatched lengths
+    ([1], [1.0]),                     # fewer than two points
+    ([1, 2, 3], [2.0, 2.0, 2.0]),     # tau undefined
+    ([1, 2, 3], [1.0, np.nan, 2.0]),  # not finite
+])
+def test_kendall_trend_refuses_bad_input(levels, values):
+    with pytest.raises(ValueError):
+        kendall_trend(levels, values)
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    src = Path(singular_drift.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import singular_drift, singular_drift.cli\n"
+        "from singular_drift.lab import kendall_trend\n"
+        "kendall_trend([1, 2, 3, 4], [4.0, 3.0, 2.0, 1.0])\n"
+        "kendall_trend([1, 2, 3, 4], [4.0, 3.0, 3.0, 1.0])\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.special')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bootstrap_ci_brackets_point_estimate():
@@ -112,6 +187,14 @@ def test_experiment_config_rejects_removed_keys(key):
 def test_experiment_config_validates_x0():
     with pytest.raises(ValueError):
         tiny_config(x0=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("n_list", [(0, 2), (-1, 2), (2, 2), (4, 2), (2,), ()])
+def test_experiment_config_validates_n_list(n_list):
+    # refused before any solve: a zero level would fail only in spectral.mollify,
+    # a repeated one would feed tied levels to the trend test
+    with pytest.raises(ValueError, match="n_list"):
+        tiny_config(n_list=n_list)
 
 
 def test_config_digest_sensitivity():
@@ -153,6 +236,7 @@ def test_study_mollify_smoke(tmp_path):
         assert row["ci_lo"] <= row["ci_hi"]
     assert rep.floor > 0.0
     assert "tau" in rep.trend
+    assert rep.trend["p_method"] == "exact"
     root = tmp_path / rep.digest
     for name in ("report.json", "levels.csv", "drift.bin", "u.bin",
                  "manifest.json"):
@@ -164,6 +248,7 @@ def test_study_mollify_smoke(tmp_path):
     assert saved["levels"] == rep.levels
     assert saved["pipeline"]["product_stage"] == SOLVER_STAGE
     assert saved["pipeline"]["ladder_agrees"] is True
+    assert saved["trend"]["p_method"] == "exact"
 
 
 def test_study_lambda_smoke():
