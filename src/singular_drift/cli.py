@@ -25,6 +25,7 @@ from .kolmogorov import gamma_bound_check
 from .zvonkin import make_context, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
 from .lab import (
+    INVERSE_TOL,
     ExperimentConfig,
     _sim_config,
     config_digest,
@@ -91,7 +92,7 @@ def cmd_simulate(args) -> int:
             lam = load_time_field_meta(args.u).get("manifest", {}).get("lambda")
             if lam is None:
                 raise SystemExit("lambda is neither in the config nor the u sidecar")
-        ctx = make_context(load_time_field(args.u), inverse_tol=cfg.inverse_tol)
+        ctx = make_context(load_time_field(args.u), inverse_tol=INVERSE_TOL)
     else:
         bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
         ctx, lam = bundle["ctx"], bundle["lam"]

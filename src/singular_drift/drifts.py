@@ -185,7 +185,7 @@ def _refined_node(fld: SpectralField) -> SpectralField:
     """The same band-limited field viewed on the doubled lattice."""
     g = fld.grid
     fine_grid = GridSpec(g.dimension, 2 * g.modes_per_axis, g.period)
-    return SpectralField(fine_grid, _pad_coeffs(fld), fld.real_flag)
+    return SpectralField(fine_grid, _pad_coeffs(fld))
 
 
 def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:

@@ -169,7 +169,7 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     """
     if v.grid != b.grid or v.nodes != b.nodes or v.horizon != b.horizon:
         raise ValueError("v and b must share grid and time nodes")
-    return TimeField(v.grid, v.horizon, _march(b, lam, v), v.real_flag and b.real_flag)
+    return TimeField(v.grid, v.horizon, _march(b, lam, v))
 
 
 def _march(b: TimeField, lam: float, v: TimeField | None = None) -> np.ndarray:
@@ -179,7 +179,7 @@ def _march(b: TimeField, lam: float, v: TimeField | None = None) -> np.ndarray:
     out = np.zeros_like(b.coeffs)
     src = out if v is None else v.coeffs
     for m in range(1, b.nodes + 1):
-        vm = SpectralField(b.grid, src[m - 1], b.real_flag)
+        vm = SpectralField(b.grid, src[m - 1])
         out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
     return out
 
@@ -218,7 +218,7 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     report = SolveReport(converged=True, iterations=1, rho=0.0, gain0=0.0,
                          weighted_diffs=(), sup_diffs=(), ratios=(), lam=float(lam),
                          method="march")
-    return TimeField(b.grid, b.horizon, _march(b, lam), b.real_flag), report
+    return TimeField(b.grid, b.horizon, _march(b, lam)), report
 
 
 def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:

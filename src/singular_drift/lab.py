@@ -46,9 +46,11 @@ __all__ = [
     "study_lambda",
     "study_smooth_consistency",
     "REPORT_TIMES",
+    "INVERSE_TOL",
 ]
 
 REPORT_TIMES = (0.25, 0.5, 0.75, 1.0)   # fractions of the horizon
+INVERSE_TOL = 1e-9                      # point inversion tolerance during simulation
 
 
 # --- sample statistics ----------------------------------------------------------
@@ -177,7 +179,6 @@ class ExperimentConfig:
     pde_nodes: int = 128
     q: float = 3.0
     lam: float | None = None        # None: calibrate by doubling
-    inverse_tol: float = 1e-9       # point inversion tolerance during simulation
     x0: tuple = (0.0,)
     steps: int = 128
     paths: int = 10000
@@ -267,8 +268,8 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     always carries pick_kappa's canonical (delta, p) and the default tol.
     """
     t0 = time.perf_counter()
-    grid = cfg.grid()
-    b = drift if drift is not None else generate(cfg.drift, grid, cfg.horizon, cfg.pde_nodes)
+    b = drift if drift is not None else generate(cfg.drift, cfg.grid(), cfg.horizon,
+                                                 cfg.pde_nodes)
     report = assumption_check(b, cfg.drift.beta, cfg.q)
     delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
     pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q)
@@ -278,7 +279,6 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         lam, trace = float(cfg.lam), []
     u, ctx, solve_report = _transform_at(cfg, b, lam)
     return {
-        "grid": grid,
         "b": b,
         "assumption": report,
         "pde": pde,
@@ -296,7 +296,7 @@ def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float) -> tuple:
     """Solve at lam and build the transform: (backward u, context, solver report)."""
     v, solve_report = solve_fwd(b, lam)
     u = to_backward(v)
-    return u, make_context(u, inverse_tol=cfg.inverse_tol), solve_report
+    return u, make_context(u, inverse_tol=INVERSE_TOL), solve_report
 
 
 def _marginal(ens: PathEnsemble, frac: float, coord: int = 0) -> np.ndarray:

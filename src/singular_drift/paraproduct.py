@@ -117,7 +117,7 @@ def dealiased_multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     vg = np.fft.ifftn(_pad_coeffs(g) * n2, axes=axes)
     fine = np.fft.fftn(vf * vg, axes=axes) / n2
     coeffs = _truncate_coeffs(fine, grid)
-    return SpectralField(grid, coeffs, f.real_flag and g.real_flag)
+    return SpectralField(grid, coeffs)
 
 
 def _stage(f: SpectralField, g: SpectralField, j: int) -> SpectralField:
@@ -157,13 +157,10 @@ def _drift_gradient(b: SpectralField, u: SpectralField, mult) -> SpectralField:
         raise ValueError(f"drift must have {d} components, got {b.components}")
     grad = gradient(u)  # components ordered (i, axis) row-major
     out = np.zeros_like(u.coeffs)
-    flag = b.real_flag and u.real_flag
     for i in range(u.components):
         for ax in range(d):
-            term = mult(b.component(ax), grad.component(i * d + ax))
-            out[i] += term.coeffs[0]
-            flag = flag and term.real_flag
-    return SpectralField(u.grid, out, flag)
+            out[i] += mult(b.component(ax), grad.component(i * d + ax)).coeffs[0]
+    return SpectralField(u.grid, out)
 
 
 def drift_gradient_product(b: SpectralField, u: SpectralField) -> SpectralField:

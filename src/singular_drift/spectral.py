@@ -34,7 +34,7 @@ __all__ = [
     "load_time_field",
 ]
 
-_REAL_TOL = 1e-10  # relative imaginary residue allowed in a real_flag field
+_REAL_TOL = 1e-10  # relative imaginary residue allowed in grid values
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,15 @@ class SobolevIndex:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Band-limited field given by FFT-ordered Fourier coefficients.
+    """Real band-limited field given by FFT-ordered Fourier coefficients.
 
-    coeffs has shape (components,) + grid.spatial_shape, complex128.  When
-    real_flag is set the coefficients carry Hermitian symmetry and grid values
-    are real up to roundoff.
+    coeffs has shape (components,) + grid.spatial_shape, complex128, with
+    Hermitian symmetry: every field is real, so grid values are real up to
+    roundoff and `values` refuses coefficients whose samples are not.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
-    real_flag: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -172,51 +171,49 @@ class SpectralField:
     def from_grid(grid: GridSpec, values) -> "SpectralField":
         """Collocate grid samples; values shape (components,)+spatial or spatial.
 
-        The field is real when the samples are: a real array, or a complex one
-        with zero imaginary parts.
+        The samples must be real: a real array, or a complex one with zero
+        imaginary parts.  Any other complex input is refused.
         """
         v = np.asarray(values)
+        if np.iscomplexobj(v) and np.any(v.imag):
+            raise ValueError("grid samples have a nonzero imaginary part; fields are real")
         if v.ndim == grid.dimension:
             v = v[None]
         axes = tuple(range(1, grid.dimension + 1))
         coeffs = np.fft.fftn(v, axes=axes) / grid.n_modes
-        real_flag = bool(np.isrealobj(v)) or bool(np.max(np.abs(v.imag)) == 0.0)
-        return SpectralField(grid, coeffs, real_flag=real_flag)
+        return SpectralField(grid, coeffs)
 
     # --- evaluation -------------------------------------------------------
 
     def values(self) -> np.ndarray:
-        """Grid samples, shape (components,)+spatial; real array if real_flag."""
+        """Real grid samples, shape (components,)+spatial; refuses samples
+        whose imaginary residue shows the coefficients are not Hermitian."""
         axes = tuple(range(1, self.grid.dimension + 1))
         v = np.fft.ifftn(self.coeffs * self.grid.n_modes, axes=axes)
-        if self.real_flag:
-            scale = max(np.max(np.abs(v)), 1.0)
-            resid = np.max(np.abs(v.imag)) / scale
-            if resid > _REAL_TOL:
-                raise ValueError(
-                    f"field marked real but grid values have imaginary residue {resid:.3e}"
-                )
-            return v.real
-        return v
+        scale = max(np.max(np.abs(v)), 1.0)
+        resid = np.max(np.abs(v.imag)) / scale
+        if resid > _REAL_TOL:
+            raise ValueError(
+                f"field is not real: grid values have imaginary residue {resid:.3e}"
+            )
+        return v.real
 
     def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[i : i + 1], self.real_flag)
+        return SpectralField(self.grid, self.coeffs[i : i + 1])
 
     # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_compatible(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.real_flag and other.real_flag)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_compatible(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             self.real_flag and other.real_flag)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         s = float(scalar)
-        return SpectralField(self.grid, self.coeffs * s, self.real_flag)
+        return SpectralField(self.grid, self.coeffs * s)
 
     __rmul__ = __mul__
 
@@ -228,9 +225,9 @@ def _check_compatible(f: SpectralField, g: SpectralField):
         raise ValueError(f"fields have {f.components} and {g.components} components")
 
 
-def _apply_multiplier(f: SpectralField, mult: np.ndarray, real_ok: bool = True) -> SpectralField:
+def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
     """Multiply coefficients by a lattice symbol (broadcast over components)."""
-    return SpectralField(f.grid, f.coeffs * mult[None], f.real_flag and real_ok)
+    return SpectralField(f.grid, f.coeffs * mult[None])
 
 
 # --- smooth dyadic cutoff profile ------------------------------------------
@@ -305,7 +302,7 @@ def gradient(f: SpectralField) -> SpectralField:
         mult[tuple(sel)] = 0.0
         for c in range(f.components):
             out[c * g.dimension + axis] = f.coeffs[c] * mult
-    return SpectralField(g, out, f.real_flag)
+    return SpectralField(g, out)
 
 
 # --- norms ------------------------------------------------------------------
@@ -357,7 +354,7 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     rows of a batch equal an n-point call bit for bit.
 
     x: a batch of shape (m, d); one point is a one-row batch.  Returns
-    (m, components), real when real_flag is set.
+    (m, components), real.
     """
     pts = _points(x, f.grid.dimension)
     m = pts.shape[0]
@@ -370,7 +367,7 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
     out = np.stack(per_comp, axis=1)[:m]
-    return out.real if f.real_flag else out
+    return out.real
 
 
 def _points(x, d: int) -> np.ndarray:
@@ -422,15 +419,14 @@ def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeField:
-    """Uniform time grid t_m = m*T/M, one spectral field per node.
+    """Uniform time grid t_m = m*T/M, one real spectral field per node.
 
-    coeffs shape: (M+1, components) + spatial.
+    coeffs shape: (M+1, components) + spatial, Hermitian at every node.
     """
 
     grid: GridSpec
     horizon: float
     coeffs: np.ndarray
-    real_flag: bool = True
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -458,14 +454,12 @@ class TimeField:
         return np.linspace(0.0, self.horizon, self.nodes + 1)
 
     def node(self, m: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[m], self.real_flag)
+        return SpectralField(self.grid, self.coeffs[m])
 
     @staticmethod
     def from_nodes(fields, horizon: float) -> "TimeField":
         grid = fields[0].grid
-        coeffs = np.stack([f.coeffs for f in fields])
-        flag = all(f.real_flag for f in fields)
-        return TimeField(grid, horizon, coeffs, real_flag=flag)
+        return TimeField(grid, horizon, np.stack([f.coeffs for f in fields]))
 
     @staticmethod
     def zero(grid: GridSpec, horizon: float, steps: int, components: int = 1) -> "TimeField":
@@ -488,24 +482,24 @@ class TimeField:
             raise ValueError(f"unknown interpolation rule {rule!r}")
         w = pos - m
         c = (1.0 - w) * self.coeffs[m] + w * self.coeffs[m + 1]
-        return SpectralField(self.grid, c, self.real_flag)
+        return SpectralField(self.grid, c)
 
     def reversed_time(self) -> "TimeField":
-        return TimeField(self.grid, self.horizon, self.coeffs[::-1], self.real_flag)
+        return TimeField(self.grid, self.horizon, self.coeffs[::-1])
 
     def __sub__(self, other: "TimeField") -> "TimeField":
         if (self.grid != other.grid or self.horizon != other.horizon
                 or self.coeffs.shape != other.coeffs.shape):
             raise ValueError("time fields are not compatible")
-        return TimeField(self.grid, self.horizon, self.coeffs - other.coeffs,
-                         self.real_flag and other.real_flag)
+        return TimeField(self.grid, self.horizon, self.coeffs - other.coeffs)
 
 
 # --- snapshot format ----------------------------------------------------------
 #
 # Binary payload of a time field: little-endian f64 pairs (re, im), node-major,
 # then component-major, then row-major over the FFT-ordered lattice; complex128
-# '<c16' has exactly that layout.  Sidecar JSON carries the geometry.
+# '<c16' has exactly that layout.  Sidecar JSON carries the geometry and
+# "real_flag": true, which the reader requires (every field is real).
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -521,7 +515,7 @@ def save_time_field(tf: TimeField, path, description: str = "",
         "N": tf.grid.modes_per_axis,
         "L": tf.grid.period,
         "components": tf.components,
-        "real_flag": tf.real_flag,
+        "real_flag": True,
         "description": description,
         "time": {"horizon": tf.horizon, "steps": tf.nodes},
     }
@@ -534,13 +528,14 @@ def save_time_field(tf: TimeField, path, description: str = "",
 def load_time_field(path) -> TimeField:
     path = Path(path)
     meta = json.loads(_sidecar_path(path).read_text())
+    if meta.get("real_flag") is not True:
+        raise ValueError(f"{path}: sidecar does not mark the field real; fields are real")
     grid = GridSpec(meta["d"], meta["N"], meta["L"])
     steps = meta["time"]["steps"]
     raw = np.frombuffer(path.read_bytes(), dtype="<c16")
     shape = (steps + 1, meta["components"]) + grid.spatial_shape
     return TimeField(grid, meta["time"]["horizon"],
-                     raw.reshape(shape).astype(np.complex128),
-                     real_flag=meta["real_flag"])
+                     raw.reshape(shape).astype(np.complex128))
 
 
 def load_time_field_meta(path) -> dict:

@@ -39,13 +39,12 @@ INVERSE_MAX_ITER = 80
 class TransformContext:
     """Backward solution u plus the data needed to invert x + u(t, x).
 
-    gradient_bound is the measured certificate sup |grad u|; construction
+    gradient_bound is the measured certificate sup |grad u|; `make_context`
     refuses values above 1/2 because the contraction estimate would be void.
-    jacobian holds grad u per node (components ordered (i, axis) row-major).
+    grad u is not stored: `transform_jacobian` derives it from u per call.
     """
 
     u: TimeField
-    jacobian: TimeField
     gradient_bound: float
     inverse_tol: float = 1e-12
 
@@ -55,9 +54,6 @@ class TransformContext:
 
     def u_at(self, t: float) -> SpectralField:
         return self.u.at_time(t, rule="linear")
-
-    def jacobian_at(self, t: float) -> SpectralField:
-        return self.jacobian.at_time(t, rule="linear")
 
 
 def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
@@ -71,10 +67,7 @@ def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
         )
     if not inverse_tol > 0:
         raise ValueError("inverse tolerance must be positive")
-    jac_nodes = [gradient(u.node(m)) for m in range(u.nodes + 1)]
-    jac = TimeField.from_nodes(jac_nodes, u.horizon)
-    return TransformContext(u=u, jacobian=jac, gradient_bound=float(bound),
-                            inverse_tol=float(inverse_tol))
+    return TransformContext(u=u, gradient_bound=float(bound), inverse_tol=float(inverse_tol))
 
 
 def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
@@ -114,9 +107,10 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
 
 def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
     """grad u(t, x) as (m, d, d) matrices, J[i, j] = d_j u_i, on an (m, d)
-    batch of points."""
+    batch of points: the spectral gradient of u(t), derived per call.  At
+    node times that is the node's gradient bit for bit."""
     d = ctx.u.grid.dimension
-    vals = evaluate(ctx.jacobian_at(t), x)        # (m, d*d)
+    vals = evaluate(gradient(ctx.u_at(t)), x)     # (m, d*d)
     return vals.reshape(-1, d, d)
 
 

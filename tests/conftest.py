@@ -7,7 +7,7 @@ stays fast; the acceptance tests build their own desk-scale fixtures.
 import numpy as np
 import pytest
 
-from singular_drift.spectral import GridSpec, SpectralField, TimeField
+from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
 from singular_drift.drifts import DriftSpec, generate
 
 
@@ -38,10 +38,13 @@ def sine_field(grid64):
 
 
 def single_mode(grid, k, amplitude=1.0, component_count=1):
-    """amplitude * exp(i k x) placed directly in the coefficients."""
+    """amplitude * exp(i k x) placed directly in the coefficients.
+
+    It has no Hermitian partner, so it is not a real field: use it with
+    coefficient operations only, never `values` or `evaluate`."""
     coeffs = np.zeros((component_count,) + grid.spatial_shape, dtype=complex)
     coeffs[(0,) + ((k % grid.modes_per_axis),) * grid.dimension] = amplitude
-    return SpectralField(grid, coeffs, real_flag=False)
+    return SpectralField(grid, coeffs)
 
 
 def sine_time_field(grid, amplitude, steps, horizon=1.0):
@@ -49,3 +52,30 @@ def sine_time_field(grid, amplitude, steps, horizon=1.0):
     x = grid.axis_points()
     node = SpectralField.from_grid(grid, (amplitude * np.sin(x))[None])
     return TimeField.from_nodes([node] * (steps + 1), horizon)
+
+
+def random_time_field(grid, steps, amplitude, seed, horizon=1.0):
+    """Real, time-varying field with one component per axis: every node draws
+    its own low-mode cosines, amplitude / |k|^2 each."""
+    rng = np.random.default_rng(seed)
+    axes = np.meshgrid(*([grid.axis_points()] * grid.dimension), indexing="ij")
+    modes = [k for k in np.ndindex(*([5] * grid.dimension)) if any(k)]
+    nodes = []
+    for _ in range(steps + 1):
+        vals = np.zeros((grid.dimension,) + grid.spatial_shape)
+        for comp in vals:
+            for k in modes:
+                phase = sum(kj * xj for kj, xj in zip(k, axes)) + rng.uniform(0, 2 * np.pi)
+                comp += amplitude * rng.standard_normal() / np.dot(k, k) * np.cos(phase)
+        nodes.append(SpectralField.from_grid(grid, vals))
+    return TimeField.from_nodes(nodes, horizon)
+
+
+def node_gradient_jacobian(ctx, t, x):
+    """grad u from the spectral gradients of the nodes, interpolated linearly
+    in time: the reference that `zvonkin.transform_jacobian` must match."""
+    u = ctx.u
+    grads = TimeField.from_nodes([gradient(u.node(m)) for m in range(u.nodes + 1)],
+                                 u.horizon)
+    d = u.grid.dimension
+    return evaluate(grads.at_time(t, rule="linear"), x).reshape(-1, d, d)

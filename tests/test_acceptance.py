@@ -166,8 +166,8 @@ def test_criterion_03_product_oracle(grid, pde):
         fr = _random_rough(grid, 2.0, 1000 + seed)
         gr = _random_rough(grid, 0.3, 2000 + seed)
         r = product_bound_ratio(fr, gr, BETA, pde.delta, pde.p, Q)
-        fr2 = SpectralField(fine_grid, _pad_coeffs(fr), fr.real_flag)
-        gr2 = SpectralField(fine_grid, _pad_coeffs(gr), gr.real_flag)
+        fr2 = SpectralField(fine_grid, _pad_coeffs(fr))
+        gr2 = SpectralField(fine_grid, _pad_coeffs(gr))
         r2 = product_bound_ratio(fr2, gr2, BETA, pde.delta, pde.p, Q)
         if not (np.isfinite(r) and np.isfinite(r2) and r > 0):
             drifts.append(np.inf)

@@ -75,7 +75,7 @@ def test_integral_operator_single_mode_exact(grid64):
     coeffs = np.zeros((1, 64), dtype=complex)
     coeffs[0, k] = c
     b = TimeField.from_nodes(
-        [SpectralField(grid64, coeffs, real_flag=False)] * (steps + 1), 1.0)
+        [SpectralField(grid64, coeffs)] * (steps + 1), 1.0)
     v0 = TimeField.zero(grid64, 1.0, steps)
     out = integral_operator(v0, b, 2.0)
     a_k = 1.0 + 0.5 * k ** 2
@@ -274,6 +274,18 @@ def test_calibrate_lambda_fails_on_coarse_time_grid(grid64):
     except CalibrationFailed as exc:
         assert len(exc.trace) == 3                # lambda = 1, 2, 4 were tried
         assert all(g > 0.5 for _, g in exc.trace)
+
+
+@pytest.mark.xfail(strict=True, raises=CalibrationFailed,
+                   reason="ROADMAP item 1: the lambda cap lambda <= M/T makes 2-D "
+                          "calibration fail")
+def test_calibrate_lambda_2d_rough_drift():
+    # the trace reads 0.919, 0.832, 0.707, 0.554, 0.518 at lambda 1..16, and
+    # lambda 32 passes the cap M/T = 16
+    b = generate(DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
+                           amplitude=0.1), GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
+    _, trace = calibrate_lambda(b)
+    assert trace[-1][1] <= 0.5
 
 
 # --- the gamma bound --------------------------------------------------------

@@ -16,6 +16,7 @@ import singular_drift
 from singular_drift.drifts import DriftSpec
 from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.lab import (
+    INVERSE_TOL,
     ExperimentConfig,
     bootstrap_ci,
     config_digest,
@@ -174,10 +175,11 @@ def test_experiment_config_roundtrip():
     assert back == cfg
 
 
-@pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol"])
+@pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol", "inverse_tol"])
 def test_experiment_config_rejects_removed_keys(key):
     # the solver's product runs at a fixed stage, (delta, p) is always
-    # pick_kappa's pair and the residual tolerance is PdeConfig's
+    # pick_kappa's pair, the residual tolerance is PdeConfig's and the
+    # inversion tolerance is lab.INVERSE_TOL
     d = tiny_config().to_dict()
     d[key] = 2.0
     with pytest.raises(TypeError, match=key):
@@ -220,7 +222,7 @@ def test_prepare_transform_bundle():
     assert bundle["solve_report"].converged
     assert bundle["assumption"].ok
     assert bundle["pde"].delta == 0.5 and bundle["pde"].p == 2.5
-    assert bundle["ctx"].inverse_tol == tiny_config().inverse_tol
+    assert bundle["ctx"].inverse_tol == INVERSE_TOL
 
 
 # --- studies ------------------------------------------------------------------------------

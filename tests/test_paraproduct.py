@@ -39,7 +39,7 @@ def _brute_convolution(f, g):
     b = np.fft.fftshift(g.coeffs[0])
     full = np.convolve(a, b)                      # index j holds k = j - N
     out = np.fft.ifftshift(full[n // 2 : 3 * n // 2])
-    return SpectralField(f.grid, out[None], f.real_flag and g.real_flag)
+    return SpectralField(f.grid, out[None])
 
 
 # --- zero padding ------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_pad_preserves_point_values(grid64):
     rng = np.random.default_rng(5)
     f = SpectralField.from_grid(grid64, rng.standard_normal((1, 64)))
     fine_grid = GridSpec(1, 128, grid64.period)
-    fine = SpectralField(fine_grid, _pad_coeffs(f), f.real_flag)
+    fine = SpectralField(fine_grid, _pad_coeffs(f))
     assert np.max(np.abs(fine.values()[0][::2] - f.values()[0])) < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_pad_keeps_real_fields_real(grid64):
     coeffs[0, 1] = -0.5j
     coeffs[0, -1] = 0.5j
     f = SpectralField(grid64, coeffs)
-    fine = SpectralField(GridSpec(1, 128, grid64.period), _pad_coeffs(f), True)
+    fine = SpectralField(GridSpec(1, 128, grid64.period), _pad_coeffs(f))
     vals = fine.values()                           # raises if symmetry broke
     assert vals.shape == (1, 128)
 
@@ -225,8 +225,8 @@ def test_product_bound_ratio_positive_and_stable(grid64):
         g = _random_field(grid64, 0.3, 200 + seed)
         r = product_bound_ratio(f, g, beta, delta, p, q)
         assert np.isfinite(r) and r > 0
-        f2 = SpectralField(fine_grid, _pad_coeffs(f), f.real_flag)
-        g2 = SpectralField(fine_grid, _pad_coeffs(g), g.real_flag)
+        f2 = SpectralField(fine_grid, _pad_coeffs(f))
+        g2 = SpectralField(fine_grid, _pad_coeffs(g))
         r2 = product_bound_ratio(f2, g2, beta, delta, p, q)
         drifts.append(abs(r2 - r) / r)
     assert max(drifts) < 0.05

@@ -20,7 +20,7 @@ from singular_drift.sde import (
     virtual_x,
 )
 
-from conftest import sine_time_field
+from conftest import node_gradient_jacobian, random_time_field, sine_time_field
 
 
 def zero_ctx(grid, steps=8):
@@ -120,11 +120,7 @@ def test_coefficients_closed_form(grid64):
 
 def test_coefficients_ellipticity_floor(grid64):
     # bypass the certificate to build sigma = 1 + 0.9 cos x, which dips to 0.1
-    from singular_drift.spectral import gradient
-    u = sine_time_field(grid64, 0.9, 2)
-    jac = TimeField.from_nodes(
-        [gradient(u.node(m)) for m in range(u.nodes + 1)], u.horizon)
-    ctx = TransformContext(u=u, jacobian=jac, gradient_bound=0.9)
+    ctx = TransformContext(u=sine_time_field(grid64, 0.9, 2), gradient_bound=0.9)
     with pytest.raises(EllipticityError):
         coefficients(ctx, 1.0, 0.0, np.array([[3.0]]))
 
@@ -224,6 +220,20 @@ def test_virtual_x_is_the_x_the_steps_used(grid64, case):
         mu, sigma = coefficients(ctx, cfg.lam, t, x[:, m])
         rebuilt = y[:, m] + mu * cfg.dt + np.einsum("pij,pj->pi", sigma, dw[:, m])
         assert np.array_equal(rebuilt, y[:, m + 1])
+
+
+@pytest.mark.parametrize("d, modes, amplitude", [(1, 64, 0.1), (2, 16, 0.06)])
+def test_off_node_paths_match_interpolated_node_gradients(monkeypatch, d, modes, amplitude):
+    # 7 Euler steps over 4 PDE intervals put most steps between nodes, where
+    # sigma is the gradient of the interpolated u rather than the
+    # interpolated node gradients; X moves by rounding only
+    ctx = make_context(random_time_field(GridSpec(d, modes, 2.0 * np.pi), 4, amplitude,
+                                         seed=3 + d))
+    cfg = small_sim(x0=(0.3, -0.2)[:d], steps=7, paths=200)
+    x = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)
+    monkeypatch.setattr(sde, "transform_jacobian", node_gradient_jacobian)
+    ref = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)
+    assert np.max(np.abs(x - ref)) <= 1e-14
 
 
 def test_virtual_x_needs_a_virtual_solution(tmp_path, grid64):

@@ -1,5 +1,7 @@
 """Spectral calculus against closed-form oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,12 +61,24 @@ def test_constant_field(grid64):
     assert np.max(np.abs(f.values() - 2.5)) < 1e-14
 
 
-def test_real_flag_rejects_asymmetric_coeffs(grid64):
+def test_values_reject_asymmetric_coeffs(grid64):
     coeffs = np.zeros((1, 64), dtype=complex)
     coeffs[0, 1] = 1.0           # no Hermitian partner
-    f = SpectralField(grid64, coeffs, real_flag=True)
+    f = SpectralField(grid64, coeffs)
     with pytest.raises(ValueError, match="imaginary residue"):
         f.values()
+
+
+def test_from_grid_refuses_complex_samples(grid64):
+    # every field is real: a nonzero imaginary part is refused, not kept
+    x = grid64.axis_points()
+    with pytest.raises(ValueError, match="imaginary"):
+        SpectralField.from_grid(grid64, np.exp(1j * x)[None])
+    # complex samples with zero imaginary parts are real samples
+    f = SpectralField.from_grid(grid64, (np.sin(x) + 0j)[None])
+    g = SpectralField.from_grid(grid64, np.sin(x)[None])
+    assert np.array_equal(f.coeffs, g.coeffs)
+    assert np.isrealobj(f.values()) and np.isrealobj(evaluate(f, x[:3, None]))
 
 
 def test_field_arithmetic_is_linear(grid64, sine_field):
@@ -332,3 +346,18 @@ def test_time_field_snapshot_roundtrip(tmp_path, rough_drift64):
     assert back.horizon == rough_drift64.horizon
     meta = (tmp_path / "b.bin.json").read_text()
     assert '"tag": 7' in meta
+    assert json.loads(meta)["real_flag"] is True
+
+
+@pytest.mark.parametrize("flag", [False, None])
+def test_load_time_field_refuses_sidecar_not_marked_real(tmp_path, rough_drift64, flag):
+    p = save_time_field(rough_drift64, tmp_path / "b.bin")
+    side = tmp_path / "b.bin.json"
+    meta = json.loads(side.read_text())
+    if flag is None:
+        del meta["real_flag"]
+    else:
+        meta["real_flag"] = flag
+    side.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="real"):
+        load_time_field(p)

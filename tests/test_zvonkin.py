@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 import singular_drift.zvonkin as zvonkin
-from singular_drift.spectral import TimeField
+from singular_drift.drifts import DriftSpec
+from singular_drift.lab import ExperimentConfig, prepare_transform
+from singular_drift.spectral import GridSpec, TimeField, evaluate, gradient
 from singular_drift.zvonkin import (
     InverseDiverged,
     TransformContext,
@@ -17,7 +19,7 @@ from singular_drift.zvonkin import (
     transform_jacobian,
 )
 
-from conftest import sine_time_field
+from conftest import node_gradient_jacobian, random_time_field, sine_time_field
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,40 @@ def test_transform_jacobian_closed_form(sine_ctx):
     jac = transform_jacobian(sine_ctx, 0.5, x)
     want = 0.4 * np.cos(x[:, 0])
     assert np.max(np.abs(jac[:, 0, 0] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("d, modes, amplitude", [(1, 64, 0.1), (2, 16, 0.06)])
+def test_transform_jacobian_is_the_gradient_of_u(d, modes, amplitude):
+    # differentiating u(t) and interpolating the node gradients agree
+    # bitwise at node times and to rounding between them
+    grid = GridSpec(d, modes, 2.0 * np.pi)
+    ctx = make_context(random_time_field(grid, 4, amplitude, seed=3 + d))
+    x = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(40, d))
+    for t in ctx.u.times:
+        assert np.array_equal(transform_jacobian(ctx, t, x),
+                              node_gradient_jacobian(ctx, t, x))
+    worst = 0.0
+    for t in (0.1, 0.3, 0.61, 0.999):
+        got = transform_jacobian(ctx, t, x)
+        want = node_gradient_jacobian(ctx, t, x)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert 0.0 < np.max(np.abs(want)) and worst <= 1e-14
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 3: gradient_sup certifies sup |grad u| <= 1/2 "
+                          "at grid nodes only")
+def test_certificate_holds_between_grid_nodes():
+    # prepare_transform accepts lambda 2 with 0.4646 at the nodes; on a 4x
+    # refined grid grad u reaches 0.5249
+    cfg = ExperimentConfig(name="t", drift=DriftSpec(family="random-fourier", seed=42,
+                                                     beta=0.25, eta=0.3, amplitude=0.25),
+                           modes=64, pde_nodes=32, steps=32, paths=64, seed=5)
+    u = prepare_transform(cfg)["u"]
+    fine = (np.arange(4 * cfg.modes) * cfg.period / (4 * cfg.modes))[:, None]
+    worst = max(float(np.max(np.abs(evaluate(gradient(u.node(m)), fine))))
+                for m in range(u.nodes + 1))
+    assert worst <= 0.5
 
 
 def test_lipschitz_probe_bound(sine_ctx):
