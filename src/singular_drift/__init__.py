@@ -55,7 +55,6 @@ from .sde import (
     coefficients,
     simulate_classical,
     simulate_y,
-    virtual_residual,
     virtual_x,
 )
 from .lab import (

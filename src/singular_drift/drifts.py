@@ -20,9 +20,9 @@ from .spectral import (
     TimeField,
     gradient,
     mollify,
+    refine,
     sobolev_norm,
 )
-from .paraproduct import _pad_coeffs
 
 __all__ = [
     "InvalidSpec",
@@ -61,8 +61,7 @@ class DriftSpec:
     beta: float
     eta: float = 0.3          # coefficient decay exponent |kappa|^{-eta}
     amplitude: float = 1.0
-    time_dependence: str = "static"
-    changes: int = 0          # resample count for piecewise-constant drifts
+    changes: int = 0          # change points: 0 is static, k >= 1 is piecewise constant
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -73,12 +72,9 @@ class DriftSpec:
             raise InvalidSpec("decay exponent eta must be positive")
         if self.amplitude < 0:
             raise InvalidSpec("amplitude must be nonnegative")
-        if self.time_dependence not in ("static", "piecewise"):
-            raise InvalidSpec(f"unknown time dependence {self.time_dependence!r}")
-        if self.time_dependence == "piecewise" and self.changes < 1:
-            raise InvalidSpec("piecewise drift needs at least one change point")
-        if self.time_dependence == "static" and self.changes != 0:
-            raise InvalidSpec("static drift cannot carry change points")
+        if int(self.changes) != self.changes or self.changes < 0:
+            raise InvalidSpec("changes must be a nonnegative integer")
+        object.__setattr__(self, "changes", int(self.changes))
         if int(self.seed) != self.seed or self.seed < 0:
             raise InvalidSpec("seed must be a nonnegative integer")
 
@@ -148,7 +144,7 @@ def generate(spec: DriftSpec, grid: GridSpec, horizon: float, steps: int) -> Tim
     if steps < 1:
         raise InvalidSpec("time grid needs at least one step")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    segments = spec.changes + 1 if spec.time_dependence == "piecewise" else 1
+    segments = spec.changes + 1
     fields = [_segment_field(spec, grid, rng) for _ in range(segments)]
     nodes = []
     for m in range(steps + 1):
@@ -173,19 +169,11 @@ class AssumptionReport:
     node_norms: tuple
     refined_sup_norm: float             # same norm measured on the doubled grid
     refinement_change: float            # relative change under N -> 2N
-    ok: bool
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["node_norms"] = list(self.node_norms)
         return d
-
-
-def _refined_node(fld: SpectralField) -> SpectralField:
-    """The same band-limited field viewed on the doubled lattice."""
-    g = fld.grid
-    fine_grid = GridSpec(g.dimension, 2 * g.modes_per_axis, g.period)
-    return SpectralField(fine_grid, _pad_coeffs(fld))
 
 
 def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
@@ -216,7 +204,7 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
         norms_q.append(nq)
         norms_qt.append(nqt)
         node_norms.append(max(nq, nqt))
-        fine = _refined_node(fld)
+        fine = refine(fld)
         refined.append(max(sobolev_norm(fine, idx_q), sobolev_norm(fine, idx_qt)))
     sup_norm = float(np.max(node_norms))
     refined_sup = float(np.max(refined))
@@ -233,7 +221,6 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
         node_norms=tuple(node_norms),
         refined_sup_norm=refined_sup,
         refinement_change=float(change),
-        ok=True,
     )
 
 

@@ -81,8 +81,9 @@ class CalibrationFailed(Exception):
 class PdeConfig:
     """Exponents and the diagnostic tolerance.
 
-    (beta, q) is the admissibility window of the drift, (delta, p) the working
-    pair: products are measured in H^{-beta}_p, the solution in H^{1+delta}_p.
+    beta is the drift's regularity, (delta, p) the working pair: products
+    are measured in H^{-beta}_p, the solution in H^{1+delta}_p.  The drift's
+    window q is checked by `drifts.assumption_check`, not here.
     None of them reaches the march, whose products run at the fixed stage
     paraproduct.SOLVER_STAGE, so `solve_fwd` takes no PdeConfig; they are
     the norms of the diagnostics (`picard_sweeps`, `mild_residual`,
@@ -95,7 +96,6 @@ class PdeConfig:
     beta: float
     delta: float
     p: float
-    q: float
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -103,8 +103,8 @@ class PdeConfig:
             raise ValueError(f"beta={self.beta} outside (0, 1/2)")
         if not (self.beta < self.delta < 1.0 - self.beta):
             raise ValueError(f"delta={self.delta} outside ({self.beta}, {1-self.beta})")
-        if not self.p > 1 or not self.q > 1:
-            raise ValueError("integrability exponents must exceed 1")
+        if not self.p > 1:
+            raise ValueError("integrability exponent must exceed 1")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
 
@@ -123,9 +123,9 @@ class PdeConfig:
 @dataclass(frozen=True)
 class SolveReport:
     """How a fixed point was reached: by the march ("march", one pass, no
-    sweep differences) or by the diagnostic Picard sweeps ("picard")."""
+    sweep differences) or by the diagnostic Picard sweeps ("picard").  Only
+    a reached fixed point has a report: failures raise."""
 
-    converged: bool
     iterations: int
     rho: float
     gain0: float
@@ -212,10 +212,10 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     is one march v_m = E v_{m-1} + w g(v_{m-1}) from v_0 = 0.  The march does
     the operator's own floating-point operations in the same order, so
     integral_operator(v) equals v exactly.  The report reads one pass,
-    converged, with no sweep differences and weight rate 0.
+    with no sweep differences and weight rate 0.
     """
     # a second pass would change nothing, hence a measured gain of 0
-    report = SolveReport(converged=True, iterations=1, rho=0.0, gain0=0.0,
+    report = SolveReport(iterations=1, rho=0.0, gain0=0.0,
                          weighted_diffs=(), sup_diffs=(), ratios=(), lam=float(lam),
                          method="march")
     return TimeField(b.grid, b.horizon, _march(b, lam)), report
@@ -254,7 +254,7 @@ def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
             wd = [_weighted_sup(d, times, rho_eff) for d in diff_nodes]
             ratios = [wd[i + 1] / wd[i] for i in range(len(wd) - 1) if wd[i] > 0]
             report = SolveReport(
-                converged=True, iterations=k, rho=rho_eff, gain0=gain0,
+                iterations=k, rho=rho_eff, gain0=gain0,
                 weighted_diffs=tuple(wd), sup_diffs=tuple(sup_diffs),
                 ratios=tuple(ratios), lam=float(lam), method="picard",
             )

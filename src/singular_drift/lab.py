@@ -272,7 +272,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
                                                  cfg.pde_nodes)
     report = assumption_check(b, cfg.drift.beta, cfg.q)
     delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
-    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p, q=cfg.q)
+    pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p)
     if cfg.lam is None:
         lam, trace = calibrate_lambda(b)
     else:

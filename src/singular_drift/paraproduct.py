@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (
-    GridSpec,
     SobolevIndex,
     SpectralField,
+    coarsen,
     dyadic_cutoff,
     gradient,
+    refine,
     sobolev_norm,
 )
 
@@ -45,79 +46,20 @@ class NonConvergent(Exception):
     """Dyadic stages exhausted the lattice before the tail fell below tol."""
 
 
-def _pad_indices(grid: GridSpec) -> np.ndarray:
-    """Fine-lattice index of each coarse wavenumber (fine grid is 2N)."""
-    n = grid.modes_per_axis
-    return grid.wavenumbers() % (2 * n)
-
-
-def _pad_coeffs(f: SpectralField) -> np.ndarray:
-    """Embed coefficients into the 2N lattice (exact for band-limited fields).
-
-    The coarse Nyquist plane k = -N/2 has no +N/2 partner, so its weight is
-    split evenly between the two fine slots.  This is the canonical real
-    zero-pad: values at coarse grid points and the conjugate symmetry of real
-    fields are both preserved exactly.
-    """
-    g = f.grid
-    n = g.modes_per_axis
-    fi = _pad_indices(g)
-    fine = np.zeros((f.components,) + (2 * n,) * g.dimension, dtype=complex)
-    comp = np.arange(f.components)
-    if g.dimension == 1:
-        fine[np.ix_(comp, fi)] = f.coeffs
-    else:
-        fine[np.ix_(comp, fi, fi)] = f.coeffs
-    for axis in range(1, g.dimension + 1):
-        minus = [slice(None)] * fine.ndim
-        plus = [slice(None)] * fine.ndim
-        minus[axis] = 3 * n // 2      # slot of k = -N/2 on the doubled lattice
-        plus[axis] = n // 2           # slot of k = +N/2
-        fine[tuple(minus)] *= 0.5
-        fine[tuple(plus)] = fine[tuple(minus)]
-    return fine
-
-def _truncate_coeffs(fine: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Project 2N-lattice coefficients back onto the coarse lattice.
-
-    The +N/2 hyperplanes (absent from the coarse lattice) are folded onto the
-    -N/2 slots; on coarse grid points the two modes agree, and for real fields
-    the fold keeps Hermitian symmetry intact.
-    """
-    n = grid.modes_per_axis
-    d = grid.dimension
-    fi = _pad_indices(grid)
-    full_dst = np.arange(n)
-    nyq = np.array([n // 2])
-    comps = np.arange(fine.shape[0])
-    out = np.zeros((fine.shape[0],) + grid.spatial_shape, dtype=complex)
-    for mask in range(2 ** d):
-        src, dst = [], []
-        for ax in range(d):
-            if (mask >> ax) & 1:
-                src.append(nyq)       # fine +N/2 plane
-                dst.append(nyq)       # coarse -N/2 slot
-            else:
-                src.append(fi)
-                dst.append(full_dst)
-        out[np.ix_(comps, *dst)] += fine[np.ix_(comps, *src)]
-    return out
-
-
 def dealiased_multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product computed alias-free on the 2x oversampled grid."""
+    """Pointwise product, alias-free: refine both factors to the 2N lattice,
+    multiply their samples there, coarsen the product back."""
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     if f.components != 1 or g.components != 1:
         raise ValueError("dealiased product is defined for scalar fields")
-    grid = f.grid
-    n2 = (2 * grid.modes_per_axis) ** grid.dimension
-    axes = tuple(range(1, grid.dimension + 1))
-    vf = np.fft.ifftn(_pad_coeffs(f) * n2, axes=axes)
-    vg = np.fft.ifftn(_pad_coeffs(g) * n2, axes=axes)
+    fine_f, fine_g = refine(f), refine(g)
+    n2 = fine_f.grid.n_modes
+    axes = tuple(range(1, f.grid.dimension + 1))
+    vf = np.fft.ifftn(fine_f.coeffs * n2, axes=axes)
+    vg = np.fft.ifftn(fine_g.coeffs * n2, axes=axes)
     fine = np.fft.fftn(vf * vg, axes=axes) / n2
-    coeffs = _truncate_coeffs(fine, grid)
-    return SpectralField(grid, coeffs)
+    return coarsen(SpectralField(fine_f.grid, fine))
 
 
 def _stage(f: SpectralField, g: SpectralField, j: int) -> SpectralField:

@@ -23,6 +23,8 @@ __all__ = [
     "bessel_power",
     "heat_semigroup",
     "gradient",
+    "refine",
+    "coarsen",
     "dyadic_cutoff",
     "mollify",
     "sobolev_norm",
@@ -303,6 +305,50 @@ def gradient(f: SpectralField) -> SpectralField:
         for c in range(f.components):
             out[c * g.dimension + axis] = f.coeffs[c] * mult
     return SpectralField(g, out)
+
+
+# --- lattice changes ----------------------------------------------------------
+
+
+def refine(f: SpectralField) -> SpectralField:
+    """The same band-limited field on the 2N lattice.
+
+    Built one axis at a time.  The k = -N/2 plane has no +N/2 partner on the
+    coarse lattice, so its weight is split evenly between the fine -N/2 and
+    +N/2 planes: values at the coarse nodes and Hermitian symmetry are kept
+    exactly.
+    """
+    g = f.grid
+    n, h = g.modes_per_axis, g.modes_per_axis // 2
+    c = f.coeffs
+    for axis in range(1, g.dimension + 1):
+        src = np.moveaxis(c, axis, 0)
+        fine = np.zeros((2 * n,) + src.shape[1:], dtype=complex)
+        fine[:h] = src[:h]              # k = 0 .. N/2-1
+        fine[3 * h:] = src[h:]          # k = -N/2 .. -1
+        fine[3 * h] *= 0.5
+        fine[h] = fine[3 * h]           # k = +N/2
+        c = np.moveaxis(fine, 0, axis)
+    return SpectralField(GridSpec(g.dimension, 2 * n, g.period), c)
+
+
+def coarsen(f: SpectralField) -> SpectralField:
+    """Project a field on the 2N lattice onto the N lattice.
+
+    Built one axis at a time.  The fine +N/2 plane, absent from the coarse
+    lattice, is folded onto -N/2: the two modes agree at the coarse nodes,
+    and for real fields the fold keeps Hermitian symmetry.  coarsen(refine(f))
+    is f bit for bit.
+    """
+    g = f.grid
+    h = g.modes_per_axis // 4
+    c = f.coeffs
+    for axis in range(1, g.dimension + 1):
+        src = np.moveaxis(c, axis, 0)
+        coarse = np.concatenate([src[:h], src[3 * h:]])
+        coarse[h] += src[h]
+        c = np.moveaxis(coarse, 0, axis)
+    return SpectralField(GridSpec(g.dimension, g.modes_per_axis // 2, g.period), c)
 
 
 # --- norms ------------------------------------------------------------------

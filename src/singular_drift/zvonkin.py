@@ -80,10 +80,14 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     on an (m, d) batch of points.
 
     Each point iterates until its update is below inverse_tol; points that
-    converge are frozen while the rest continue.  Raises InverseDiverged if
-    INVERSE_MAX_ITER sweeps are spent first.
+    converge are frozen while the rest continue.  Raises ValueError on a
+    non-finite point (its NaN move compares false against the tolerance,
+    so it would be dropped as converged) and InverseDiverged if INVERSE_MAX_ITER
+    sweeps are spent first.
     """
     pts = _points(y, ctx.u.grid.dimension)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("psi is defined on finite points; got NaN or infinity")
     u_t = ctx.u_at(t)
     if not np.any(u_t.coeffs):
         return pts.copy()

@@ -50,7 +50,8 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
                  "--out", str(u_path)]) == 0
     meta = load_time_field_meta(u_path)
     assert meta["manifest"]["lambda"] == 2.0
-    assert meta["manifest"]["solver"]["converged"]
+    assert meta["manifest"]["solver"]["method"] == "march"
+    assert "converged" not in meta["manifest"]["solver"]
     assert "product stage 4" in capsys.readouterr().out
 
     ens_path = tmp_path / "paths.bin"

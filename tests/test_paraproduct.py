@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from singular_drift.spectral import GridSpec, SobolevIndex, SpectralField, evaluate
+from singular_drift.spectral import GridSpec, SobolevIndex, SpectralField, evaluate, refine
 from singular_drift.paraproduct import (
     SOLVER_STAGE,
     NonConvergent,
-    _pad_coeffs,
-    _truncate_coeffs,
     dealiased_multiply,
     drift_gradient_product,
     ladder_agrees,
@@ -40,45 +38,6 @@ def _brute_convolution(f, g):
     full = np.convolve(a, b)                      # index j holds k = j - N
     out = np.fft.ifftshift(full[n // 2 : 3 * n // 2])
     return SpectralField(f.grid, out[None])
-
-
-# --- zero padding ------------------------------------------------------------------
-
-
-def test_pad_truncate_roundtrip(grid64):
-    f = _random_field(grid64, 0.3, 11)
-    fine = _pad_coeffs(f)
-    back = _truncate_coeffs(fine, grid64)
-    assert np.max(np.abs(back - f.coeffs)) < 1e-15
-
-
-def test_pad_preserves_point_values(grid64):
-    # the padded field is the same trigonometric polynomial on coarse nodes
-    rng = np.random.default_rng(5)
-    f = SpectralField.from_grid(grid64, rng.standard_normal((1, 64)))
-    fine_grid = GridSpec(1, 128, grid64.period)
-    fine = SpectralField(fine_grid, _pad_coeffs(f))
-    assert np.max(np.abs(fine.values()[0][::2] - f.values()[0])) < 1e-12
-
-
-def test_pad_keeps_real_fields_real(grid64):
-    # including a loaded Nyquist mode, the worst case for symmetry
-    coeffs = np.zeros((1, 64), dtype=complex)
-    coeffs[0, 32] = 0.7                            # k = -N/2
-    coeffs[0, 1] = -0.5j
-    coeffs[0, -1] = 0.5j
-    f = SpectralField(grid64, coeffs)
-    fine = SpectralField(GridSpec(1, 128, grid64.period), _pad_coeffs(f))
-    vals = fine.values()                           # raises if symmetry broke
-    assert vals.shape == (1, 128)
-
-
-def test_pad_truncate_roundtrip_2d(grid64_2d):
-    rng = np.random.Generator(np.random.Philox(key=12))
-    coeffs = _power_profile(grid64_2d, 0.5) * _unit_phases(rng, grid64_2d.spatial_shape)
-    f = SpectralField(grid64_2d, coeffs[None])
-    back = _truncate_coeffs(_pad_coeffs(f), grid64_2d)
-    assert np.max(np.abs(back - f.coeffs)) < 1e-15
 
 
 # --- dealiased multiplication --------------------------------------------------------
@@ -218,15 +177,12 @@ def test_product_bound_ratio_zero_factor(grid64, sine_field):
 
 def test_product_bound_ratio_positive_and_stable(grid64):
     beta, delta, p, q = 0.25, 0.5, 2.5, 3.0
-    fine_grid = GridSpec(1, 128, grid64.period)
     drifts = []
     for seed in range(10):
         f = _random_field(grid64, 2.0, 100 + seed)
         g = _random_field(grid64, 0.3, 200 + seed)
         r = product_bound_ratio(f, g, beta, delta, p, q)
         assert np.isfinite(r) and r > 0
-        f2 = SpectralField(fine_grid, _pad_coeffs(f))
-        g2 = SpectralField(fine_grid, _pad_coeffs(g))
-        r2 = product_bound_ratio(f2, g2, beta, delta, p, q)
+        r2 = product_bound_ratio(refine(f), refine(g), beta, delta, p, q)
         drifts.append(abs(r2 - r) / r)
     assert max(drifts) < 0.05

@@ -18,7 +18,9 @@ from singular_drift.spectral import (
     heat_semigroup,
     load_time_field,
     lp_grid_norm,
+    coarsen,
     mollify,
+    refine,
     save_time_field,
     sobolev_norm,
 )
@@ -197,6 +199,64 @@ def test_gradient_2d_component_order(grid64_2d):
     vals = g.values()
     assert np.max(np.abs(vals[0] - np.cos(xx + 2 * yy))) < 1e-11
     assert np.max(np.abs(vals[1] - 2 * np.cos(xx + 2 * yy))) < 1e-11
+
+
+# --- lattice changes ----------------------------------------------------------------
+
+
+def _random_real_field(grid, seed, components=1):
+    """Real samples, so every mode is loaded, the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    return SpectralField.from_grid(grid, rng.standard_normal((components,) + grid.spatial_shape))
+
+
+def test_refine_coarsen_roundtrip(grid64):
+    f = _random_real_field(grid64, 11, components=2)
+    fine = refine(f)
+    assert fine.grid == GridSpec(1, 128, grid64.period)
+    back = coarsen(fine)
+    assert back.grid == grid64
+    assert np.array_equal(back.coeffs, f.coeffs)
+
+
+def test_refine_coarsen_roundtrip_2d(grid64_2d):
+    f = _random_real_field(grid64_2d, 12)
+    assert np.array_equal(coarsen(refine(f)).coeffs, f.coeffs)
+
+
+def test_refine_preserves_point_values(grid64):
+    # the refined field is the same trigonometric polynomial on coarse nodes
+    f = _random_real_field(grid64, 5)
+    assert np.max(np.abs(refine(f).values()[0][::2] - f.values()[0])) < 1e-12
+
+
+def test_refine_keeps_real_fields_real(grid64):
+    # including a loaded Nyquist mode, the worst case for symmetry
+    coeffs = np.zeros((1, 64), dtype=complex)
+    coeffs[0, 32] = 0.7                            # k = -N/2
+    coeffs[0, 1] = -0.5j
+    coeffs[0, -1] = 0.5j
+    fine = refine(SpectralField(grid64, coeffs))
+    vals = fine.values()                           # raises if symmetry broke
+    assert vals.shape == (1, 128)
+
+
+@pytest.mark.parametrize("dim, modes", [
+    (1, 64),
+    pytest.param(2, 16, marks=pytest.mark.xfail(
+        strict=True, reason="2-D evaluate reads the (-N/2, -N/2) corner mode c as "
+        "c cos(N/2 (x + y)), refine as c cos(N/2 x) cos(N/2 y)")),
+])
+def test_refine_twice_matches_evaluate_on_4n_grid(dim, modes):
+    # the r-fold padded grid of an off-grid bound, here r = 4; the two
+    # interpolants agree on every grid node and differ only off them
+    grid = GridSpec(dim, modes, 2.0 * np.pi)
+    f = _random_real_field(grid, 7, components=dim)
+    fine = refine(refine(f))
+    assert fine.grid.modes_per_axis == 4 * modes
+    pts = fine.grid.grid_points()
+    want = evaluate(f, pts).T.reshape((dim,) + fine.grid.spatial_shape)
+    assert np.max(np.abs(fine.values() - want)) < 1e-12
 
 
 # --- norms ------------------------------------------------------------------------

@@ -90,6 +90,16 @@ def test_psi_zero_transform_shortcut(grid64):
     assert np.array_equal(psi(ctx, 0.5, y), y)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psi_refuses_non_finite_points(grid64, sine_ctx, bad):
+    # refused before the zero-transform shortcut too, which would return it
+    zero = make_context(sine_time_field(grid64, 0.0, 2))
+    y = np.array([[1.0], [bad]])
+    for ctx in (sine_ctx, zero):
+        with pytest.raises(ValueError, match="finite"):
+            psi(ctx, 0.5, y)
+
+
 def test_psi_budget_exhaustion_raises(grid64, monkeypatch):
     monkeypatch.setattr(zvonkin, "INVERSE_MAX_ITER", 1)
     ctx = make_context(sine_time_field(grid64, 0.4, 2))
