@@ -145,14 +145,10 @@ def generate(spec: DriftSpec, grid: GridSpec, horizon: float, steps: int) -> Tim
         raise InvalidSpec("time grid needs at least one step")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     segments = spec.changes + 1
-    fields = [_segment_field(spec, grid, rng) for _ in range(segments)]
-    nodes = []
-    for m in range(steps + 1):
-        t = m / steps  # fraction of the horizon
-        seg = min(int(t * segments), segments - 1)
-        nodes.append(fields[seg])
-    tf = TimeField.from_nodes(nodes, horizon)
-    return tf
+    draws = np.stack([_segment_field(spec, grid, rng).coeffs for _ in range(segments)])
+    # node m lies in segment floor(segments * m / steps), the last node in the last
+    seg = np.minimum((np.arange(steps + 1) / steps * segments).astype(int), segments - 1)
+    return TimeField(grid, horizon, draws[seg])
 
 
 # --- admissibility ------------------------------------------------------------
@@ -193,19 +189,10 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
     idx_q = SobolevIndex(-beta, q)
     idx_qt = SobolevIndex(-beta, q_tilde)
 
-    node_norms = []
-    norms_q = []
-    norms_qt = []
-    refined = []
-    for m in range(b.nodes + 1):
-        fld = b.node(m)
-        nq = sobolev_norm(fld, idx_q)
-        nqt = sobolev_norm(fld, idx_qt)
-        norms_q.append(nq)
-        norms_qt.append(nqt)
-        node_norms.append(max(nq, nqt))
-        fine = refine(fld)
-        refined.append(max(sobolev_norm(fine, idx_q), sobolev_norm(fine, idx_qt)))
+    norms_q, norms_qt = sobolev_norm(b, idx_q), sobolev_norm(b, idx_qt)
+    node_norms = np.maximum(norms_q, norms_qt)
+    fine = refine(b)
+    refined = np.maximum(sobolev_norm(fine, idx_q), sobolev_norm(fine, idx_qt))
     sup_norm = float(np.max(node_norms))
     refined_sup = float(np.max(refined))
     if not np.isfinite(sup_norm):
@@ -218,7 +205,7 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
         sup_norm_q=float(np.max(norms_q)),
         sup_norm_q_tilde=float(np.max(norms_qt)),
         sup_norm=sup_norm,
-        node_norms=tuple(node_norms),
+        node_norms=tuple(node_norms.tolist()),
         refined_sup_norm=refined_sup,
         refinement_change=float(change),
     )
@@ -276,8 +263,4 @@ def pick_kappa(region: KappaRegion) -> tuple:
 
 def mollified_sequence(b: TimeField, n_list) -> list:
     """Smooth approximations of b at the given mollification levels."""
-    out = []
-    for n in n_list:
-        nodes = [mollify(b.node(m), n) for m in range(b.nodes + 1)]
-        out.append(TimeField.from_nodes(nodes, b.horizon))
-    return out
+    return [mollify(b, n) for n in n_list]

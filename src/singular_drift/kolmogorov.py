@@ -24,7 +24,7 @@ diagnostics only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -187,15 +187,11 @@ def _march(b: TimeField, lam: float, v: TimeField | None = None) -> np.ndarray:
 # --- norms over time grids ------------------------------------------------------
 
 
-def _node_norms(tf: TimeField, idx: SobolevIndex) -> np.ndarray:
-    return np.array([sobolev_norm(tf.node(m), idx) for m in range(tf.nodes + 1)])
-
-
 def weighted_norm(tf: TimeField, rho: float, idx: SobolevIndex) -> float:
     """sup_m exp(-rho t_m) ||f(t_m)||_idx."""
     if rho < 0:
         raise ValueError("weight rate must be nonnegative")
-    return float(np.max(np.exp(-rho * tf.times) * _node_norms(tf, idx)))
+    return _weighted_sup(sobolev_norm(tf, idx), tf.times, rho)
 
 
 def _weighted_sup(node_vals: np.ndarray, times: np.ndarray, rho: float) -> float:
@@ -244,7 +240,7 @@ def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:
 
     for k in range(1, PICARD_MAX_ITER + 1):
         v_new = integral_operator(v, b, lam)
-        dn = _node_norms(v_new - v, idx)
+        dn = sobolev_norm(v_new - v, idx)
         diff_nodes.append(dn)
         sup_diffs.append(float(dn.max()))
         if k == 2:
@@ -311,13 +307,10 @@ def gradient_sup(u: TimeField) -> float:
     d = u.grid.dimension
     if u.components != d:
         raise ValueError(f"u must have {d} components, got {u.components}")
-    worst = 0.0
-    for m in range(u.nodes + 1):
-        jac = gradient(u.node(m)).values()      # (d*d,) + spatial
-        j = np.moveaxis(jac.reshape(d, d, -1), -1, 0)   # (points, d, d)
-        _, smax_sq = singular_values_sq(j)
-        worst = max(worst, float(np.sqrt(smax_sq).max()))
-    return worst
+    jac = gradient(u).values()          # (M+1, d*d) + spatial
+    per_point = np.moveaxis(jac.reshape(jac.shape[:1] + (d, d, -1)), -1, 1)
+    _, smax_sq = singular_values_sq(per_point)      # (M+1, points)
+    return float(np.sqrt(smax_sq).max())
 
 
 def calibrate_lambda(b: TimeField) -> tuple:
@@ -358,11 +351,11 @@ def holder_diagnostic(u: TimeField, gamma: float, idx: SobolevIndex) -> float:
         raise ValueError("holder exponent must lie in (0, 1]")
     times = u.times
     worst = 0.0
-    for i in range(u.nodes + 1):
-        for j in range(i + 1, u.nodes + 1):
-            val = sobolev_norm(u.node(j) - u.node(i), idx) / (times[j] - times[i]) ** gamma
-            worst = max(worst, val)
-    return float(worst)
+    for i in range(u.nodes):
+        # ||u(t_j) - u(t_i)|| for every node j at once; only j > i is read
+        gaps = sobolev_norm(replace(u, coeffs=u.coeffs - u.coeffs[i]), idx)[i + 1:]
+        worst = max(worst, float(np.max(gaps / (times[i + 1:] - times[i]) ** gamma)))
+    return worst
 
 
 def gamma_bound_check(rho: float, theta: float, t_range: tuple = (0.0, np.inf)) -> dict:

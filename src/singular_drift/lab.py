@@ -37,7 +37,6 @@ __all__ = [
     "StudyReport",
     "wasserstein1",
     "ks_stat",
-    "bootstrap_ci",
     "kendall_trend",
     "environment_fingerprint",
     "config_digest",
@@ -84,22 +83,6 @@ def ks_stat(a, b) -> float:
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
-
-
-def bootstrap_ci(a, b, n_boot: int = 1000, seed: int = 0) -> tuple:
-    """Percentile 95% bootstrap CI for W1(a, b) with paired index resampling."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError("paired bootstrap needs equal sample counts")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_boot)
-    n = a.size
-    for i in range(n_boot):
-        idx = rng.integers(0, n, n)
-        vals[i] = wasserstein1(a[idx], b[idx])
-    tail = 0.5 * (1.0 - 0.95)
-    return float(np.quantile(vals, tail)), float(np.quantile(vals, 1.0 - tail))
 
 
 def kendall_trend(levels, values) -> dict:
@@ -203,6 +186,16 @@ class ExperimentConfig:
         if len(n) < 2 or n[0] <= 0 or any(a >= b for a, b in zip(n, n[1:])):
             raise ValueError("n_list must hold at least two positive, strictly "
                              "increasing mollifier levels")
+        steps = self.steps_list
+        if (not steps or min(steps) <= 0 or len(set(steps)) != len(steps)
+                or any(max(steps) % k for k in steps)):
+            raise ValueError("steps_list must hold distinct positive step counts "
+                             "that each divide the largest")
+        lams = self.lambda_list
+        if lams is not None and (len(lams) < 2 or len(set(lams)) != len(lams)
+                                 or not all(0.0 < lam < math.inf for lam in lams)):
+            raise ValueError("lambda_list must hold at least two distinct, positive, "
+                             "finite lambdas")
 
     def grid(self) -> GridSpec:
         return GridSpec(self.dimension, self.modes, self.period)
@@ -356,10 +349,13 @@ def study_mollify(cfg: ExperimentConfig) -> StudyReport:
         row = {"level": int(n)}
         for frac in REPORT_TIMES:
             row[f"w1_t{frac:g}"] = wasserstein1(_marginal(x_n, frac), _marginal(x_virtual, frac))
-        lo, hi = bootstrap_ci(_marginal(x_n, 1.0), _marginal(x_virtual, 1.0),
-                              n_boot=1000, seed=cfg.seed + int(n))
-        row["ci_lo"], row["ci_hi"] = lo, hi
-        row["ks_terminal"] = ks_stat(_marginal(x_n, 1.0), _marginal(x_virtual, 1.0))
+        term_n, term_v = _marginal(x_n, 1.0), _marginal(x_virtual, 1.0)
+        # both routes share the Brownian paths: E|X_n(T) - X(T)| bounds W1 from
+        # above, with a CLT interval
+        gap = np.abs(term_n - term_v)
+        row["coupling_t1"] = float(gap.mean())
+        row["coupling_t1_halfwidth"] = float(1.96 * gap.std(ddof=1) / math.sqrt(gap.size))
+        row["ks_terminal"] = ks_stat(term_n, term_v)
         terminal_w1.append(row[f"w1_t{1.0:g}"])
         levels.append(row)
     timings["classical_ladder"] = time.perf_counter() - t0
@@ -385,22 +381,24 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
     lams = list(cfg.lambda_list) if cfg.lambda_list else [lam0, 2.0 * lam0]
 
     marginals = {}
+    contexts = {}
     t0 = time.perf_counter()
     for lam in lams:
         if lam == lam0:
-            ctx = bundle["ctx"]
+            contexts[lam] = bundle["ctx"]
         else:
-            _, ctx, _ = _transform_at(cfg, bundle["b"], lam)
+            _, contexts[lam], _ = _transform_at(cfg, bundle["b"], lam)
         sim = _sim_config(cfg, lam)
-        x = virtual_x(ctx, simulate_y(ctx, sim))
+        x = virtual_x(contexts[lam], simulate_y(contexts[lam], sim))
         marginals[lam] = {frac: _marginal(x, frac) for frac in REPORT_TIMES}
     timings["simulations"] = time.perf_counter() - t0
 
-    # floor: re-run the base lambda with fresh noise
+    # floor: re-run the first listed lambda, with its own transform, on fresh noise
     t0 = time.perf_counter()
-    sim_floor = _sim_config(cfg, lam0, seed=cfg.seed + 10_000)
-    x_floor = virtual_x(bundle["ctx"], simulate_y(bundle["ctx"], sim_floor))
-    floor = wasserstein1(_marginal(x_floor, 1.0), marginals[lam0][1.0])
+    first = lams[0]
+    sim_floor = _sim_config(cfg, first, seed=cfg.seed + 10_000)
+    x_floor = virtual_x(contexts[first], simulate_y(contexts[first], sim_floor))
+    floor = wasserstein1(_marginal(x_floor, 1.0), marginals[first][1.0])
     timings["floor"] = time.perf_counter() - t0
 
     levels = []

@@ -10,8 +10,9 @@ the reference operator is A = I - Laplacian/2 with symbol 1 + |kappa|^2/2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -126,8 +127,89 @@ class SobolevIndex:
             raise ValueError(f"integrability exponent must exceed 1, got {self.p}")
 
 
+class _Field:
+    """What a field and a field over time share: a grid and read-only
+    coefficients of shape lead + (components,) + grid.spatial_shape, with
+    `_lead` leading axes (none for a field, the node axis for a field over
+    time).  The operators of this module act on the trailing component and
+    spatial axes, so they apply to every leading index at once and return
+    the input's own type.
+    """
+
+    _lead = 0
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        d = self.grid.dimension
+        if c.ndim != self._lead + 1 + d or c.shape[-d:] != self.grid.spatial_shape:
+            lead = "(M+1, components)" if self._lead else "(components,)"
+            raise ValueError(f"coeffs must have shape {lead}+{self.grid.spatial_shape}")
+        c = c.copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @property
+    def components(self) -> int:
+        return self.coeffs.shape[-self.grid.dimension - 1]
+
+    def values(self) -> np.ndarray:
+        """Real grid samples, shape lead + (components,) + spatial; refuses
+        samples whose imaginary residue, relative at each leading index,
+        shows the coefficients are not Hermitian there."""
+        v = np.fft.ifftn(self.coeffs * self.grid.n_modes, axes=_spatial_axes(self))
+        per = _field_axes(self)
+        scale = np.maximum(np.max(np.abs(v), axis=per), 1.0)
+        resid = np.max(np.max(np.abs(v.imag), axis=per) / scale)
+        if resid > _REAL_TOL:
+            raise ValueError(
+                f"field is not real: grid values have imaginary residue {resid:.3e}"
+            )
+        return v.real
+
+    def component(self, i: int):
+        sel = (Ellipsis, slice(i, i + 1)) + (slice(None),) * self.grid.dimension
+        return replace(self, coeffs=self.coeffs[sel])
+
+    # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
+
+    def __add__(self, other):
+        _check_compatible(self, other)
+        return replace(self, coeffs=self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        _check_compatible(self, other)
+        return replace(self, coeffs=self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float):
+        return replace(self, coeffs=self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+
+_F = TypeVar("_F", bound=_Field)
+
+
+def _spatial_axes(f: _Field) -> tuple:
+    return tuple(range(-f.grid.dimension, 0))
+
+
+def _field_axes(f: _Field) -> tuple:
+    """The component and spatial axes: everything one field holds."""
+    return tuple(range(-f.grid.dimension - 1, 0))
+
+
+def _check_compatible(f: _Field, g: _Field):
+    def frame(h):
+        return (type(h), h.coeffs.shape) + tuple(
+            getattr(h, x.name) for x in fields(h) if x.name != "coeffs")
+
+    if frame(f) != frame(g):
+        raise ValueError("fields are not compatible: their type, grid, horizon, "
+                         "nodes or components differ")
+
+
 @dataclass(frozen=True)
-class SpectralField:
+class SpectralField(_Field):
     """Real band-limited field given by FFT-ordered Fourier coefficients.
 
     coeffs has shape (components,) + grid.spatial_shape, complex128, with
@@ -137,24 +219,6 @@ class SpectralField:
 
     grid: GridSpec
     coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != self.grid.dimension + 1:
-            raise ValueError(
-                f"coeffs must have shape (components,)+{self.grid.spatial_shape}"
-            )
-        if c.shape[1:] != self.grid.spatial_shape:
-            raise ValueError(
-                f"coeff shape {c.shape[1:]} does not match grid {self.grid.spatial_shape}"
-            )
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[0]
 
     # --- construction -----------------------------------------------------
 
@@ -185,51 +249,11 @@ class SpectralField:
         coeffs = np.fft.fftn(v, axes=axes) / grid.n_modes
         return SpectralField(grid, coeffs)
 
-    # --- evaluation -------------------------------------------------------
 
-    def values(self) -> np.ndarray:
-        """Real grid samples, shape (components,)+spatial; refuses samples
-        whose imaginary residue shows the coefficients are not Hermitian."""
-        axes = tuple(range(1, self.grid.dimension + 1))
-        v = np.fft.ifftn(self.coeffs * self.grid.n_modes, axes=axes)
-        scale = max(np.max(np.abs(v)), 1.0)
-        resid = np.max(np.abs(v.imag)) / scale
-        if resid > _REAL_TOL:
-            raise ValueError(
-                f"field is not real: grid values have imaginary residue {resid:.3e}"
-            )
-        return v.real
-
-    def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[i : i + 1])
-
-    # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_compatible(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_compatible(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        s = float(scalar)
-        return SpectralField(self.grid, self.coeffs * s)
-
-    __rmul__ = __mul__
-
-
-def _check_compatible(f: SpectralField, g: SpectralField):
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if f.components != g.components:
-        raise ValueError(f"fields have {f.components} and {g.components} components")
-
-
-def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
-    """Multiply coefficients by a lattice symbol (broadcast over components)."""
-    return SpectralField(f.grid, f.coeffs * mult[None])
+def _apply_multiplier(f: _F, mult: np.ndarray) -> _F:
+    """Multiply coefficients by a lattice symbol (broadcast over the leading
+    and component axes)."""
+    return replace(f, coeffs=f.coeffs * mult)
 
 
 # --- smooth dyadic cutoff profile ------------------------------------------
@@ -261,32 +285,32 @@ def cutoff_profile(r):
 # --- Fourier-multiplier operators -------------------------------------------
 
 
-def bessel_power(f: SpectralField, s: float) -> SpectralField:
+def bessel_power(f: _F, s: float) -> _F:
     """Apply A^{s/2} = (I - Laplacian/2)^{s/2}."""
     return _apply_multiplier(f, f.grid.bessel_symbol() ** (0.5 * s))
 
 
-def heat_semigroup(f: SpectralField, t: float) -> SpectralField:
+def heat_semigroup(f: _F, t: float) -> _F:
     """Apply P(t) = exp(t*(Laplacian/2 - I)); P(0) is the identity."""
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
     return _apply_multiplier(f, np.exp(-t * f.grid.bessel_symbol()))
 
 
-def mollify(f: SpectralField, n: float) -> SpectralField:
+def mollify(f: _F, n: float) -> _F:
     """Gaussian spectral mollifier exp(-|kappa|^2/(2 n^2)); n -> inf is identity."""
     if not n > 0:
         raise ValueError("mollifier level must be positive")
     return _apply_multiplier(f, np.exp(-f.grid.kappa_sq() / (2.0 * n * n)))
 
 
-def dyadic_cutoff(f: SpectralField, j: int) -> SpectralField:
+def dyadic_cutoff(f: _F, j: int) -> _F:
     """Low-pass S^j: multiply by the smooth profile at radius |kappa|/2^j."""
     r = np.sqrt(f.grid.kappa_sq()) / float(2 ** j)
     return _apply_multiplier(f, cutoff_profile(r))
 
 
-def gradient(f: SpectralField) -> SpectralField:
+def gradient(f: _F) -> _F:
     """Spectral gradient.
 
     Output has components ordered (comp0 d/dx_0, ..., comp0 d/dx_{d-1},
@@ -294,23 +318,20 @@ def gradient(f: SpectralField) -> SpectralField:
     (its i*kappa image has no Hermitian partner on the lattice).
     """
     g = f.grid
-    n = g.modes_per_axis
-    out = np.empty((f.components * g.dimension,) + g.spatial_shape, dtype=complex)
-    mesh = g.kappa_mesh()
-    for axis in range(g.dimension):
-        mult = 1j * mesh[axis]
-        sel = [slice(None)] * g.dimension
-        sel[axis] = n // 2
-        mult[tuple(sel)] = 0.0
-        for c in range(f.components):
-            out[c * g.dimension + axis] = f.coeffs[c] * mult
-    return SpectralField(g, out)
+    mults = []
+    for axis, k in enumerate(g.kappa_mesh()):
+        mult = 1j * k
+        mult[(slice(None),) * axis + (g.modes_per_axis // 2,)] = 0.0
+        mults.append(mult)
+    c = np.expand_dims(f.coeffs, -g.dimension - 1) * np.stack(mults)
+    lead = f.coeffs.shape[: -g.dimension - 1]
+    return replace(f, coeffs=c.reshape(lead + (f.components * g.dimension,) + g.spatial_shape))
 
 
 # --- lattice changes ----------------------------------------------------------
 
 
-def refine(f: SpectralField) -> SpectralField:
+def refine(f: _F) -> _F:
     """The same band-limited field on the 2N lattice.
 
     Built one axis at a time.  The k = -N/2 plane has no +N/2 partner on the
@@ -321,7 +342,7 @@ def refine(f: SpectralField) -> SpectralField:
     g = f.grid
     n, h = g.modes_per_axis, g.modes_per_axis // 2
     c = f.coeffs
-    for axis in range(1, g.dimension + 1):
+    for axis in _spatial_axes(f):
         src = np.moveaxis(c, axis, 0)
         fine = np.zeros((2 * n,) + src.shape[1:], dtype=complex)
         fine[:h] = src[:h]              # k = 0 .. N/2-1
@@ -329,10 +350,10 @@ def refine(f: SpectralField) -> SpectralField:
         fine[3 * h] *= 0.5
         fine[h] = fine[3 * h]           # k = +N/2
         c = np.moveaxis(fine, 0, axis)
-    return SpectralField(GridSpec(g.dimension, 2 * n, g.period), c)
+    return replace(f, grid=GridSpec(g.dimension, 2 * n, g.period), coeffs=c)
 
 
-def coarsen(f: SpectralField) -> SpectralField:
+def coarsen(f: _F) -> _F:
     """Project a field on the 2N lattice onto the N lattice.
 
     Built one axis at a time.  The fine +N/2 plane, absent from the coarse
@@ -343,47 +364,54 @@ def coarsen(f: SpectralField) -> SpectralField:
     g = f.grid
     h = g.modes_per_axis // 4
     c = f.coeffs
-    for axis in range(1, g.dimension + 1):
+    for axis in _spatial_axes(f):
         src = np.moveaxis(c, axis, 0)
         coarse = np.concatenate([src[:h], src[3 * h:]])
         coarse[h] += src[h]
         c = np.moveaxis(coarse, 0, axis)
-    return SpectralField(GridSpec(g.dimension, g.modes_per_axis // 2, g.period), c)
+    return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2, g.period), coeffs=c)
 
 
 # --- norms ------------------------------------------------------------------
 
 
 def singular_values_sq(m: np.ndarray) -> tuple:
-    """Smallest and largest squared singular values of stacked (n, d, d)
+    """Smallest and largest squared singular values of stacked (..., d, d)
     matrices, d <= 2, in closed form."""
     if m.shape[-1] == 1:
-        s = m[:, 0, 0] ** 2
+        s = m[..., 0, 0] ** 2
         return s, s
-    fro2 = np.sum(m ** 2, axis=(1, 2))
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    fro2 = np.sum(m ** 2, axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
     return 0.5 * (fro2 - disc), 0.5 * (fro2 + disc)
 
 
-def lp_grid_norm(f: SpectralField, p: float) -> float:
-    """Rectangle-rule L^p norm of the pointwise Euclidean magnitude."""
-    v = f.values()
-    mag = np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
+def _per_field(norms: np.ndarray):
+    """A float for a field, one value per leading index for a field over time."""
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def lp_grid_norm(f: _Field, p: float):
+    """Rectangle-rule L^p norm of the pointwise Euclidean magnitude: a float
+    for a field, one norm per node for a field over time."""
+    mag = np.sqrt(np.sum(np.abs(f.values()) ** 2, axis=-f.grid.dimension - 1))
     if np.isinf(p):
-        return float(mag.max())
-    return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
+        return _per_field(mag.max(axis=_spatial_axes(f)))
+    return _per_field((np.sum(mag ** p, axis=_spatial_axes(f)) * f.grid.cell_volume)
+                      ** (1.0 / p))
 
 
-def sobolev_norm(f: SpectralField, idx: SobolevIndex) -> float:
-    """Bessel-potential norm ||A^{s/2} f||_{L^p}.
+def sobolev_norm(f: _Field, idx: SobolevIndex):
+    """Bessel-potential norm ||A^{s/2} f||_{L^p}: a float for a field, one
+    norm per node for a field over time.
 
     p = 2 goes through Parseval exactly; other p use the grid quadrature.
     """
     if idx.p == 2:
         w = f.grid.bessel_symbol() ** idx.s
-        total = np.sum(w[None] * np.abs(f.coeffs) ** 2)
-        return float(np.sqrt(total * f.grid.period ** f.grid.dimension))
+        total = np.sum(w * np.abs(f.coeffs) ** 2, axis=_field_axes(f))
+        return _per_field(np.sqrt(total * f.grid.period ** f.grid.dimension))
     return lp_grid_norm(bessel_power(f, idx.s), idx.p)
 
 
@@ -464,36 +492,30 @@ def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TimeField:
+class TimeField(_Field):
     """Uniform time grid t_m = m*T/M, one real spectral field per node.
 
-    coeffs shape: (M+1, components) + spatial, Hermitian at every node.
+    coeffs shape: (M+1, components) + spatial, Hermitian at every node.  The
+    spectral operators act on every node at once.
     """
 
     grid: GridSpec
     horizon: float
     coeffs: np.ndarray
 
+    _lead = 1
+
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != self.grid.dimension + 2 or c.shape[2:] != self.grid.spatial_shape:
-            raise ValueError("coeffs must have shape (M+1, components)+spatial")
-        if c.shape[0] < 2:
+        super().__post_init__()
+        if self.coeffs.shape[0] < 2:
             raise ValueError("need at least two time nodes")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def nodes(self) -> int:
         """Number of steps M (node count is M+1)."""
         return self.coeffs.shape[0] - 1
-
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[1]
 
     @property
     def times(self) -> np.ndarray:
@@ -531,13 +553,7 @@ class TimeField:
         return SpectralField(self.grid, c)
 
     def reversed_time(self) -> "TimeField":
-        return TimeField(self.grid, self.horizon, self.coeffs[::-1])
-
-    def __sub__(self, other: "TimeField") -> "TimeField":
-        if (self.grid != other.grid or self.horizon != other.horizon
-                or self.coeffs.shape != other.coeffs.shape):
-            raise ValueError("time fields are not compatible")
-        return TimeField(self.grid, self.horizon, self.coeffs - other.coeffs)
+        return replace(self, coeffs=self.coeffs[::-1])
 
 
 # --- snapshot format ----------------------------------------------------------
@@ -580,8 +596,9 @@ def load_time_field(path) -> TimeField:
     steps = meta["time"]["steps"]
     raw = np.frombuffer(path.read_bytes(), dtype="<c16")
     shape = (steps + 1, meta["components"]) + grid.spatial_shape
-    return TimeField(grid, meta["time"]["horizon"],
-                     raw.reshape(shape).astype(np.complex128))
+    tf = TimeField(grid, meta["time"]["horizon"], raw.reshape(shape))
+    tf.values()     # a snapshot is outside input: refuse one that is not real at a node
+    return tf
 
 
 def load_time_field_meta(path) -> dict:

@@ -74,8 +74,5 @@ def random_time_field(grid, steps, amplitude, seed, horizon=1.0):
 def node_gradient_jacobian(ctx, t, x):
     """grad u from the spectral gradients of the nodes, interpolated linearly
     in time: the reference that `zvonkin.transform_jacobian` must match."""
-    u = ctx.u
-    grads = TimeField.from_nodes([gradient(u.node(m)) for m in range(u.nodes + 1)],
-                                 u.horizon)
-    d = u.grid.dimension
-    return evaluate(grads.at_time(t, rule="linear"), x).reshape(-1, d, d)
+    d = ctx.u.grid.dimension
+    return evaluate(gradient(ctx.u).at_time(t, rule="linear"), x).reshape(-1, d, d)

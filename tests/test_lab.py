@@ -18,7 +18,6 @@ from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.lab import (
     INVERSE_TOL,
     ExperimentConfig,
-    bootstrap_ci,
     config_digest,
     environment_fingerprint,
     kendall_trend,
@@ -154,18 +153,6 @@ def test_import_leaves_scipy_submodules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_bootstrap_ci_brackets_point_estimate():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(400)
-    b = rng.standard_normal(400) + 0.5
-    lo, hi = bootstrap_ci(a, b, n_boot=300, seed=7)
-    point = wasserstein1(a, b)
-    assert lo <= point <= hi
-    assert (lo, hi) == bootstrap_ci(a, b, n_boot=300, seed=7)   # deterministic
-    with pytest.raises(ValueError):
-        bootstrap_ci(a, b[:100])
-
-
 # --- configuration plumbing ----------------------------------------------------------------
 
 
@@ -197,6 +184,21 @@ def test_experiment_config_validates_n_list(n_list):
     # a repeated one would feed tied levels to the trend test
     with pytest.raises(ValueError, match="n_list"):
         tiny_config(n_list=n_list)
+
+
+@pytest.mark.parametrize("steps_list", [(250, 300), (0, 16), (-8, 16), (8, 8, 16), ()])
+def test_experiment_config_validates_steps_list(steps_list):
+    # refused before calibration and the solve: the consistency study draws
+    # every step count's noise at the largest, which each must divide
+    with pytest.raises(ValueError, match="steps_list"):
+        tiny_config(steps_list=steps_list)
+
+
+@pytest.mark.parametrize("lambda_list", [(2.0,), (), (0.0, 2.0), (-1.0, 2.0),
+                                         (2.0, 2.0), (2.0, math.inf), (2.0, math.nan)])
+def test_experiment_config_validates_lambda_list(lambda_list):
+    with pytest.raises(ValueError, match="lambda_list"):
+        tiny_config(lambda_list=lambda_list)
 
 
 def test_config_digest_sensitivity():
@@ -235,7 +237,10 @@ def test_study_mollify_smoke(tmp_path):
     assert [row["level"] for row in rep.levels] == [2, 4]
     for row in rep.levels:
         assert row["w1_t1"] >= 0.0
-        assert row["ci_lo"] <= row["ci_hi"]
+        # the routes share their paths, and sorted matching is the optimal
+        # coupling in 1-D, so the coupling distance bounds W1 from above
+        assert row["w1_t1"] <= row["coupling_t1"]
+        assert row["coupling_t1_halfwidth"] > 0.0
     assert rep.floor > 0.0
     assert "tau" in rep.trend
     assert rep.trend["p_method"] == "exact"
@@ -260,6 +265,14 @@ def test_study_lambda_smoke():
     row = rep.levels[0]
     assert row["lambda_a"] == 2.0 and row["lambda_b"] == 4.0
     assert "within_3_floors" in row
+    assert rep.floor > 0.0
+
+
+def test_study_lambda_without_the_base_lambda():
+    # the floor re-runs the first listed lambda with that lambda's transform;
+    # the base lambda (2.0) is simulated by no one here
+    rep = study_lambda(tiny_config(lam=2.0, lambda_list=(4.0, 8.0)))
+    assert [(r["lambda_a"], r["lambda_b"]) for r in rep.levels] == [(4.0, 8.0)]
     assert rep.floor > 0.0
 
 

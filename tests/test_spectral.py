@@ -25,6 +25,8 @@ from singular_drift.spectral import (
     sobolev_norm,
 )
 
+from singular_drift.drifts import DriftSpec, generate
+
 from conftest import single_mode
 
 
@@ -395,6 +397,60 @@ def test_time_field_validation(grid64):
         TimeField(grid64, 1.0, np.zeros((1, 1, 64), dtype=complex))
 
 
+_OPERATORS = {
+    "bessel_power": lambda f: bessel_power(f, -0.5),
+    "heat_semigroup": lambda f: heat_semigroup(f, 0.01),
+    "mollify": lambda f: mollify(f, 8.0),
+    "dyadic_cutoff": lambda f: dyadic_cutoff(f, 3),
+    "gradient": gradient,
+    "refine": refine,
+    "coarsen": coarsen,
+}
+
+
+def _changing_drift(dim, modes):
+    spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, amplitude=0.25,
+                     changes=3)
+    return generate(spec, GridSpec(dim, modes), 1.0, 6)
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+@pytest.mark.parametrize("dim, modes", [(1, 64), (2, 16)])
+def test_operators_act_on_every_node_at_once(name, dim, modes):
+    b = _changing_drift(dim, modes)
+    op = _OPERATORS[name]
+    whole = op(b)
+    per_node = [op(b.node(m)) for m in range(b.nodes + 1)]
+    assert type(whole) is TimeField and whole.horizon == b.horizon
+    assert whole.grid == per_node[0].grid
+    assert np.array_equal(whole.coeffs, np.stack([f.coeffs for f in per_node]))
+    assert np.array_equal(whole.values(), np.stack([f.values() for f in per_node]))
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 64), (2, 16)])
+def test_norms_of_a_time_field_are_per_node(dim, modes):
+    b = _changing_drift(dim, modes)
+    for norm in (lambda f: sobolev_norm(f, SobolevIndex(-0.25, 2.0)),
+                 lambda f: lp_grid_norm(f, np.inf)):
+        assert np.array_equal(norm(b), [norm(b.node(m)) for m in range(b.nodes + 1)])
+    # p != 2 takes the final root elementwise over the nodes, which may round
+    # differently from the scalar root of a single field
+    for norm in (lambda f: sobolev_norm(f, SobolevIndex(-0.25, 3.0)),
+                 lambda f: lp_grid_norm(gradient(f), 4.0 / 3.0)):
+        ref = np.array([norm(b.node(m)) for m in range(b.nodes + 1)])
+        assert np.allclose(norm(b), ref, rtol=1e-14, atol=0.0)
+
+
+def test_time_field_values_refuse_one_non_hermitian_node(grid64):
+    coeffs = np.zeros((3, 1, 64), dtype=complex)
+    coeffs[0, 0, 0] = 1e12       # a large real node
+    coeffs[1, 0, 1] = 1.0        # node 1 has no Hermitian partner
+    # relative to the whole field the residue is 1e-12, below the guard's
+    # tolerance; relative to node 1 it is 1
+    with pytest.raises(ValueError, match="imaginary residue"):
+        TimeField(grid64, 1.0, coeffs).values()
+
+
 # --- snapshots ---------------------------------------------------------------------
 
 
@@ -420,4 +476,14 @@ def test_load_time_field_refuses_sidecar_not_marked_real(tmp_path, rough_drift64
         meta["real_flag"] = flag
     side.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="real"):
+        load_time_field(p)
+
+
+def test_load_time_field_refuses_non_hermitian_coefficients(tmp_path, rough_drift64):
+    coeffs = np.array(rough_drift64.coeffs)
+    coeffs[-1, 0, 5] += 0.1j     # breaks c_{-k} = conj(c_k) at the last node only
+    tf = TimeField(rough_drift64.grid, rough_drift64.horizon, coeffs)
+    p = save_time_field(tf, tmp_path / "b.bin")
+    assert json.loads((tmp_path / "b.bin.json").read_text())["real_flag"] is True
+    with pytest.raises(ValueError, match="not real"):
         load_time_field(p)
