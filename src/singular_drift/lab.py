@@ -22,7 +22,6 @@ from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .spectral import GridSpec, TimeField, save_time_field
@@ -79,6 +78,8 @@ def ks_stat(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup_x |F_a - F_b|."""
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
+    if a.size == 0 or b.size == 0:
+        raise ValueError("empty sample")
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
@@ -209,11 +210,6 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
         d["drift"] = DriftSpec.from_dict(d["drift"])
-        for key in ("x0", "n_list", "steps_list"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        if d.get("lambda_list") is not None:
-            d["lambda_list"] = tuple(d["lambda_list"])
         return ExperimentConfig(**d)
 
 
@@ -223,6 +219,8 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 
 def environment_fingerprint() -> dict:
+    import scipy    # here, not at module level: only its version is needed
+
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,

@@ -12,9 +12,10 @@ psi is solved once per node, and `virtual_x` hands back the X the steps used.
 
 Brownian increments come from counter-based streams so two simulations
 sharing a seed see identical noise regardless of path count, mollification
-level, or lambda (exact common random numbers).  Simulation is
-serial: one Euler-Maruyama loop walks a fixed partition of the path axis,
-block after block, so the bytes are a pure function of the SimConfig.
+level, or lambda (exact common random numbers).  Simulation is serial: each
+Euler-Maruyama step advances every path in one batch, and off-grid evaluation
+rounds each point the same in any batch, so the bytes are a pure function of
+the SimConfig.
 
 Stream rule: path p owns Philox(key=(seed, p)); step m consumes the uniform
 doubles at positions (2m, 2m+1) through a Box-Muller pair, of which the first
@@ -47,7 +48,7 @@ __all__ = [
     "load_ensemble",
 ]
 
-_PATH_BLOCK = 2048       # fixed partition of the path axis; bounds the noise and work arrays
+_PATH_BLOCK = 2048       # partition of the path axis in brownian_increments; bounds Box-Muller
 _ENSEMBLE_MAGIC = b"SDE1"
 
 STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
@@ -99,8 +100,6 @@ class SimConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SimConfig":
-        d = dict(d)
-        d["x0"] = tuple(d["x0"])
         return SimConfig(**d)
 
 
@@ -140,8 +139,9 @@ class PathEnsemble:
 # --- noise -----------------------------------------------------------------
 
 
-def _block_normals(seed: int, lo: int, hi: int, steps: int) -> np.ndarray:
-    """Standard normal pairs for paths [lo, hi), shape (hi-lo, steps, 2)."""
+def _block_normals(seed: int, lo: int, hi: int, steps: int, d: int) -> np.ndarray:
+    """The first d normals of each Box-Muller pair for paths [lo, hi), shape
+    (hi-lo, steps, d)."""
     uni = np.empty((hi - lo, steps, 2))
     for i, p in enumerate(range(lo, hi)):
         key = np.array([seed, p], dtype=np.uint64)
@@ -149,26 +149,31 @@ def _block_normals(seed: int, lo: int, hi: int, steps: int) -> np.ndarray:
         uni[i] = gen.random((steps, 2))
     radial = np.sqrt(-2.0 * np.log1p(-uni[..., 0]))   # 1-u in (0,1] avoids log 0
     angle = 2.0 * np.pi * uni[..., 1]
-    return np.stack([radial * np.cos(angle), radial * np.sin(angle)], axis=-1)
-
-
-def _block_increments(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    base = cfg.base_steps or cfg.steps
-    d = cfg.dimension
-    z = _block_normals(cfg.seed, lo, hi, base)[..., :d]
-    fine = z * np.sqrt(cfg.horizon / base)
-    if base == cfg.steps:
-        return fine
-    k = base // cfg.steps
-    return fine.reshape(hi - lo, cfg.steps, k, d).sum(axis=2)
+    z = np.empty((hi - lo, steps, d))
+    for j, trig in enumerate((np.cos, np.sin)[:d]):
+        np.multiply(radial, trig(angle), out=z[..., j])
+    return z
 
 
 def brownian_increments(cfg: SimConfig) -> np.ndarray:
-    """All increments (paths, steps, d); bit-identical to what simulation uses."""
-    out = np.empty((cfg.paths, cfg.steps, cfg.dimension))
+    """All increments (paths, steps, d), summed from base_steps draws.
+
+    Box-Muller runs over a fixed partition of the path axis and writes each
+    block in place into the output, so its temporaries stay bounded at any
+    path count.
+    """
+    base = cfg.base_steps or cfg.steps
+    d = cfg.dimension
+    k = base // cfg.steps
+    out = np.empty((cfg.paths, cfg.steps, d))
     for lo in range(0, cfg.paths, _PATH_BLOCK):
         hi = min(lo + _PATH_BLOCK, cfg.paths)
-        out[lo:hi] = _block_increments(cfg, lo, hi)
+        z = _block_normals(cfg.seed, lo, hi, base, d)
+        z *= np.sqrt(cfg.horizon / base)
+        if k == 1:
+            out[lo:hi] = z
+        else:
+            np.sum(z.reshape(hi - lo, cfg.steps, k, d), axis=2, out=out[lo:hi])
     return out
 
 
@@ -199,24 +204,15 @@ def coefficients(ctx: TransformContext, lam: float, t: float, x) -> tuple:
 # --- simulators ----------------------------------------------------------------
 
 
-def _euler(cfg: SimConfig, start, step) -> np.ndarray:
-    """Euler-Maruyama nodes (..., paths, steps+1, d) of state <- step(m, state, dW_m).
-
-    A block of n paths starts from start(n), its states (..., n, d).  The
-    blocks of the fixed path partition run one after another, each drawing its
-    own increments.
-    """
-    out = None
-    for lo in range(0, cfg.paths, _PATH_BLOCK):
-        hi = min(lo + _PATH_BLOCK, cfg.paths)
-        dw = _block_increments(cfg, lo, hi)
-        state = start(hi - lo)
-        if out is None:
-            out = np.empty(state.shape[:-2] + (cfg.paths, cfg.steps + 1, cfg.dimension))
-        out[..., lo:hi, 0, :] = state
-        for m in range(cfg.steps):
-            state = step(m, state, dw[:, m])
-            out[..., lo:hi, m + 1, :] = state
+def _euler(cfg: SimConfig, state0: np.ndarray, step) -> np.ndarray:
+    """Euler-Maruyama nodes (..., paths, steps+1, d) of state <- step(m, state, dW_m)
+    from the states state0 (..., paths, d); each step advances every path at once."""
+    dw = brownian_increments(cfg)
+    out = np.empty(state0.shape[:-1] + (cfg.steps + 1, cfg.dimension))
+    out[..., 0, :] = state = state0
+    for m in range(cfg.steps):
+        state = step(m, state, dw[:, m])
+        out[..., m + 1, :] = state
     return out
 
 
@@ -224,9 +220,8 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed"
     """Explicit Euler-Maruyama for Y from y0 = x0 + u(0, x0), carrying X.
 
     The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m): a step takes mu
-    and sigma at X_m, forms Y_{m+1} and solves psi once at t_{m+1}.  X_0 is
-    solved on each block's start states as one batch.  X is kept in the
-    ensemble's `virtual` field.
+    and sigma at X_m, forms Y_{m+1} and solves psi once at t_{m+1}.  X is kept
+    in the ensemble's `virtual` field.
     """
     if cfg.dimension != ctx.u.grid.dimension:
         raise ValueError("config dimension does not match the transform")
@@ -244,9 +239,9 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed"
         mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[1])
         return pair(m + 1, yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw))
 
-    y, x = _euler(cfg, lambda n: pair(0, np.tile(y0, (n, 1))), step)
+    y, x = _euler(cfg, pair(0, np.tile(y0, (cfg.paths, 1))), step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
-            "block": _PATH_BLOCK, "y0": list(np.atleast_1d(y0))}
+            "y0": list(np.atleast_1d(y0))}
     return PathEnsemble(states=y, config=cfg, label=label, provenance=prov, virtual=x)
 
 
@@ -278,10 +273,9 @@ def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -
     x0 = np.asarray(cfg.x0)
     # drift nodes looked up once per step; sim and drift grids need not match
     fields = [b.at_time(min(m * dt, b.horizon), rule="left") for m in range(cfg.steps)]
-    states = _euler(cfg, lambda n: np.tile(x0, (n, 1)),
+    states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
                     lambda m, x, dw: x + evaluate(fields[m], x) * dt + dw)
-    prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
-            "block": _PATH_BLOCK}
+    prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}
     return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
 
 

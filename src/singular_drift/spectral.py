@@ -540,14 +540,14 @@ class TimeField(_Field):
         eps = 1e-12 * max(self.horizon, 1.0)
         if t < -eps or t > self.horizon + eps:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
+        if rule not in ("linear", "left"):
+            raise ValueError(f"unknown interpolation rule {rule!r}")
         pos = np.clip(t, 0.0, self.horizon) / self.horizon * self.nodes
         m = int(np.floor(pos))
         if m >= self.nodes:
             return self.node(self.nodes)
         if rule == "left":
             return self.node(m)
-        if rule != "linear":
-            raise ValueError(f"unknown interpolation rule {rule!r}")
         w = pos - m
         c = (1.0 - w) * self.coeffs[m] + w * self.coeffs[m + 1]
         return SpectralField(self.grid, c)

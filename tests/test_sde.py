@@ -177,7 +177,7 @@ def test_simulation_reproducible_across_runs(grid64):
         a = simulate_y(ctx, cfg)
         b = simulate_y(ctx, cfg)
         assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
-        # 3000 paths span two blocks of the path partition; the head is unchanged
+        # a 3000-path batch leaves the first 48 paths unchanged
         wide = simulate_y(ctx, small_sim(paths=3000, **over))
         assert np.array_equal(np.asarray(wide.states)[:48], np.asarray(a.states))
 
@@ -203,11 +203,11 @@ def test_psi_solved_once_per_node(grid64, monkeypatch):
         return psi(*args)
 
     monkeypatch.setattr(sde, "psi", counted)
-    cfg = small_sim(paths=3000, steps=4)       # two blocks of the path partition
+    cfg = small_sim(paths=3000, steps=4)       # one batch of every path per node
     ys = simulate_y(ctx, cfg)
-    assert len(calls) == 2 * (cfg.steps + 1)
+    assert len(calls) == cfg.steps + 1
     virtual_x(ctx, ys)
-    assert len(calls) == 2 * (cfg.steps + 1)
+    assert len(calls) == cfg.steps + 1
 
 
 @pytest.mark.parametrize("case", ["1d", "2d"])
@@ -281,7 +281,7 @@ def test_ensemble_roundtrip(tmp_path, grid64):
     assert np.array_equal(np.asarray(back.states), np.asarray(ens.states))
     assert back.config == cfg
     assert back.label == "unit"
-    assert back.provenance["block"] == ens.provenance["block"]
+    assert back.provenance["y0"] == ens.provenance["y0"]
 
 
 def test_load_ensemble_rejects_garbage(tmp_path):

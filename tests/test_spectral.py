@@ -395,6 +395,10 @@ def test_time_field_validation(grid64):
         TimeField(grid64, 0.0, np.zeros((2, 1, 64), dtype=complex))
     with pytest.raises(ValueError):
         TimeField(grid64, 1.0, np.zeros((1, 1, 64), dtype=complex))
+    tf = TimeField.zero(grid64, 1.0, 4)
+    for t in (0.5, tf.horizon):     # the rule is checked at the end of the grid too
+        with pytest.raises(ValueError, match="unknown interpolation rule"):
+            tf.at_time(t, rule="nearest")
 
 
 _OPERATORS = {
