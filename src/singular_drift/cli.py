@@ -87,11 +87,12 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.u:
-        lam = cfg.lam
+        lam = load_time_field_meta(args.u).get("manifest", {}).get("lambda", cfg.lam)
         if lam is None:
-            lam = load_time_field_meta(args.u).get("manifest", {}).get("lambda")
-            if lam is None:
-                raise SystemExit("lambda is neither in the config nor the u sidecar")
+            raise SystemExit("lambda is neither in the config nor the u sidecar")
+        if cfg.lam not in (None, lam):
+            raise SystemExit(f"the config's lam {cfg.lam:g} differs from the lambda "
+                             f"{lam:g} at which {args.u} was solved")
         ctx = make_context(load_time_field(args.u), inverse_tol=INVERSE_TOL)
     else:
         bundle = prepare_transform(cfg, _drift_snapshot(args.drift))

@@ -17,9 +17,9 @@ argument of the theory, is kept as the diagnostic `picard_sweeps`.  The
 backward-time solution u is the time reversal of v.
 
 The product b . grad v is the fixed dyadic stage of
-`paraproduct.drift_gradient_product`, so the solve, the operator and the
-lambda calibration take no PdeConfig; (delta, p) are the norms of the
-diagnostics only.
+`paraproduct.drift_gradient_product`, which the operator forms at every node
+at once and the march node by node.  Neither takes a PdeConfig, nor does the
+lambda calibration; (delta, p) are the norms of the diagnostics only.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .spectral import (
+    _F,
     SobolevIndex,
     SpectralField,
     TimeField,
@@ -84,10 +85,10 @@ class PdeConfig:
     beta is the drift's regularity, (delta, p) the working pair: products
     are measured in H^{-beta}_p, the solution in H^{1+delta}_p.  The drift's
     window q is checked by `drifts.assumption_check`, not here.
-    None of them reaches the march, whose products run at the fixed stage
-    paraproduct.SOLVER_STAGE, so `solve_fwd` takes no PdeConfig; they are
-    the norms of the diagnostics (`picard_sweeps`, `mild_residual`,
-    `paraproduct.ladder_agrees`).
+    None of them reaches the march or `integral_operator`, whose products run
+    at the fixed stage paraproduct.SOLVER_STAGE, so neither takes a
+    PdeConfig; they are the norms of the diagnostics (`picard_sweeps`,
+    `mild_residual`, `paraproduct.ladder_agrees`).
 
     tol stops the Picard sweeps of `picard_sweeps` and bounds the mild
     residual that the checks accept for either solver.
@@ -145,11 +146,9 @@ class SolveReport:
 # --- the mild integral operator -----------------------------------------------
 
 
-def _integrand(bm: SpectralField, vm: SpectralField, lam: float) -> np.ndarray:
-    """g = b . grad v + b - lam v at one time node, as coefficients."""
-    if not np.any(vm.coeffs):
-        return bm.coeffs
-    return drift_gradient_product(bm, vm).coeffs + bm.coeffs - lam * vm.coeffs
+def _integrand(b: _F, v: _F, lam: float) -> np.ndarray:
+    """g = b . grad v + b - lam v at one node or every node, as coefficients."""
+    return drift_gradient_product(b, v).coeffs + b.coeffs - lam * v.coeffs
 
 
 def _step_factors(tf: TimeField) -> tuple:
@@ -165,23 +164,15 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     Per mode the step integral int_{t_l}^{t_{l+1}} exp(-(t_m - r) a) g(r) dr is
     taken with g frozen at t_l and the semigroup factor integrated exactly:
     the recurrence I_m = E I_{m-1} + w g_{m-1} with E = exp(-dt a),
-    w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.
+    w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  g is formed
+    at every node in one product, which refuses a v off b's grid or nodes.
     """
-    if v.grid != b.grid or v.nodes != b.nodes or v.horizon != b.horizon:
-        raise ValueError("v and b must share grid and time nodes")
-    return TimeField(v.grid, v.horizon, _march(b, lam, v))
-
-
-def _march(b: TimeField, lam: float, v: TimeField | None = None) -> np.ndarray:
-    """out_m = E out_{m-1} + w g(src_{m-1}) from out_0 = 0, where src is v,
-    or out itself when v is None (the march of solve_fwd)."""
     decay, weight = _step_factors(b)
+    g = _integrand(b, v, lam)
     out = np.zeros_like(b.coeffs)
-    src = out if v is None else v.coeffs
     for m in range(1, b.nodes + 1):
-        vm = SpectralField(b.grid, src[m - 1])
-        out[m] = decay * out[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
-    return out
+        out[m] = decay * out[m - 1] + weight * g[m - 1]
+    return TimeField(v.grid, v.horizon, out)
 
 
 # --- norms over time grids ------------------------------------------------------
@@ -210,11 +201,16 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     integral_operator(v) equals v exactly.  The report reads one pass,
     with no sweep differences and weight rate 0.
     """
+    decay, weight = _step_factors(b)
+    v = np.zeros_like(b.coeffs)
+    for m in range(1, b.nodes + 1):
+        vm = SpectralField(b.grid, v[m - 1])
+        v[m] = decay * v[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
     # a second pass would change nothing, hence a measured gain of 0
     report = SolveReport(iterations=1, rho=0.0, gain0=0.0,
                          weighted_diffs=(), sup_diffs=(), ratios=(), lam=float(lam),
                          method="march")
-    return TimeField(b.grid, b.horizon, _march(b, lam)), report
+    return TimeField(b.grid, b.horizon, v), report
 
 
 def picard_sweeps(b: TimeField, lam: float, cfg: PdeConfig) -> tuple:

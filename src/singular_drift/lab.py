@@ -170,7 +170,6 @@ class ExperimentConfig:
     n_list: tuple = (2, 4, 8, 16, 32)
     lambda_list: tuple | None = None
     steps_list: tuple = (250, 500, 1000)
-    consistency_paths: int | None = None
     out_dir: str | None = None
     note: str = ""                  # free-form; never feeds seeds or results
 
@@ -424,7 +423,6 @@ def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
     bundle = prepare_transform(cfg)
     timings["prepare"] = bundle["prepare_seconds"]
     lam = bundle["lam"]
-    paths = cfg.consistency_paths or cfg.paths
     base = max(cfg.steps_list)
 
     levels = []
@@ -432,7 +430,7 @@ def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
     finest = None
     t0 = time.perf_counter()
     for steps in sorted(cfg.steps_list):
-        sim = _sim_config(cfg, lam, steps=steps, base_steps=base, paths=paths)
+        sim = _sim_config(cfg, lam, steps=steps, base_steps=base)
         x_direct = simulate_classical(bundle["b"], sim, label=f"direct-{steps}")
         x_virt = virtual_x(bundle["ctx"], simulate_y(bundle["ctx"], sim))
         dev = float(np.max(np.linalg.norm(

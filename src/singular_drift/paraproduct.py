@@ -3,19 +3,26 @@
 The product of f and g is defined as the limit of S^j f * S^j g, where S^j is
 the smooth dyadic low-pass at radius 2^j.  Each stage is multiplied exactly on
 a 2x zero-padded grid (no aliasing).  The solver uses one fixed stage,
-SOLVER_STAGE.  The reference `product` advances the stage index until the
-successive difference measured in a negative-order Bessel norm drops below a
-tolerance; if the lattice runs out of scales first the product does not
-stabilize at this resolution and NonConvergent is raised.
+SOLVER_STAGE; `drift_gradient_product` forms every term of b . grad u, at
+every node of a field over time, in one multiply.  The reference `product`
+advances the stage index until the successive difference measured in a
+negative-order Bessel norm drops below a tolerance; if the lattice runs out
+of scales first the product does not stabilize at this resolution and
+NonConvergent is raised.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .spectral import (
+    _F,
     SobolevIndex,
     SpectralField,
+    _check_compatible,
+    _spatial_axes,
     coarsen,
     dyadic_cutoff,
     gradient,
@@ -46,23 +53,20 @@ class NonConvergent(Exception):
     """Dyadic stages exhausted the lattice before the tail fell below tol."""
 
 
-def dealiased_multiply(f: SpectralField, g: SpectralField) -> SpectralField:
+def dealiased_multiply(f: _F, g: _F) -> _F:
     """Pointwise product, alias-free: refine both factors to the 2N lattice,
-    multiply their samples there, coarsen the product back."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if f.components != 1 or g.components != 1:
-        raise ValueError("dealiased product is defined for scalar fields")
-    fine_f, fine_g = refine(f), refine(g)
-    n2 = fine_f.grid.n_modes
-    axes = tuple(range(1, f.grid.dimension + 1))
-    vf = np.fft.ifftn(fine_f.coeffs * n2, axes=axes)
-    vg = np.fft.ifftn(fine_g.coeffs * n2, axes=axes)
-    fine = np.fft.fftn(vf * vg, axes=axes) / n2
-    return coarsen(SpectralField(fine_f.grid, fine))
+    multiply their samples there, coarsen the product back.  Component by
+    component and at every leading index of two compatible fields."""
+    _check_compatible(f, g)
+    fine, axes = refine(f), _spatial_axes(f)
+    # samples are the unscaled inverse transform ("forward" norm); the product
+    # is formed in place, as fine-lattice arrays over many nodes are large
+    prod = np.fft.ifftn(fine.coeffs, axes=axes, norm="forward")
+    prod *= np.fft.ifftn(refine(g).coeffs, axes=axes, norm="forward")
+    return coarsen(replace(fine, coeffs=np.fft.fftn(prod, axes=axes, norm="forward")))
 
 
-def _stage(f: SpectralField, g: SpectralField, j: int) -> SpectralField:
+def _stage(f: _F, g: _F, j: int) -> _F:
     return dealiased_multiply(dyadic_cutoff(f, j), dyadic_cutoff(g, j))
 
 
@@ -92,38 +96,37 @@ def product(f: SpectralField, g: SpectralField, tol: float, idx: SobolevIndex) -
         prev = cur
 
 
-def _drift_gradient(b: SpectralField, u: SpectralField, mult) -> SpectralField:
-    """sum_j mult(b_j, d_j u_i), componentwise in u; b has one component per axis."""
+def drift_gradient_product(b: _F, u: _F) -> _F:
+    """Regularized b . grad(u), each term S^J b_j * S^J d_j u_i at J = SOLVER_STAGE,
+    at every leading index.  One stage call multiplies b_j, repeated once per
+    component of u, with grad u, both in (i, j) row-major order, so a b
+    without one component per axis is refused as incompatible; the sum over
+    j runs (0 + t_i0) + t_i1."""
     d = b.grid.dimension
-    if b.components != d:
-        raise ValueError(f"drift must have {d} components, got {b.components}")
-    grad = gradient(u)  # components ordered (i, axis) row-major
-    out = np.zeros_like(u.coeffs)
-    for i in range(u.components):
-        for ax in range(d):
-            out[i] += mult(b.component(ax), grad.component(i * d + ax)).coeffs[0]
-    return SpectralField(u.grid, out)
-
-
-def drift_gradient_product(b: SpectralField, u: SpectralField) -> SpectralField:
-    """Regularized b . grad(u), each term S^J b_j * S^J d_j u_i at J = SOLVER_STAGE."""
-    return _drift_gradient(b, u, lambda f, g: _stage(f, g, SOLVER_STAGE))
+    terms = _stage(replace(b, coeffs=np.concatenate([b.coeffs] * u.components, axis=-d - 1)),
+                   gradient(u), SOLVER_STAGE).coeffs
+    by_term = terms.reshape(u.coeffs.shape[:-d] + (d,) + u.grid.spatial_shape)
+    return replace(u, coeffs=np.add.reduce(by_term, axis=-d - 1, initial=0.0))
 
 
 def ladder_agrees(b: SpectralField, u: SpectralField, idx: SobolevIndex) -> bool:
     """Whether the reference ladder stops at SOLVER_STAGE for b . grad(u).
 
-    Each term goes through `product` at the tolerance the adaptive solver
-    used, 2 (1 + ||grad u||_{L^2}) in the idx norm, and the sum is compared
-    bitwise with drift_gradient_product.  False means the ladder refines past
-    the solver's stage here; NonConvergent from the ladder propagates.
+    Each term b_j * d_j u_i goes through `product` at the tolerance the
+    adaptive solver used, 2 (1 + ||grad u||_{L^2}) in the idx norm, and is
+    compared bitwise with its stage SOLVER_STAGE.  False means the ladder
+    refines past the solver's stage here; NonConvergent propagates.
     """
     grid = u.grid
-    grad_l2 = np.sqrt(grid.period ** grid.dimension
+    d = grid.dimension
+    grad_l2 = np.sqrt(grid.period ** d
                       * np.sum(grid.kappa_sq()[None] * np.abs(u.coeffs) ** 2))
     tol = 2.0 * (1.0 + grad_l2)
-    ladder = _drift_gradient(b, u, lambda f, g: product(f, g, tol, idx))
-    return bool(np.array_equal(ladder.coeffs, drift_gradient_product(b, u).coeffs))
+    grad = gradient(u)                      # components ordered (i, axis) row-major
+    terms = [(b.component(j), grad.component(i * d + j))
+             for i in range(u.components) for j in range(d)]
+    return all(np.array_equal(product(f, g, tol, idx).coeffs,
+                              _stage(f, g, SOLVER_STAGE).coeffs) for f, g in terms)
 
 
 def product_bound_ratio(f: SpectralField, g: SpectralField, beta: float,

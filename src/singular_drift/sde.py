@@ -130,10 +130,12 @@ class PathEnsemble:
         return self.states[:, -1, :]
 
     def at_time(self, t: float) -> np.ndarray:
-        """Marginal at the nearest step node."""
-        m = int(round(t / self.config.horizon * self.config.steps))
-        m = min(max(m, 0), self.config.steps)
-        return self.states[:, m, :]
+        """Marginal at the nearest step node; t outside [0, horizon] is refused."""
+        horizon = self.config.horizon
+        eps = 1e-12 * max(horizon, 1.0)
+        if t < -eps or t > horizon + eps:
+            raise ValueError(f"time {t} outside [0, {horizon}]")
+        return self.states[:, int(round(t / horizon * self.config.steps)), :]
 
 
 # --- noise -----------------------------------------------------------------

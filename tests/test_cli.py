@@ -68,6 +68,14 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
                  "--out", str(ens_path)]) == 0
     assert load_ensemble(ens_path).config.lam == 2.0
 
+    # a config lam that differs from the sidecar's would simulate a transform
+    # that u does not solve
+    p = tmp_path / "other-lam.json"
+    p.write_text(json.dumps(dict(TINY, lam=4.0)))
+    with pytest.raises(SystemExit, match="lam 4 differs from the lambda 2"):
+        main(["simulate", "--config", str(p), "--u", str(u_path),
+              "--out", str(ens_path)])
+
 
 def test_simulate_without_snapshot(tmp_path, config_path):
     ens_path = tmp_path / "paths.bin"

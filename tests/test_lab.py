@@ -168,11 +168,13 @@ def test_experiment_config_roundtrip():
     assert back == cfg
 
 
-@pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol", "inverse_tol"])
+@pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol", "inverse_tol",
+                                 "consistency_paths"])
 def test_experiment_config_rejects_removed_keys(key):
     # the solver's product runs at a fixed stage, (delta, p) is always
-    # pick_kappa's pair, the residual tolerance is PdeConfig's and the
-    # inversion tolerance is lab.INVERSE_TOL
+    # pick_kappa's pair, the residual tolerance is PdeConfig's, the
+    # inversion tolerance is lab.INVERSE_TOL and the consistency study
+    # simulates cfg.paths
     d = tiny_config().to_dict()
     d[key] = 2.0
     with pytest.raises(TypeError, match=key):
@@ -285,7 +287,7 @@ def test_study_lambda_without_the_base_lambda():
 def test_study_consistency_smoke():
     cfg = tiny_config(drift=DriftSpec(family="smooth-test", seed=1, beta=0.25,
                                       amplitude=0.2),
-                      lam=1.0, steps_list=(8, 16), consistency_paths=100)
+                      lam=1.0, steps_list=(8, 16), paths=100)
     rep = study_smooth_consistency(cfg)
     assert [row["steps"] for row in rep.levels] == [8, 16]
     assert "dev_ratio" in rep.levels[1]

@@ -74,6 +74,17 @@ def test_dealiased_multiply_2d(grid64_2d):
     assert np.max(np.abs(prod.coeffs - want.coeffs)) < 1e-14
 
 
+def test_dealiased_multiply_pairs_components(grid64):
+    f = SpectralField(grid64, np.concatenate([_random_field(grid64, 0.3, 31).coeffs,
+                                              _random_field(grid64, 0.8, 32).coeffs]))
+    g = SpectralField(grid64, np.concatenate([_random_field(grid64, 1.2, 33).coeffs,
+                                              _random_field(grid64, 0.5, 34).coeffs]))
+    both = dealiased_multiply(f, g)
+    for i in range(2):
+        one = dealiased_multiply(f.component(i), g.component(i))
+        assert np.array_equal(both.component(i).coeffs, one.coeffs)
+
+
 def test_dealiased_multiply_rejects_mismatch(grid64, grid64_2d):
     f = single_mode(grid64, 1)
     g = single_mode(GridSpec(1, 128, grid64.period), 1)

@@ -260,6 +260,14 @@ def test_path_ensemble_accessors(grid64):
     ens = simulate_y(ctx, cfg)
     assert np.array_equal(ens.terminal(), ens.states[:, -1, :])
     assert np.array_equal(ens.at_time(0.5), ens.states[:, 8, :])
+    # like TimeField.at_time: the ends are reached within roundoff, and a time
+    # past them is refused rather than clamped to an end node
+    h = cfg.horizon
+    assert np.array_equal(ens.at_time(h * (1 + 1e-13)), ens.terminal())
+    assert np.array_equal(ens.at_time(-1e-13), ens.states[:, 0, :])
+    for t in (-0.01, h + 0.01):
+        with pytest.raises(ValueError, match="outside"):
+            ens.at_time(t)
     with pytest.raises(ValueError):
         PathEnsemble(states=np.zeros((8, 3, 1)), config=cfg, label="bad",
                      provenance={})

@@ -26,6 +26,7 @@ from singular_drift.spectral import (
 )
 
 from singular_drift.drifts import DriftSpec, generate
+from singular_drift.paraproduct import dealiased_multiply, drift_gradient_product
 
 from conftest import single_mode
 
@@ -409,6 +410,8 @@ _OPERATORS = {
     "gradient": gradient,
     "refine": refine,
     "coarsen": coarsen,
+    "dealiased_multiply": lambda f: dealiased_multiply(f, f),
+    "drift_gradient_product": lambda f: drift_gradient_product(f, f),
 }
 
 
