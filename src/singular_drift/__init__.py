@@ -36,15 +36,11 @@ from .drifts import (
 )
 from .kolmogorov import (
     CalibrationFailed,
-    MaxIterExceeded,
     PdeConfig,
     calibrate_lambda,
-    gamma_bound_check,
     gradient_sup,
     integral_operator,
-    picard_sweeps,
     solve_fwd,
-    to_backward,
     weighted_norm,
 )
 from .zvonkin import InverseDiverged, TransformContext, make_context, phi, psi

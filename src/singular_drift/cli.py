@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, heat_semigroup, load_time_field, \
-    load_time_field_meta, save_time_field
+from .spectral import GridSpec, SpectralField, TimeField, heat_semigroup, \
+    load_time_field, load_time_field_meta, save_time_field
 from .paraproduct import SOLVER_STAGE, dealiased_multiply
 from .drifts import assumption_check, generate
-from .kolmogorov import gamma_bound_check
 from .zvonkin import make_context, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
 from .lab import (
@@ -118,6 +117,8 @@ def _run_study(fn, args) -> int:
 
 def cmd_diagnostics(args) -> int:
     """Quick self-checks; prints one pass/fail line each."""
+    from .theory import gamma_bound_check
+
     ok_all = True
 
     def check(name, ok, detail=""):
@@ -144,7 +145,6 @@ def cmd_diagnostics(args) -> int:
     check("gamma tail bound", res["ok"],
           f"integral {res['integral']:.6g} <= bound {res['bound']:.6g}")
     # inverse round trip on a synthetic transform
-    from .spectral import TimeField
     coeffs = np.zeros((3, 1, 64), dtype=complex)
     coeffs[:, 0, 1] = -0.05j
     coeffs[:, 0, -1] = 0.05j   # 0.1 sin(x)

@@ -27,7 +27,7 @@ from . import __version__
 from .spectral import GridSpec, TimeField, save_time_field
 from .drifts import DriftSpec, KappaRegion, assumption_check, generate, mollified_sequence, pick_kappa
 from .paraproduct import SOLVER_STAGE, ladder_agrees
-from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd, to_backward
+from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd
 from .zvonkin import make_context
 from .sde import PathEnsemble, SimConfig, simulate_classical, simulate_y, virtual_x
 
@@ -285,7 +285,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
 def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float) -> tuple:
     """Solve at lam and build the transform: (backward u, context, solver report)."""
     v, solve_report = solve_fwd(b, lam)
-    u = to_backward(v)
+    u = v.reversed_time()
     return u, make_context(u, inverse_tol=INVERSE_TOL), solve_report
 
 

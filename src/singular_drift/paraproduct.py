@@ -37,7 +37,6 @@ __all__ = [
     "product",
     "drift_gradient_product",
     "ladder_agrees",
-    "product_bound_ratio",
 ]
 
 _FIRST_STAGE = 3  # the cutoff radius 2^3 already covers the smallest grids' core
@@ -127,22 +126,3 @@ def ladder_agrees(b: SpectralField, u: SpectralField, idx: SobolevIndex) -> bool
              for i in range(u.components) for j in range(d)]
     return all(np.array_equal(product(f, g, tol, idx).coeffs,
                               _stage(f, g, SOLVER_STAGE).coeffs) for f, g in terms)
-
-
-def product_bound_ratio(f: SpectralField, g: SpectralField, beta: float,
-                        delta: float, p: float, q: float,
-                        tol: float | None = None) -> float:
-    """||fg||_{H^{-beta}_p} / (||f||_{H^delta_p} ||g||_{H^{-beta}_q}).
-
-    The smooth/rough product estimate says this is bounded by a constant for
-    0 < beta < delta and q > max(p, d/delta); the ratio makes the constant
-    observable.
-    """
-    nf = sobolev_norm(f, SobolevIndex(delta, p))
-    ng = sobolev_norm(g, SobolevIndex(-beta, q))
-    if nf == 0.0 or ng == 0.0:
-        return 0.0
-    if tol is None:
-        tol = 2.0 * (1.0 + nf * ng)
-    fg = product(f, g, tol, SobolevIndex(-beta, p))
-    return sobolev_norm(fg, SobolevIndex(-beta, p)) / (nf * ng)

@@ -73,6 +73,11 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(c) for c in np.atleast_1d(self.x0)))
+        for name in ("steps", "paths", "base_steps"):
+            n = getattr(self, name)
+            if n is not None and not float(n).is_integer():
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, n if n is None else int(n))
         if self.steps < 1 or self.paths < 1:
             raise ValueError("steps and paths must be positive")
         if not self.horizon > 0:

@@ -22,8 +22,6 @@ __all__ = [
     "phi",
     "psi",
     "transform_jacobian",
-    "lipschitz_probe",
-    "time_continuity_probe",
 ]
 
 
@@ -116,42 +114,3 @@ def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
     d = ctx.u.grid.dimension
     vals = evaluate(gradient(ctx.u_at(t)), x)     # (m, d*d)
     return vals.reshape(-1, d, d)
-
-
-def lipschitz_probe(ctx: TransformContext, samples: int = 1000, seed: int = 0) -> float:
-    """Largest observed |psi(t,y1)-psi(t,y2)| / |y1-y2| over random triples.
-
-    The contraction estimate makes psi Lipschitz with constant at most 2; the
-    probe makes that observable.
-    """
-    d = ctx.u.grid.dimension
-    span = ctx.u.grid.period
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        t = rng.uniform(0.0, ctx.horizon)
-        pair = rng.uniform(0.0, span, size=(2, d))
-        gap = np.linalg.norm(pair[1] - pair[0])
-        if gap < 1e-9:
-            continue
-        px = psi(ctx, t, pair)
-        worst = max(worst, float(np.linalg.norm(px[1] - px[0]) / gap))
-    return worst
-
-
-def time_continuity_probe(ctx: TransformContext, gamma: float = 0.25,
-                          samples: int = 400, seed: int = 0) -> float:
-    """Largest |psi(t1,y)-psi(t2,y)| / |t1-t2|^gamma over random triples."""
-    d = ctx.u.grid.dimension
-    span = ctx.u.grid.period
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        t1, t2 = rng.uniform(0.0, ctx.horizon, size=2)
-        if abs(t2 - t1) < 1e-9:
-            continue
-        y = rng.uniform(0.0, span, size=(1, d))
-        p1 = psi(ctx, t1, y)
-        p2 = psi(ctx, t2, y)
-        worst = max(worst, float(np.linalg.norm(p2 - p1) / abs(t2 - t1) ** gamma))
-    return worst

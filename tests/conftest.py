@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
-from singular_drift.drifts import DriftSpec, generate
+from singular_drift.drifts import DriftSpec, _power_profile, _unit_phases, generate
+from singular_drift.kolmogorov import PdeConfig
+from singular_drift.zvonkin import make_context
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,23 @@ def rough_drift64():
     return generate(spec, grid, 1.0, 32)
 
 
+@pytest.fixture(params=["1d", "2d"])
+def march_case(request, rough_drift64):
+    """(drift, config): the scalar 1-D fixture and a 2-D vector-valued drift."""
+    if request.param == "1d":
+        return rough_drift64, PdeConfig(beta=0.25, delta=0.5, p=2.5)
+    spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
+                     amplitude=0.1)
+    b = generate(spec, GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
+    return b, PdeConfig(beta=0.25, delta=0.5, p=4.5)
+
+
+@pytest.fixture(scope="module")
+def sine_ctx():
+    """u(t, x) = 0.4 sin(x), constant in time: phi = x + 0.4 sin x."""
+    return make_context(sine_time_field(GridSpec(1, 64, 2.0 * np.pi), 0.4, 4))
+
+
 @pytest.fixture(scope="session")
 def sine_field(grid64):
     """sin(x) as a spectral field (exact two-mode representation)."""
@@ -45,6 +64,17 @@ def single_mode(grid, k, amplitude=1.0, component_count=1):
     coeffs = np.zeros((component_count,) + grid.spatial_shape, dtype=complex)
     coeffs[(0,) + ((k % grid.modes_per_axis),) * grid.dimension] = amplitude
     return SpectralField(grid, coeffs)
+
+
+def random_field(grid, eta, seed, band=None):
+    """Rough field with the drifts' power profile |k|^-eta (Philox-keyed
+    phases), optionally cut to |k| <= band."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    coeffs = _power_profile(grid, eta) * _unit_phases(rng, grid.spatial_shape)
+    if band is not None:
+        keep = np.sqrt(grid.kappa_sq()) <= band
+        coeffs = coeffs * keep
+    return SpectralField(grid, coeffs[None])
 
 
 def sine_time_field(grid, amplitude, steps, horizon=1.0):

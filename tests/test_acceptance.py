@@ -17,7 +17,7 @@ from singular_drift.spectral import (
     refine,
     sobolev_norm,
 )
-from singular_drift.paraproduct import product, product_bound_ratio
+from singular_drift.paraproduct import product
 from singular_drift.drifts import (
     DriftSpec,
     KappaRegion,
@@ -30,14 +30,17 @@ from singular_drift.drifts import (
 from singular_drift.kolmogorov import (
     PdeConfig,
     calibrate_lambda,
-    gamma_bound_check,
     gradient_sup,
     mild_residual,
-    picard_sweeps,
     solve_fwd,
-    to_backward,
 )
-from singular_drift.zvonkin import lipschitz_probe, make_context, phi, psi
+from singular_drift.zvonkin import make_context, phi, psi
+from singular_drift.theory import (
+    gamma_bound_check,
+    lipschitz_probe,
+    picard_sweeps,
+    product_bound_ratio,
+)
 from singular_drift.sde import SimConfig, brownian_increments, simulate_y, virtual_x
 from singular_drift.lab import (
     ExperimentConfig,
@@ -95,7 +98,7 @@ def solution(rough_drift, calibration):
 @pytest.fixture(scope="module")
 def transform(solution):
     _, v, _ = solution
-    return make_context(to_backward(v))
+    return make_context(v.reversed_time())
 
 
 def _random_rough(grid, eta, seed, band=None):
@@ -272,7 +275,7 @@ def test_criterion_08_time_self_convergence(grid, rough_drift, solution):
 
 def test_criterion_09_stability(rough_drift, pde, solution):
     lam, v, _ = solution
-    u = to_backward(v)
+    u = v.reversed_time()
     idx = pde.solution_index
     n_list = (2, 4, 8, 16, 32)
     v_gaps, g_gaps = [], []
@@ -280,7 +283,7 @@ def test_criterion_09_stability(rough_drift, pde, solution):
         v_n, _ = solve_fwd(b_n, lam)
         v_gaps.append(max(sobolev_norm(v_n.node(m) - v.node(m), idx)
                           for m in range(v.nodes + 1)))
-        g_gaps.append(gradient_sup(to_backward(v_n) - u))
+        g_gaps.append(gradient_sup(v_n.reversed_time() - u))
     v_dec = all(b < a for a, b in zip(v_gaps, v_gaps[1:]))
     g_dec = all(b < a for a, b in zip(g_gaps, g_gaps[1:]))
     ok = v_dec and g_dec
@@ -293,7 +296,7 @@ def test_criterion_10_trivial_sde(grid):
     zero = DriftSpec(family="smooth-test", seed=1, beta=BETA, amplitude=0.0)
     b0 = generate(zero, grid, T, M)
     v0, _ = solve_fwd(b0, 1.0)
-    ctx = make_context(to_backward(v0))
+    ctx = make_context(v0.reversed_time())
     x0 = 0.3
     sim = SimConfig(x0=(x0,), horizon=T, steps=M, paths=PATHS, seed=77, lam=1.0)
     ens = virtual_x(ctx, simulate_y(ctx, sim))

@@ -153,10 +153,13 @@ def test_import_leaves_scipy_submodules_unloaded():
         "kendall_trend([1, 2, 3, 4], [4.0, 3.0, 2.0, 1.0])\n"
         "kendall_trend([1, 2, 3, 4], [4.0, 3.0, 3.0, 1.0])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('singular_drift.theory' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    scipy_modules, theory_loaded = out.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert theory_loaded == "False"     # only diagnostics and tests import theory
 
 
 # --- configuration plumbing ----------------------------------------------------------------

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from singular_drift.spectral import GridSpec, SobolevIndex, SpectralField, evaluate, refine
+from singular_drift.spectral import (
+    GridSpec,
+    SobolevIndex,
+    SpectralField,
+    evaluate,
+    gradient,
+    sobolev_norm,
+)
 from singular_drift.paraproduct import (
     SOLVER_STAGE,
     NonConvergent,
@@ -11,22 +18,10 @@ from singular_drift.paraproduct import (
     drift_gradient_product,
     ladder_agrees,
     product,
-    product_bound_ratio,
 )
-from singular_drift.drifts import _power_profile, _unit_phases
-
-from conftest import single_mode
+from conftest import random_field, single_mode
 
 IDX = SobolevIndex(-0.25, 2.0)
-
-
-def _random_field(grid, eta, seed, band=None):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    coeffs = _power_profile(grid, eta) * _unit_phases(rng, grid.spatial_shape)
-    if band is not None:
-        keep = np.sqrt(grid.kappa_sq()) <= band
-        coeffs = coeffs * keep
-    return SpectralField(grid, coeffs[None])
 
 
 def _brute_convolution(f, g):
@@ -75,10 +70,10 @@ def test_dealiased_multiply_2d(grid64_2d):
 
 
 def test_dealiased_multiply_pairs_components(grid64):
-    f = SpectralField(grid64, np.concatenate([_random_field(grid64, 0.3, 31).coeffs,
-                                              _random_field(grid64, 0.8, 32).coeffs]))
-    g = SpectralField(grid64, np.concatenate([_random_field(grid64, 1.2, 33).coeffs,
-                                              _random_field(grid64, 0.5, 34).coeffs]))
+    f = SpectralField(grid64, np.concatenate([random_field(grid64, 0.3, 31).coeffs,
+                                              random_field(grid64, 0.8, 32).coeffs]))
+    g = SpectralField(grid64, np.concatenate([random_field(grid64, 1.2, 33).coeffs,
+                                              random_field(grid64, 0.5, 34).coeffs]))
     both = dealiased_multiply(f, g)
     for i in range(2):
         one = dealiased_multiply(f.component(i), g.component(i))
@@ -99,8 +94,8 @@ def test_dealiased_multiply_rejects_mismatch(grid64, grid64_2d):
 
 
 def test_product_bandlimited_equals_convolution(grid64):
-    f = _random_field(grid64, 0.3, 21, band=8)
-    g = _random_field(grid64, 1.2, 22, band=8)
+    f = random_field(grid64, 0.3, 21, band=8)
+    g = random_field(grid64, 1.2, 22, band=8)
     got = product(f, g, 1e-10, IDX)
     want = _brute_convolution(f, g)
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-12
@@ -108,16 +103,16 @@ def test_product_bandlimited_equals_convolution(grid64):
 
 def test_product_bandlimited_ladder_terminates_exactly(grid64):
     # once the cutoff covers the band the stages repeat: any tol works
-    f = _random_field(grid64, 0.3, 23, band=8)
-    g = _random_field(grid64, 0.8, 24, band=8)
+    f = random_field(grid64, 0.3, 23, band=8)
+    g = random_field(grid64, 0.8, 24, band=8)
     tight = product(f, g, 1e-14, IDX)
     loose = product(f, g, 1.0, IDX)
     assert np.array_equal(tight.coeffs, loose.coeffs)
 
 
 def test_product_commutes(grid64):
-    f = _random_field(grid64, 0.3, 25, band=12)
-    g = _random_field(grid64, 1.0, 26, band=12)
+    f = random_field(grid64, 0.3, 25, band=12)
+    g = random_field(grid64, 1.0, 26, band=12)
     fg = product(f, g, 1e-10, IDX)
     gf = product(g, f, 1e-10, IDX)
     assert np.max(np.abs(fg.coeffs - gf.coeffs)) < 1e-14
@@ -126,8 +121,8 @@ def test_product_commutes(grid64):
 def test_product_full_lattice_raises_at_tiny_tol(grid64):
     # near-critical spectra fill every octave; the dyadic tail cannot reach
     # 1e-12 before the cutoff covers the lattice
-    f = _random_field(grid64, 0.3, 27)
-    g = _random_field(grid64, 0.3, 28)
+    f = random_field(grid64, 0.3, 27)
+    g = random_field(grid64, 0.3, 28)
     with pytest.raises(NonConvergent, match="does not stabilize"):
         product(f, g, 1e-12, IDX)
 
@@ -178,22 +173,21 @@ def test_ladder_disagrees_when_the_drift_sits_past_the_stage():
     assert ladder_agrees(b, 1e-6 * u, IDX)
 
 
-# --- the observable product constant ---------------------------------------------------
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 2: the ladder stops once two stages agree, "
+                          "so it cannot see energy that stages 3 and 4 both drop")
+def test_ladder_sees_energy_past_two_agreeing_stages():
+    # b = A cos(28x) lies outside the stage-3 and stage-4 low-passes (zero from
+    # |k| = 12 and 24), so both stages read 0 and the ladder returns stage 4
+    # (norm 7e-14); stages 5-7 and the full-lattice product read 5.297
+    grid = GridSpec(1, 64, 2.0 * np.pi)
+    x = grid.axis_points()
+    b = SpectralField.from_grid(grid, (1e3 * np.cos(28 * x))[None])
+    g = gradient(SpectralField.from_grid(grid, (0.01 * np.sin(x))[None]))
+    idx = SobolevIndex(-0.25, 2.5)
+    try:
+        got = product(b, g, 1.0, idx)
+    except NonConvergent:
+        return
+    assert sobolev_norm(got - dealiased_multiply(b, g), idx) < 1.0
 
-
-def test_product_bound_ratio_zero_factor(grid64, sine_field):
-    zero = SpectralField.zero(grid64)
-    assert product_bound_ratio(zero, sine_field, 0.25, 0.5, 2.0, 3.0) == 0.0
-
-
-def test_product_bound_ratio_positive_and_stable(grid64):
-    beta, delta, p, q = 0.25, 0.5, 2.5, 3.0
-    drifts = []
-    for seed in range(10):
-        f = _random_field(grid64, 2.0, 100 + seed)
-        g = _random_field(grid64, 0.3, 200 + seed)
-        r = product_bound_ratio(f, g, beta, delta, p, q)
-        assert np.isfinite(r) and r > 0
-        r2 = product_bound_ratio(refine(f), refine(g), beta, delta, p, q)
-        drifts.append(abs(r2 - r) / r)
-    assert max(drifts) < 0.05

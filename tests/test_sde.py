@@ -61,6 +61,18 @@ def test_sim_config_rejects_bad_values(kwargs):
         SimConfig(**base)
 
 
+@pytest.mark.parametrize("field", ["steps", "paths", "base_steps"])
+def test_sim_config_counts_are_integers(field):
+    # a fractional count is refused by name; an integral float is stored as
+    # an int, so the noise arrays can be shaped by it
+    base = dict(x0=(0.0,), horizon=1.0, steps=4, paths=3, seed=0, lam=1.0, base_steps=8)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{**base, field: base[field] + 0.5})
+    cfg = SimConfig(**{**base, field: float(base[field])})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == base[field]
+    assert brownian_increments(cfg).shape == (3, 4, 1)
+
+
 def test_sim_config_roundtrip():
     cfg = small_sim(base_steps=32)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg

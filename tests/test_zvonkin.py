@@ -11,24 +11,13 @@ from singular_drift.spectral import GridSpec, TimeField, evaluate, gradient
 from singular_drift.zvonkin import (
     InverseDiverged,
     TransformContext,
-    lipschitz_probe,
     make_context,
     phi,
     psi,
-    time_continuity_probe,
     transform_jacobian,
 )
 
 from conftest import node_gradient_jacobian, random_time_field, sine_time_field
-
-
-@pytest.fixture(scope="module")
-def sine_ctx():
-    """u(t, x) = 0.4 sin(x), constant in time: phi = x + 0.4 sin x."""
-    grid = None
-    from singular_drift.spectral import GridSpec
-    grid = GridSpec(1, 64, 2.0 * np.pi)
-    return make_context(sine_time_field(grid, 0.4, 4))
 
 
 def test_make_context_certifies_gradient(grid64):
@@ -146,20 +135,3 @@ def test_certificate_holds_between_grid_nodes():
     worst = max(float(np.max(np.abs(evaluate(gradient(u.node(m)), fine))))
                 for m in range(u.nodes + 1))
     assert worst <= 0.5
-
-
-def test_lipschitz_probe_bound(sine_ctx):
-    # psi' = 1/(1 + 0.4 cos x) peaks at 1/0.6; the contraction bound is 2
-    lp = lipschitz_probe(sine_ctx, samples=400, seed=3)
-    assert lp <= 1.0 / 0.6 + 1e-9
-    assert lp > 1.0
-
-
-def test_time_continuity_probe(grid64):
-    # u(t) = 0.2 t sin(x): |psi(t1,y) - psi(t2,y)| <= 2 |u(t1)-u(t2)|_sup
-    nodes = [sine_time_field(grid64, 0.2 * t, 1).node(0)
-             for t in np.linspace(0.0, 1.0, 5)]
-    u = TimeField.from_nodes(nodes, 1.0)
-    ctx = make_context(u)
-    worst = time_continuity_probe(ctx, gamma=1.0, samples=200, seed=4)
-    assert 0.0 < worst <= 0.4 + 1e-9
