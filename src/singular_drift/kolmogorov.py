@@ -6,15 +6,16 @@ The unknown v solves, in mild form on [0, T],
 
 where P(t) = exp(t (Laplacian/2 - I)) acts diagonally on Fourier modes with
 symbol exp(-t a_kappa), a_kappa = 1 + |kappa|^2/2.  Each timestep of the
-integral is evaluated exactly in the semigroup factor with the integrand
-frozen at the left node, so the kernel singularity never meets the quadrature.
-The frozen integrand makes the discrete operator strictly causal: node m of
-its output depends only on nodes before m.  Its fixed point is therefore one
-exponential-Euler march over the time nodes (Hochbruck & Ostermann,
-"Exponential integrators", Acta Numerica 2010), which `solve_fwd` performs.
-Picard iteration in an exponentially weighted sup-norm, the contraction
-argument of the theory, lives in `theory.picard_sweeps`.  The backward-time
-solution u is the time reversal of v, `v.reversed_time()`.
+integral is evaluated exactly in the semigroup factor, with b . grad v + b
+frozen at the left node and the killing term -lam v at the right node, so the
+kernel singularity never meets the quadrature: exponential Euler for the
+Laplacian beside implicit Euler for lambda (Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 1995), whose step factors damp at every lambda >= 0.  The frozen
+integrand makes the discrete operator strictly causal: node m of its output
+depends only on nodes before m, so its fixed point is one march over the time
+nodes, which `solve_fwd` performs.  Picard iteration in an exponentially
+weighted sup-norm, the contraction argument of the theory, lives in
+`theory.picard_sweeps`.  The backward-time solution u is `v.reversed_time()`.
 
 The product b . grad v is the fixed dyadic stage of
 `paraproduct.drift_gradient_product`, which the operator forms at every node
@@ -124,29 +125,35 @@ class SolveReport:
 # --- the mild integral operator -----------------------------------------------
 
 
-def _integrand(b: _F, v: _F, lam: float) -> np.ndarray:
-    """g = b . grad v + b - lam v at one node or every node, as coefficients."""
-    return drift_gradient_product(b, v).coeffs + b.coeffs - lam * v.coeffs
+def _integrand(b: _F, v: _F) -> np.ndarray:
+    """g = b . grad v + b at one node or every node, as coefficients."""
+    return drift_gradient_product(b, v).coeffs + b.coeffs
 
 
-def _step_factors(tf: TimeField) -> tuple:
-    """E = exp(-dt a) and w = (1 - exp(-dt a))/a per mode, a the Bessel symbol."""
+def _step_factors(tf: TimeField, lam: float) -> tuple:
+    """E/(1 + lam w) and w/(1 + lam w) per mode, E = exp(-dt a), w = (1 - E)/a
+    and a the Bessel symbol: the step v_m = E v_{m-1} + w (g_{m-1} - lam v_m)
+    with the killing term at the right node.  For lam >= 0 both are positive
+    and the first is below 1, so no step amplifies."""
     dt = tf.horizon / tf.nodes
     a = tf.grid.bessel_symbol()[None]       # broadcast over components
-    return np.exp(-dt * a), -np.expm1(-dt * a) / a
+    w = -np.expm1(-dt * a) / a
+    damp = 1.0 + lam * w
+    return np.exp(-dt * a) / damp, w / damp
 
 
 def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     """One application of the mild right-hand side on the shared time grid.
 
     Per mode the step integral int_{t_l}^{t_{l+1}} exp(-(t_m - r) a) g(r) dr is
-    taken with g frozen at t_l and the semigroup factor integrated exactly:
-    the recurrence I_m = E I_{m-1} + w g_{m-1} with E = exp(-dt a),
+    taken with g = b . grad v + b frozen at t_l, the killing term -lam I at
+    t_{l+1}, and the semigroup factor integrated exactly: the recurrence
+    I_m = (E I_{m-1} + w g_{m-1}) / (1 + lam w) with E = exp(-dt a),
     w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  g is formed
     at every node in one product, which refuses a v off b's grid or nodes.
     """
-    decay, weight = _step_factors(b)
-    g = _integrand(b, v, lam)
+    decay, weight = _step_factors(b, lam)
+    g = _integrand(b, v)
     out = np.zeros_like(b.coeffs)
     for m in range(1, b.nodes + 1):
         out[m] = decay * out[m - 1] + weight * g[m - 1]
@@ -171,16 +178,16 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     """Fixed point of the mild integral operator, plus a report.
 
     integral_operator computes node m from nodes < m only, so its fixed point
-    is one march v_m = E v_{m-1} + w g(v_{m-1}) from v_0 = 0.  The march does
-    the operator's own floating-point operations in the same order, so
-    integral_operator(v) equals v exactly.  The report reads one pass,
-    with no sweep differences and weight rate 0.
+    is one march v_m = (E v_{m-1} + w g(v_{m-1})) / (1 + lam w) from v_0 = 0.
+    The march does the operator's own floating-point operations in the same
+    order, so integral_operator(v) equals v exactly.  The report reads one
+    pass, with no sweep differences and weight rate 0.
     """
-    decay, weight = _step_factors(b)
+    decay, weight = _step_factors(b, lam)
     v = np.zeros_like(b.coeffs)
     for m in range(1, b.nodes + 1):
         vm = SpectralField(b.grid, v[m - 1])
-        v[m] = decay * v[m - 1] + weight * _integrand(b.node(m - 1), vm, lam)
+        v[m] = decay * v[m - 1] + weight * _integrand(b.node(m - 1), vm)
     report = SolveReport(iterations=1, rho=0.0, sup_diffs=(), ratios=(),
                          lam=float(lam), method="march")
     return TimeField(b.grid, b.horizon, v), report
@@ -211,22 +218,12 @@ def calibrate_lambda(b: TimeField) -> tuple:
     """Double lambda from 1 until gradient_sup(u_lambda) <= GRADIENT_TARGET.
 
     Returns (lambda, trace) with trace = [(lambda_i, gradient_sup_i), ...].
-    Raises CalibrationFailed after MAX_DOUBLINGS unsuccessful doublings, or
-    once lambda passes nodes/horizon.
+    The march damps at every lambda (its killing term sits at the right node),
+    so only MAX_DOUBLINGS unsuccessful doublings raise CalibrationFailed.
     """
-    # the killing term is frozen on the left node, so the step integral is
-    # only faithful while lam * dt <= 1; past that the scheme amplifies
-    lam_cap = b.nodes / b.horizon
     lam = 1.0
     trace = []
     for _ in range(MAX_DOUBLINGS + 1):
-        if lam > lam_cap:
-            raise CalibrationFailed(
-                f"lambda {lam:g} exceeds the time-resolution bound "
-                f"{lam_cap:g} (= nodes/horizon) before the gradient target "
-                f"{GRADIENT_TARGET} was met; refine the time grid or weaken the drift",
-                trace=trace,
-            )
         v, _report = solve_fwd(b, lam)
         g = gradient_sup(v.reversed_time())
         trace.append((lam, g))

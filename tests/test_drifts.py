@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from singular_drift.spectral import GridSpec, SobolevIndex, sobolev_norm
+from singular_drift.spectral import SobolevIndex, sobolev_norm
 from singular_drift.drifts import (
     AssumptionViolated,
     DriftSpec,

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from singular_drift import kolmogorov
 from singular_drift.spectral import (
     GridSpec,
     SobolevIndex,
     SpectralField,
     TimeField,
     gradient,
-    sobolev_norm,
 )
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.paraproduct import drift_gradient_product, ladder_agrees, product
@@ -61,19 +61,29 @@ def test_pde_config_indices():
 # --- the integral operator -------------------------------------------------------------
 
 
-def test_integral_operator_single_mode_exact(grid64):
-    # time-constant integrand: frozen-node quadrature is exact per mode,
-    # I(0)(t) for b = c e^{ikx} must equal c (1 - e^{-t a_k}) / a_k
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_integral_operator_single_mode_exact(grid64, lam):
+    # time-constant integrand b = c e^{ikx}: the frozen-node quadrature is
+    # exact per mode, so I(0)(t) = c (1 - e^{-t a_k}) / a_k at lam = 0; at
+    # lam > 0 the right-node killing term gives the recurrence
+    # I_m = E' I_{m-1} + w' c, with closed form c w' (1 - E'^m) / (1 - E')
     k, c, steps = 3, 0.8 - 0.2j, 16
     coeffs = np.zeros((1, 64), dtype=complex)
     coeffs[0, k] = c
     b = TimeField.from_nodes(
         [SpectralField(grid64, coeffs)] * (steps + 1), 1.0)
     v0 = TimeField.zero(grid64, 1.0, steps)
-    out = integral_operator(v0, b, 2.0)
+    out = integral_operator(v0, b, lam)
     a_k = 1.0 + 0.5 * k ** 2
     times = np.linspace(0.0, 1.0, steps + 1)
-    want = c * (1.0 - np.exp(-times * a_k)) / a_k
+    if lam == 0.0:
+        want = c * (1.0 - np.exp(-times * a_k)) / a_k
+    else:
+        dt = 1.0 / steps
+        w = (1.0 - np.exp(-dt * a_k)) / a_k
+        decay, weight = np.exp(-dt * a_k) / (1.0 + lam * w), w / (1.0 + lam * w)
+        m = np.arange(steps + 1)
+        want = c * weight * (1.0 - decay ** m) / (1.0 - decay)
     got = out.coeffs[:, 0, k]
     assert np.max(np.abs(got - want)) < 1e-14
     other = np.delete(out.coeffs, k, axis=2)
@@ -206,26 +216,33 @@ def test_calibrate_lambda_smooth_drift(grid64):
     assert [t[0] for t in trace] == [2.0 ** i for i in range(len(trace))]
 
 
-def test_calibrate_lambda_fails_on_coarse_time_grid(grid64):
-    # strong drift and only 4 time steps: the freezing scheme caps lambda at
-    # nodes/horizon = 4 before the gradient target is reached
-    b = generate(DriftSpec(family="random-fourier", seed=42, beta=0.25,
-                           eta=0.3, amplitude=1.0), grid64, 1.0, 4)
-    with pytest.raises(CalibrationFailed, match="time-resolution bound"):
-        calibrate_lambda(b)
-    try:
-        calibrate_lambda(b)
-    except CalibrationFailed as exc:
-        assert len(exc.trace) == 3                # lambda = 1, 2, 4 were tried
-        assert all(g > 0.5 for _, g in exc.trace)
+def coarse_strong_drift(grid):
+    # strong drift and only 4 time steps: lambda must pass nodes/horizon = 4
+    return generate(DriftSpec(family="random-fourier", seed=42, beta=0.25,
+                              eta=0.3, amplitude=1.0), grid, 1.0, 4)
 
 
-@pytest.mark.xfail(strict=True, raises=CalibrationFailed,
-                   reason="ROADMAP item 1: the lambda cap lambda <= M/T makes 2-D "
-                          "calibration fail")
+def test_calibrate_lambda_on_coarse_time_grid(grid64):
+    # the right-node killing term damps at every lambda, so calibration
+    # doubles on past lambda * dt = 1 until the target is met
+    lam, trace = calibrate_lambda(coarse_strong_drift(grid64))
+    assert lam == 256.0
+    assert [t[0] for t in trace] == [2.0 ** i for i in range(len(trace))]
+    assert trace[-1][1] <= 0.5
+    assert all(g > 0.5 for _, g in trace[:-1])
+
+
+def test_calibrate_lambda_fails_after_max_doublings(grid64, monkeypatch):
+    monkeypatch.setattr(kolmogorov, "MAX_DOUBLINGS", 2)
+    with pytest.raises(CalibrationFailed, match="after 2 doublings") as exc:
+        calibrate_lambda(coarse_strong_drift(grid64))
+    assert [lam for lam, _ in exc.value.trace] == [1.0, 2.0, 4.0]
+    assert all(g > 0.5 for _, g in exc.value.trace)
+
+
 def test_calibrate_lambda_2d_rough_drift():
-    # the trace reads 0.919, 0.832, 0.707, 0.554, 0.518 at lambda 1..16, and
-    # lambda 32 passes the cap M/T = 16
+    # the trace reads 0.918, 0.832, 0.707, 0.553, 0.394 at lambda 1..16: the
+    # target is met at lambda 16 = M/T, which the damping march reaches
     b = generate(DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
                            amplitude=0.1), GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
     _, trace = calibrate_lambda(b)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from singular_drift.lab import (
     study_smooth_consistency,
     wasserstein1,
 )
+from singular_drift.sde import SimConfig, simulate_y, virtual_x
 
 
 ROUGH = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
@@ -236,6 +238,22 @@ def test_prepare_transform_bundle():
     assert bundle["assumption"].sup_norm > 0
     assert bundle["pde"].delta == 0.5 and bundle["pde"].p == 2.5
     assert bundle["ctx"].inverse_tol == INVERSE_TOL
+
+
+def test_2d_pipeline_calibrates_at_nodes_over_horizon():
+    # the 2-D rough drift meets the gradient target at lambda 16 = pde_nodes /
+    # horizon, so the whole 2-D route runs at a lambda with lambda * dt = 1
+    cfg = ExperimentConfig(name="tiny-2d", drift=replace(ROUGH, amplitude=0.1),
+                           dimension=2, modes=16, pde_nodes=16, steps=16, q=5.0,
+                           x0=(0.0, 0.0), paths=256, seed=5)
+    bundle = prepare_transform(cfg)
+    assert bundle["lam"] == 16.0
+    assert bundle["ladder_agrees"]
+    sim = SimConfig(x0=cfg.x0, horizon=cfg.horizon, steps=cfg.steps,
+                    paths=cfg.paths, seed=cfg.seed, lam=bundle["lam"])
+    x = virtual_x(bundle["ctx"], simulate_y(bundle["ctx"], sim))
+    assert x.states.shape == (256, 17, 2)
+    assert np.all(np.isfinite(x.states))
 
 
 # --- studies ------------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from singular_drift.spectral import (
     GridSpec,
     SobolevIndex,
     SpectralField,
-    evaluate,
     gradient,
     sobolev_norm,
 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import singular_drift.sde as sde
-from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate
+from singular_drift.spectral import GridSpec, SpectralField, TimeField
 from singular_drift.zvonkin import TransformContext, make_context, psi
 from singular_drift.sde import (
     EllipticityError,

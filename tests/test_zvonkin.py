@@ -10,7 +10,6 @@ from singular_drift.lab import ExperimentConfig, prepare_transform
 from singular_drift.spectral import GridSpec, TimeField, evaluate, gradient
 from singular_drift.zvonkin import (
     InverseDiverged,
-    TransformContext,
     make_context,
     phi,
     psi,
