@@ -50,6 +50,7 @@ __all__ = [
 
 _PATH_BLOCK = 2048       # partition of the path axis in brownian_increments; bounds Box-Muller
 _ENSEMBLE_MAGIC = b"SDE1"
+_last_noise: dict = {}   # brownian_increments' one entry: key -> read-only increments
 
 STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
                "(2m,2m+1) via box-muller, first d normals")
@@ -163,14 +164,21 @@ def _block_normals(seed: int, lo: int, hi: int, steps: int, d: int) -> np.ndarra
 
 
 def brownian_increments(cfg: SimConfig) -> np.ndarray:
-    """All increments (paths, steps, d), summed from base_steps draws.
+    """All increments (paths, steps, d), summed from base_steps draws; read-only.
 
-    Box-Muller runs over a fixed partition of the path axis and writes each
-    block in place into the output, so its temporaries stay bounded at any
-    path count.
+    The noise is a pure function of the key below, so the last draw is handed
+    back for an equal key (the runs of a study on one seed share it) and
+    dropped before any other draw.  Box-Muller runs over a fixed partition of
+    the path axis and writes each block in place into the output, so its
+    temporaries stay bounded at any path count.
     """
     base = cfg.base_steps or cfg.steps
     d = cfg.dimension
+    key = (cfg.seed, cfg.paths, cfg.steps, base, d, cfg.horizon)
+    hit = _last_noise.get(key)
+    if hit is not None:
+        return hit
+    _last_noise.clear()
     k = base // cfg.steps
     out = np.empty((cfg.paths, cfg.steps, d))
     for lo in range(0, cfg.paths, _PATH_BLOCK):
@@ -181,6 +189,8 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
             out[lo:hi] = z
         else:
             np.sum(z.reshape(hi - lo, cfg.steps, k, d), axis=2, out=out[lo:hi])
+    out.setflags(write=False)
+    _last_noise[key] = out
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TypeVar
 
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _REAL_TOL = 1e-10  # relative imaginary residue allowed in grid values
+_BAND_TOL = 2.0 ** -53  # unit roundoff: the relative tail a 1-D evaluation drops
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,21 @@ class SpectralField(_Field):
         coeffs = np.fft.fftn(v, axes=axes) / grid.n_modes
         return SpectralField(grid, coeffs)
 
+    @cached_property
+    def _eval_bands(self):
+        """`evaluate`'s band per component (None in 2-D), kept per field since
+        its coefficients are read-only; refuses coefficients with
+        c_k != conj(c_-k) beyond _REAL_TOL relative to max(sum |c|, 1)."""
+        n, axes = self.grid.modes_per_axis, _spatial_axes(self)
+        neg = -np.arange(n) % n
+        mirror = self.coeffs[:, neg] if len(axes) == 1 else self.coeffs[:, neg[:, None], neg]
+        mag = np.abs(self.coeffs)
+        resid = np.max(np.max(np.abs(self.coeffs - np.conj(mirror)), axis=axes)
+                       / np.maximum(np.sum(mag, axis=axes), 1.0))
+        if resid > _REAL_TOL:
+            raise ValueError(f"field is not real: coefficients have Hermitian residue {resid:.3e}")
+        return _bands(mag) if len(axes) == 1 else None
+
 
 def _apply_multiplier(f: _F, mult: np.ndarray) -> _F:
     """Multiply coefficients by a lattice symbol (broadcast over the leading
@@ -421,22 +438,26 @@ def sobolev_norm(f: _Field, idx: SobolevIndex):
 def evaluate(f: SpectralField, x) -> np.ndarray:
     """Direct Fourier summation at arbitrary points, one kernel per dimension.
 
-    d = 1: Horner's rule on each component (`_horner_eval`).  d = 2: per
-    component one matrix product (zgemm) of the axis-0 phase matrix with the
-    coefficient plane, summed row-wise against the axis-1 phase matrix.  Each
-    point gets the same operations whatever the batch size, so the first n
-    rows of a batch equal an n-point call bit for bit.
+    d = 1: Horner's rule on each component over the band it occupies
+    (`_bands`, `_horner_eval`).  d = 2: per component one matrix product
+    (zgemm) of the axis-0 phase matrix with the coefficient plane, summed
+    row-wise against the axis-1 phase matrix.  The band depends on the
+    coefficients alone and each point gets the same operations whatever the
+    batch size, so the first n rows of a batch equal an n-point call bit for
+    bit.
 
     x: a batch of shape (m, d); one point is a one-row batch.  Returns
-    (m, components), real.
+    (m, components), real.  Refuses coefficients that are not Hermitian
+    (`SpectralField._eval_bands`).
     """
     pts = _points(x, f.grid.dimension)
     m = pts.shape[0]
+    bands = f._eval_bands
     # one point runs as a two-row batch: numpy's in-place complex product and
     # BLAS's matrix-vector path both round a lone row differently
     rows = np.repeat(pts, 2, axis=0) if m == 1 else pts
     if f.grid.dimension == 1:
-        per_comp = [_horner_eval(f.grid, c, rows[:, 0]) for c in f.coeffs]
+        per_comp = [_horner_eval(f.grid, c, rows[:, 0], k) for c, k in zip(f.coeffs, bands)]
     else:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
@@ -452,21 +473,35 @@ def _points(x, d: int) -> np.ndarray:
     return pts
 
 
-def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k z^k for z = exp(i 2 pi x / L) by Horner's rule (d=1 scalar).
+def _bands(mag: np.ndarray) -> np.ndarray:
+    """Per component of the (components, N) magnitudes, the smallest K with
+    sum_{|k|>K} |c_k| <= u sum_k |c_k|, u = _BAND_TOL; none (a NaN) gives N/2.
+    Tails are reverse cumulative sums over the shells |k| = r, never a
+    difference of two large sums."""
+    half = mag.shape[-1] // 2
+    shells = np.concatenate((mag[:, :1], mag[:, 1:half] + mag[:, :half:-1],
+                             mag[:, half:half + 1], np.zeros((mag.shape[0], 1))), axis=1)
+    rev = np.cumsum(shells[:, ::-1], axis=1)[:, ::-1]    # rev[:, r] = sum over |k| >= r
+    ok = rev[:, 1:] <= _BAND_TOL * rev[:, :1]            # tail beyond K = 0 .. N/2
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), half)
 
-    Avoids materializing the (points, modes) phase matrix; on the unit circle
-    the recurrence is backward-stable.
+
+def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray, band: int) -> np.ndarray:
+    """z^-K sum_{k=-K}^{K} c_k z^{k+K}, z = exp(i 2 pi x / L), by Horner's rule
+    (d=1 scalar); K = `band`, and K >= N/2 - 1 runs the full lattice
+    k = -N/2..N/2-1.  The error is the dropped tail, at most u sum |c_k|, plus
+    Horner's rounding, about 2(2K+1) u sum |c_k|: the recurrence is
+    backward-stable on the unit circle and needs no (points, modes) matrix.
     """
     n = grid.modes_per_axis
-    half = n // 2
-    c = np.fft.fftshift(coeffs)                 # order k = -N/2 .. N/2-1
+    lo, hi = (band, band) if band < n // 2 - 1 else (n // 2, n // 2 - 1)
+    c = np.concatenate((coeffs[n - lo:], coeffs[:hi + 1]))    # k = -lo .. hi
     z = np.exp(2j * np.pi / grid.period * x)
     acc = np.full(x.shape, c[-1], dtype=complex)
-    for j in range(n - 2, -1, -1):
+    for ck in c[-2::-1]:
         acc *= z
-        acc += c[j]
-    return acc * np.exp(-2j * np.pi * half / grid.period * x)
+        acc += ck
+    return acc * np.exp(-2j * np.pi * lo / grid.period * x)
 
 
 def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:

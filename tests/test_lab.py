@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 import singular_drift
+import singular_drift.sde as sde
 from singular_drift.drifts import DriftSpec
 from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.lab import (
@@ -295,6 +296,20 @@ def test_study_lambda_smoke():
     assert row["lambda_a"] == 2.0 and row["lambda_b"] == 4.0
     assert "within_3_floors" in row
     assert rep.floor > 0.0
+
+
+@pytest.mark.parametrize("study, draws", [(study_mollify, 3), (study_lambda, 2)],
+                         ids=["mollify", "lambda"])
+def test_study_draws_its_shared_noise_once(monkeypatch, study, draws):
+    # mollify: the virtual run and both levels share one draw, then the floor
+    # and the floor base; lambda: both lambdas share one draw, then the floor
+    calls = []
+    block_normals = sde._block_normals
+    monkeypatch.setattr(sde, "_last_noise", {})
+    monkeypatch.setattr(sde, "_block_normals",
+                        lambda *a: calls.append(a) or block_normals(*a))
+    study(tiny_config(lambda_list=(2.0, 4.0)))
+    assert len(calls) == draws
 
 
 def test_study_lambda_without_the_base_lambda():

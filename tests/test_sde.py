@@ -93,6 +93,28 @@ def test_increments_deterministic_and_path_keyed():
     assert not np.array_equal(a, other)
 
 
+def test_increments_cached_read_only_and_equal_to_a_direct_draw():
+    cfg = small_sim(paths=32)
+    a = brownian_increments(cfg)
+    b = brownian_increments(small_sim(paths=32))     # an equal config
+    assert np.array_equal(a, b)
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = 1.0
+    direct = sde._block_normals(cfg.seed, 0, cfg.paths, cfg.steps, 1) * np.sqrt(cfg.dt)
+    assert np.array_equal(a, direct)
+
+
+def test_increments_redrawn_after_another_config():
+    a = brownian_increments(small_sim(paths=32))
+    other = brownian_increments(small_sim(paths=32, seed=12))
+    assert not np.array_equal(a, other)
+    again = brownian_increments(small_sim(paths=32))
+    # one entry: the other seed's draw dropped the first, so this draw is fresh
+    assert again is not a
+    assert np.array_equal(again, a)
+
+
 def test_increment_moments():
     cfg = small_sim(paths=4000, steps=4)
     dw = brownian_increments(cfg)

@@ -28,7 +28,7 @@ from singular_drift.spectral import (
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.paraproduct import dealiased_multiply, drift_gradient_product
 
-from conftest import single_mode
+from conftest import random_field, single_mode
 
 
 # --- grid and field construction -------------------------------------------------
@@ -347,16 +347,69 @@ def test_evaluate_2d(grid64_2d):
     assert np.max(np.abs(evaluate(f, pts)[:, 0] - want)) < 1e-11
 
 
-@pytest.mark.parametrize("dim, modes, comps", [(1, 64, 1), (1, 64, 2), (2, 32, 2)])
-def test_evaluate_heads_independent_of_batch_size(dim, modes, comps):
+@pytest.mark.parametrize("dim, modes, comps, band", [
+    pytest.param(1, 64, 1, None, id="1-64-1"),
+    pytest.param(1, 64, 2, None, id="1-64-2"),
+    pytest.param(1, 64, 2, 3, id="1-64-2-band3"),
+    pytest.param(2, 32, 2, None, id="2-32-2"),
+])
+def test_evaluate_heads_independent_of_batch_size(dim, modes, comps, band):
     grid = GridSpec(dim, modes, 2.0 * np.pi)
     rng = np.random.default_rng(5)
     f = SpectralField.from_grid(grid, rng.standard_normal((comps,) + grid.spatial_shape))
+    if band is not None:
+        # a narrow band: the evaluation band follows the coefficients, never the points
+        f = SpectralField(grid, f.coeffs * (np.abs(grid.wavenumbers()) <= band))
     # more than 4096 points, so a chunked evaluation would split the batch
     p = rng.uniform(0.0, grid.period, size=(5000, dim))
     full = evaluate(f, p)
     for n in range(1, 65):
         assert np.array_equal(evaluate(f, p[:n]), full[:n]), n
+
+
+def _direct_sum(f, x):
+    """sum_k c_k exp(i kappa_k x) by one phase-matrix product per component."""
+    phases = np.exp(1j * np.outer(x[:, 0], f.grid.kappa_axis()))
+    return (phases @ f.coeffs.T).real
+
+
+def _corner_mode(grid):
+    c = np.zeros((1, grid.modes_per_axis), dtype=complex)
+    c[0, grid.modes_per_axis // 2] = 0.7       # 0.7 cos(N/2 x): only k = -N/2
+    return SpectralField(grid, c)
+
+
+@pytest.mark.parametrize("case", ["band-5", "smooth-test", "full-band", "zero",
+                                  "constant", "corner-mode"])
+def test_evaluate_band_matches_direct_sum(grid64, case):
+    fields = {
+        "band-5": lambda: random_field(grid64, 0.3, 8, band=5),
+        "smooth-test": lambda: generate(DriftSpec(family="smooth-test", seed=1, beta=0.25,
+                                                  amplitude=0.2), grid64, 1.0, 2).node(0),
+        "full-band": lambda: random_field(grid64, 0.3, 9),
+        "zero": lambda: SpectralField.zero(grid64),
+        "constant": lambda: SpectralField.constant(grid64, 1.3),
+        "corner-mode": lambda: _corner_mode(grid64),   # falls back to the full lattice
+    }
+    f = fields[case]()
+    x = np.random.default_rng(6).uniform(-1.0, 7.0, size=(200, 1))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
+def test_evaluate_band_of_a_nan_field_is_full(grid64):
+    # no finite tail meets the bound, so the band is the whole lattice and
+    # the NaN reaches every value instead of being cut off with the tail
+    c = random_field(grid64, 0.3, 8, band=5).coeffs.copy()
+    c[0, 20] = c[0, -20] = np.nan
+    assert np.all(np.isnan(evaluate(SpectralField(grid64, c), np.zeros((3, 1)))))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evaluate_refuses_non_hermitian_coeffs(dim):
+    f = single_mode(GridSpec(dim, 16, 2.0 * np.pi), 3)
+    with pytest.raises(ValueError, match="Hermitian residue"):
+        evaluate(f, np.zeros((4, dim)))
 
 
 def test_evaluate_periodicity(grid64, sine_field):
