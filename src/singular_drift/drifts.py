@@ -68,10 +68,10 @@ class DriftSpec:
             raise InvalidSpec(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not (0.0 < self.beta < 0.5):
             raise InvalidSpec(f"beta must lie in (0, 1/2), got {self.beta}")
-        if self.eta <= 0:
-            raise InvalidSpec("decay exponent eta must be positive")
-        if self.amplitude < 0:
-            raise InvalidSpec("amplitude must be nonnegative")
+        if not 0.0 < self.eta < np.inf:
+            raise InvalidSpec(f"decay exponent eta must be positive and finite, got {self.eta}")
+        if not 0.0 <= self.amplitude < np.inf:
+            raise InvalidSpec(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         if int(self.changes) != self.changes or self.changes < 0:
             raise InvalidSpec("changes must be a nonnegative integer")
         object.__setattr__(self, "changes", int(self.changes))
@@ -123,7 +123,7 @@ def _segment_field(spec: DriftSpec, grid: GridSpec, rng) -> SpectralField:
         prof = _power_profile(grid, spec.eta + 1.0)
         f = SpectralField(grid, (spec.amplitude * prof * _unit_phases(rng, grid.spatial_shape))[None])
         return gradient(f)
-    # smooth-test: b_i(x) = amplitude * sin(2 pi x_i / L), one lattice mode per axis
+    # smooth-test: b_i(x) = amplitude * sin(x_i), one lattice mode per axis
     coeffs = np.zeros((d,) + grid.spatial_shape, dtype=complex)
     for ax in range(d):
         plus = [0] * d

@@ -134,7 +134,9 @@ def _step_factors(tf: TimeField, lam: float) -> tuple:
     """E/(1 + lam w) and w/(1 + lam w) per mode, E = exp(-dt a), w = (1 - E)/a
     and a the Bessel symbol: the step v_m = E v_{m-1} + w (g_{m-1} - lam v_m)
     with the killing term at the right node.  For lam >= 0 both are positive
-    and the first is below 1, so no step amplifies."""
+    and the first is below 1, so no step amplifies; any other lam is refused."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     dt = tf.horizon / tf.nodes
     a = tf.grid.bessel_symbol()[None]       # broadcast over components
     w = -np.expm1(-dt * a) / a

@@ -158,7 +158,6 @@ class ExperimentConfig:
     drift: DriftSpec
     dimension: int = 1
     modes: int = 256
-    period: float = 2.0 * np.pi
     horizon: float = 1.0
     pde_nodes: int = 128
     q: float = 3.0
@@ -172,6 +171,7 @@ class ExperimentConfig:
     steps_list: tuple = (250, 500, 1000)
     out_dir: str | None = None
     note: str = ""                  # free-form; never feeds seeds or results
+    period = GridSpec.period        # a constant, not a field: the torus is fixed
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
@@ -191,6 +191,8 @@ class ExperimentConfig:
                 or any(max(steps) % k for k in steps)):
             raise ValueError("steps_list must hold distinct positive step counts "
                              "that each divide the largest")
+        if self.lam is not None and not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be None or positive and finite, got {self.lam}")
         lams = self.lambda_list
         if lams is not None and (len(lams) < 2 or len(set(lams)) != len(lams)
                                  or not all(0.0 < lam < math.inf for lam in lams)):
@@ -198,7 +200,7 @@ class ExperimentConfig:
                              "finite lambdas")
 
     def grid(self) -> GridSpec:
-        return GridSpec(self.dimension, self.modes, self.period)
+        return GridSpec(self.dimension, self.modes)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -78,7 +78,7 @@ def product(f: SpectralField, g: SpectralField, tol: float, idx: SobolevIndex) -
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    kmax = f.grid.max_kappa()
+    kmax = f.grid.modes_per_axis // 2 * np.sqrt(f.grid.dimension)    # largest |kappa|
     j = _FIRST_STAGE
     prev = _stage(f, g, j)
     while True:

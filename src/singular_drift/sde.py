@@ -85,6 +85,8 @@ class SimConfig:
             raise ValueError("horizon must be positive")
         if self.seed < 0 or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         base = self.base_steps
         if base is not None and (base < self.steps or base % self.steps != 0):
             raise ValueError("base_steps must be a multiple of steps")

@@ -1,7 +1,7 @@
-"""Periodic spectral calculus on [0, L)^d.
+"""Periodic spectral calculus on the torus [0, 2 pi)^d.
 
 Fields are stored by their Fourier coefficients c_kappa with the convention
-f(x) = sum_kappa c_kappa exp(i kappa.x), kappa = 2*pi*k/L, k in the FFT-ordered
+f(x) = sum_kappa c_kappa exp(i kappa.x), kappa = k in the FFT-ordered integer
 lattice {-N/2, ..., N/2-1}^d.  All fractional-smoothness operators (Bessel
 powers, heat semigroup, mollifiers) are diagonal multipliers in this basis;
 the reference operator is A = I - Laplacian/2 with symbol 1 + |kappa|^2/2.
@@ -44,11 +44,11 @@ _BAND_TOL = 2.0 ** -53  # unit roundoff: the relative tail a 1-D evaluation drop
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: d axes, N modes per axis, period L."""
+    """Uniform grid on the torus [0, 2 pi)^d: d axes, N modes per axis, kappa = k."""
 
     dimension: int
     modes_per_axis: int
-    period: float = 2.0 * np.pi
+    period = 2.0 * np.pi    # a constant: a torus of period L rescales to this one
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -56,8 +56,6 @@ class GridSpec:
         n = self.modes_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"modes_per_axis must be a power of two >= 8, got {n}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
 
     @property
     def spatial_shape(self) -> tuple:
@@ -75,13 +73,10 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.spacing ** self.dimension
 
-    def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in FFT order."""
-        n = self.modes_per_axis
-        return np.rint(np.fft.fftfreq(n) * n).astype(int)
-
     def kappa_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * self.wavenumbers() / self.period
+        """Wavenumbers along one axis in FFT order: the integers as floats."""
+        n = self.modes_per_axis
+        return np.fft.fftfreq(n, 1.0 / n)
 
     def kappa_mesh(self) -> list:
         """One |shape|-broadcastable kappa array per axis."""
@@ -111,10 +106,6 @@ class GridSpec:
             return ax[:, None]
         mesh = np.meshgrid(*([ax] * self.dimension), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def max_kappa(self) -> float:
-        """Largest |kappa| representable on the lattice."""
-        return float(np.sqrt(self.kappa_sq().max()))
 
 
 @dataclass(frozen=True)
@@ -367,7 +358,7 @@ def refine(f: _F) -> _F:
         fine[3 * h] *= 0.5
         fine[h] = fine[3 * h]           # k = +N/2
         c = np.moveaxis(fine, 0, axis)
-    return replace(f, grid=GridSpec(g.dimension, 2 * n, g.period), coeffs=c)
+    return replace(f, grid=GridSpec(g.dimension, 2 * n), coeffs=c)
 
 
 def coarsen(f: _F) -> _F:
@@ -386,7 +377,7 @@ def coarsen(f: _F) -> _F:
         coarse = np.concatenate([src[:h], src[3 * h:]])
         coarse[h] += src[h]
         c = np.moveaxis(coarse, 0, axis)
-    return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2, g.period), coeffs=c)
+    return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2), coeffs=c)
 
 
 # --- norms ------------------------------------------------------------------
@@ -487,7 +478,7 @@ def _bands(mag: np.ndarray) -> np.ndarray:
 
 
 def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray, band: int) -> np.ndarray:
-    """z^-K sum_{k=-K}^{K} c_k z^{k+K}, z = exp(i 2 pi x / L), by Horner's rule
+    """z^-K sum_{k=-K}^{K} c_k z^{k+K}, z = exp(i x), by Horner's rule
     (d=1 scalar); K = `band`, and K >= N/2 - 1 runs the full lattice
     k = -N/2..N/2-1.  The error is the dropped tail, at most u sum |c_k|, plus
     Horner's rounding, about 2(2K+1) u sum |c_k|: the recurrence is
@@ -496,23 +487,23 @@ def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray, band: int) -
     n = grid.modes_per_axis
     lo, hi = (band, band) if band < n // 2 - 1 else (n // 2, n // 2 - 1)
     c = np.concatenate((coeffs[n - lo:], coeffs[:hi + 1]))    # k = -lo .. hi
-    z = np.exp(2j * np.pi / grid.period * x)
+    z = np.exp(1j * x)
     acc = np.full(x.shape, c[-1], dtype=complex)
     for ck in c[-2::-1]:
         acc *= z
         acc += ck
-    return acc * np.exp(-2j * np.pi * lo / grid.period * x)
+    return acc * np.exp(-1j * lo * x)
 
 
 def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     """E[m, j] = exp(i kappa_j x_m) over the FFT-ordered axis.
 
-    Built from powers of z = exp(i 2 pi x / L): columns k = 1..N/2 by a
-    cumulative product, negative k by conjugation (|z| = 1).
+    Built from powers of z = exp(i x): columns k = 1..N/2 by a cumulative
+    product, negative k by conjugation (|z| = 1).
     """
     n = grid.modes_per_axis
     half = n // 2
-    z = np.exp(2j * np.pi / grid.period * x)
+    z = np.exp(1j * x)
     pos = np.tile(z[:, None], (1, half))
     np.multiply.accumulate(pos, axis=1, out=pos)   # pos[:, j] = z^{j+1}
     e = np.empty((x.size, n), dtype=complex)
@@ -627,7 +618,9 @@ def load_time_field(path) -> TimeField:
     meta = json.loads(_sidecar_path(path).read_text())
     if meta.get("real_flag") is not True:
         raise ValueError(f"{path}: sidecar does not mark the field real; fields are real")
-    grid = GridSpec(meta["d"], meta["N"], meta["L"])
+    if meta.get("L") != GridSpec.period:
+        raise ValueError(f"{path}: sidecar period L = {meta.get('L')!r}, not 2 pi")
+    grid = GridSpec(meta["d"], meta["N"])
     steps = meta["time"]["steps"]
     raw = np.frombuffer(path.read_bytes(), dtype="<c16")
     shape = (steps + 1, meta["components"]) + grid.spatial_shape

@@ -15,12 +15,12 @@ from singular_drift.zvonkin import make_context
 
 @pytest.fixture(scope="session")
 def grid64():
-    return GridSpec(1, 64, 2.0 * np.pi)
+    return GridSpec(1, 64)
 
 
 @pytest.fixture(scope="session")
 def grid64_2d():
-    return GridSpec(2, 64, 2.0 * np.pi)
+    return GridSpec(2, 64)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def rough_drift64():
     """Small-scale certified rough drift: random Fourier, 32 time nodes."""
     spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
                      amplitude=0.25)
-    grid = GridSpec(1, 64, 2.0 * np.pi)
+    grid = GridSpec(1, 64)
     return generate(spec, grid, 1.0, 32)
 
 
@@ -39,14 +39,14 @@ def march_case(request, rough_drift64):
         return rough_drift64, PdeConfig(beta=0.25, delta=0.5, p=2.5)
     spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
                      amplitude=0.1)
-    b = generate(spec, GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
+    b = generate(spec, GridSpec(2, 16), 1.0, 16)
     return b, PdeConfig(beta=0.25, delta=0.5, p=4.5)
 
 
 @pytest.fixture(scope="module")
 def sine_ctx():
     """u(t, x) = 0.4 sin(x), constant in time: phi = x + 0.4 sin x."""
-    return make_context(sine_time_field(GridSpec(1, 64, 2.0 * np.pi), 0.4, 4))
+    return make_context(sine_time_field(GridSpec(1, 64), 0.4, 4))
 
 
 @pytest.fixture(scope="session")

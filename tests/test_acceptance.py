@@ -69,7 +69,7 @@ def verdict(num, summary, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid():
-    return GridSpec(DIM, N, 2.0 * np.pi)
+    return GridSpec(DIM, N)
 
 
 @pytest.fixture(scope="module")

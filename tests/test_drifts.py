@@ -1,5 +1,7 @@
 """Drift generators, the admissibility window, and exponent selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,10 @@ from singular_drift.drifts import (
     {"changes": -1},
     {"changes": 0.5},
     {"changes": 1.5},
+    {"eta": math.inf},
+    {"eta": math.nan},
+    {"amplitude": math.inf},
+    {"amplitude": math.nan},
 ])
 def test_drift_spec_rejects_bad_parameters(kwargs):
     base = {"family": "random-fourier", "seed": 1, "beta": 0.25}

@@ -90,6 +90,17 @@ def test_integral_operator_single_mode_exact(grid64, lam):
     assert np.max(np.abs(other)) == 0.0
 
 
+@pytest.mark.parametrize("lam", [-0.5, -100.0, np.inf, np.nan])
+def test_solver_refuses_lambdas_the_theory_excludes(grid64, lam):
+    # the step factors damp only for 0 <= lam < inf; a negative lambda used
+    # to amplify, inf to zero every step, and NaN to fail at the certificate
+    b = constant_drift(grid64, 1.0, 8)
+    with pytest.raises(ValueError, match="lam"):
+        solve_fwd(b, lam)
+    with pytest.raises(ValueError, match="lam"):
+        integral_operator(TimeField.zero(grid64, 1.0, 8), b, lam)
+
+
 def test_integral_operator_rejects_mismatched_grids(grid64):
     b = constant_drift(grid64, 1.0, 8)
     v = TimeField.zero(grid64, 1.0, 16)
@@ -244,6 +255,6 @@ def test_calibrate_lambda_2d_rough_drift():
     # the trace reads 0.918, 0.832, 0.707, 0.553, 0.394 at lambda 1..16: the
     # target is met at lambda 16 = M/T, which the damping march reaches
     b = generate(DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
-                           amplitude=0.1), GridSpec(2, 16, 2.0 * np.pi), 1.0, 16)
+                           amplitude=0.1), GridSpec(2, 16), 1.0, 16)
     _, trace = calibrate_lambda(b)
     assert trace[-1][1] <= 0.5

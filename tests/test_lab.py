@@ -175,12 +175,12 @@ def test_experiment_config_roundtrip():
 
 
 @pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol", "inverse_tol",
-                                 "consistency_paths"])
+                                 "consistency_paths", "period"])
 def test_experiment_config_rejects_removed_keys(key):
     # the solver's product runs at a fixed stage, (delta, p) is always
     # pick_kappa's pair, the residual tolerance is PdeConfig's, the
-    # inversion tolerance is lab.INVERSE_TOL and the consistency study
-    # simulates cfg.paths
+    # inversion tolerance is lab.INVERSE_TOL, the consistency study
+    # simulates cfg.paths and the torus is [0, 2 pi)^d
     d = tiny_config().to_dict()
     d[key] = 2.0
     with pytest.raises(TypeError, match=key):
@@ -213,6 +213,14 @@ def test_experiment_config_validates_steps_list(steps_list):
 def test_experiment_config_validates_lambda_list(lambda_list):
     with pytest.raises(ValueError, match="lambda_list"):
         tiny_config(lambda_list=lambda_list)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5, -100.0, math.inf, math.nan])
+def test_experiment_config_validates_lam(lam):
+    # a lambda the theory excludes used to reach the solver, which certified
+    # the transform at -0.5, -100 and inf
+    with pytest.raises(ValueError, match="lam"):
+        tiny_config(lam=lam)
 
 
 def test_config_digest_sensitivity():

@@ -81,7 +81,7 @@ def test_dealiased_multiply_pairs_components(grid64):
 
 def test_dealiased_multiply_rejects_mismatch(grid64, grid64_2d):
     f = single_mode(grid64, 1)
-    g = single_mode(GridSpec(1, 128, grid64.period), 1)
+    g = single_mode(GridSpec(1, 128), 1)
     with pytest.raises(ValueError):
         dealiased_multiply(f, g)
     two = SpectralField(grid64, np.zeros((2, 64), dtype=complex))
@@ -163,7 +163,7 @@ def test_ladder_disagrees_when_the_drift_sits_past_the_stage():
     # b = A cos(20x) is cut by the stage-4 low-pass (1 up to |k| = 16, 0 from
     # 24) and dropped by stage 3, so with a large enough A the ladder refines
     # past stage 4 and returns the full product at stage 6
-    grid = GridSpec(1, 128, 2.0 * np.pi)
+    grid = GridSpec(1, 128)
     x = grid.axis_points()
     b = SpectralField.from_grid(grid, (1e3 * np.cos(20 * x))[None])
     u = SpectralField.from_grid(grid, (0.01 * np.sin(x))[None])
@@ -179,7 +179,7 @@ def test_ladder_sees_energy_past_two_agreeing_stages():
     # b = A cos(28x) lies outside the stage-3 and stage-4 low-passes (zero from
     # |k| = 12 and 24), so both stages read 0 and the ladder returns stage 4
     # (norm 7e-14); stages 5-7 and the full-lattice product read 5.297
-    grid = GridSpec(1, 64, 2.0 * np.pi)
+    grid = GridSpec(1, 64)
     x = grid.axis_points()
     b = SpectralField.from_grid(grid, (1e3 * np.cos(28 * x))[None])
     g = gradient(SpectralField.from_grid(grid, (0.01 * np.sin(x))[None]))

@@ -1,5 +1,7 @@
 """Simulation: reproducible noise streams, exact trivial cases, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def small_sim(**over):
 
 def ctx_2d():
     """u(t) = (1 - t/2) (0.2 sin(x1 + x2), 0.15 cos(x1 - x2)) on N=16, 4 nodes."""
-    grid = GridSpec(2, 16, 2.0 * np.pi)
+    grid = GridSpec(2, 16)
     x1, x2 = np.meshgrid(grid.axis_points(), grid.axis_points(), indexing="ij")
     vals = np.stack([0.2 * np.sin(x1 + x2), 0.15 * np.cos(x1 - x2)])
     nodes = [SpectralField.from_grid(grid, (1.0 - 0.5 * t) * vals)
@@ -53,6 +55,9 @@ def ctx_2d():
     {"seed": 1.5},
     {"base_steps": 24},          # not a multiple of steps
     {"base_steps": 8},           # smaller than steps
+    {"lam": -0.5},
+    {"lam": math.inf},
+    {"lam": math.nan},
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     base = dict(x0=(0.0,), horizon=1.0, steps=16, paths=4, seed=0, lam=1.0)
@@ -267,7 +272,7 @@ def test_off_node_paths_match_interpolated_node_gradients(monkeypatch, d, modes,
     # 7 Euler steps over 4 PDE intervals put most steps between nodes, where
     # sigma is the gradient of the interpolated u rather than the
     # interpolated node gradients; X moves by rounding only
-    ctx = make_context(random_time_field(GridSpec(d, modes, 2.0 * np.pi), 4, amplitude,
+    ctx = make_context(random_time_field(GridSpec(d, modes), 4, amplitude,
                                          seed=3 + d))
     cfg = small_sim(x0=(0.3, -0.2)[:d], steps=7, paths=200)
     x = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)

@@ -41,8 +41,9 @@ def test_grid_validation():
         GridSpec(1, 48)          # not a power of two
     with pytest.raises(ValueError):
         GridSpec(1, 4)           # too small
-    with pytest.raises(ValueError):
-        GridSpec(1, 64, -1.0)
+    # the torus is [0, 2 pi)^d, so the wavenumbers are the integers exactly
+    for n in 2 ** np.arange(3, 11):
+        assert np.array_equal(GridSpec(1, int(n)).kappa_axis(), np.fft.fftfreq(n, 1.0 / n))
 
 
 def test_known_coefficients_of_sine(grid64):
@@ -216,7 +217,7 @@ def _random_real_field(grid, seed, components=1):
 def test_refine_coarsen_roundtrip(grid64):
     f = _random_real_field(grid64, 11, components=2)
     fine = refine(f)
-    assert fine.grid == GridSpec(1, 128, grid64.period)
+    assert fine.grid == GridSpec(1, 128)
     back = coarsen(fine)
     assert back.grid == grid64
     assert np.array_equal(back.coeffs, f.coeffs)
@@ -253,7 +254,7 @@ def test_refine_keeps_real_fields_real(grid64):
 def test_refine_twice_matches_evaluate_on_4n_grid(dim, modes):
     # the r-fold padded grid of an off-grid bound, here r = 4; the two
     # interpolants agree on every grid node and differ only off them
-    grid = GridSpec(dim, modes, 2.0 * np.pi)
+    grid = GridSpec(dim, modes)
     f = _random_real_field(grid, 7, components=dim)
     fine = refine(refine(f))
     assert fine.grid.modes_per_axis == 4 * modes
@@ -354,12 +355,12 @@ def test_evaluate_2d(grid64_2d):
     pytest.param(2, 32, 2, None, id="2-32-2"),
 ])
 def test_evaluate_heads_independent_of_batch_size(dim, modes, comps, band):
-    grid = GridSpec(dim, modes, 2.0 * np.pi)
+    grid = GridSpec(dim, modes)
     rng = np.random.default_rng(5)
     f = SpectralField.from_grid(grid, rng.standard_normal((comps,) + grid.spatial_shape))
     if band is not None:
         # a narrow band: the evaluation band follows the coefficients, never the points
-        f = SpectralField(grid, f.coeffs * (np.abs(grid.wavenumbers()) <= band))
+        f = SpectralField(grid, f.coeffs * (np.abs(grid.kappa_axis()) <= band))
     # more than 4096 points, so a chunked evaluation would split the batch
     p = rng.uniform(0.0, grid.period, size=(5000, dim))
     full = evaluate(f, p)
@@ -407,7 +408,7 @@ def test_evaluate_band_of_a_nan_field_is_full(grid64):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_evaluate_refuses_non_hermitian_coeffs(dim):
-    f = single_mode(GridSpec(dim, 16, 2.0 * np.pi), 3)
+    f = single_mode(GridSpec(dim, 16), 3)
     with pytest.raises(ValueError, match="Hermitian residue"):
         evaluate(f, np.zeros((4, dim)))
 
@@ -536,6 +537,16 @@ def test_load_time_field_refuses_sidecar_not_marked_real(tmp_path, rough_drift64
         meta["real_flag"] = flag
     side.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="real"):
+        load_time_field(p)
+
+
+def test_load_time_field_refuses_another_period(tmp_path, rough_drift64):
+    p = save_time_field(rough_drift64, tmp_path / "b.bin")
+    side = tmp_path / "b.bin.json"
+    meta = json.loads(side.read_text())
+    assert meta["L"] == 2.0 * np.pi
+    side.write_text(json.dumps({**meta, "L": 1.0}))
+    with pytest.raises(ValueError, match="L = 1.0"):
         load_time_field(p)
 
 

@@ -106,7 +106,7 @@ def test_transform_jacobian_closed_form(sine_ctx):
 def test_transform_jacobian_is_the_gradient_of_u(d, modes, amplitude):
     # differentiating u(t) and interpolating the node gradients agree
     # bitwise at node times and to rounding between them
-    grid = GridSpec(d, modes, 2.0 * np.pi)
+    grid = GridSpec(d, modes)
     ctx = make_context(random_time_field(grid, 4, amplitude, seed=3 + d))
     x = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(40, d))
     for t in ctx.u.times:
