@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import TimeField, evaluate, singular_values_sq
+from .spectral import TimeField, _read_only, evaluate, singular_values_sq
 from .kolmogorov import GRADIENT_TARGET
 from .zvonkin import TransformContext, psi, transform_jacobian
 
@@ -131,8 +131,7 @@ class PathEnsemble:
             s = np.array(getattr(self, name), dtype=np.float64)
             if s.shape != expect:
                 raise ValueError(f"{name} shape {s.shape} != {expect}")
-            s.setflags(write=False)
-            object.__setattr__(self, name, s)
+            object.__setattr__(self, name, _read_only(s))
 
     def terminal(self) -> np.ndarray:
         return self.states[:, -1, :]
@@ -191,8 +190,7 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
             out[lo:hi] = z
         else:
             np.sum(z.reshape(hi - lo, cfg.steps, k, d), axis=2, out=out[lo:hi])
-    out.setflags(write=False)
-    _last_noise[key] = out
+    _last_noise[key] = _read_only(out)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import TypeVar
 
@@ -42,9 +42,15 @@ _REAL_TOL = 1e-10  # relative imaginary residue allowed in grid values
 _BAND_TOL = 2.0 ** -53  # unit roundoff: the relative tail a 1-D evaluation drops
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on the torus [0, 2 pi)^d: d axes, N modes per axis, kappa = k."""
+    """Uniform grid on the torus [0, 2 pi)^d: d axes, N modes per axis, kappa = k.
+    Its lattice symbols are memoized per (d, N), as read-only arrays."""
 
     dimension: int
     modes_per_axis: int
@@ -73,27 +79,25 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.spacing ** self.dimension
 
+    @cache
     def kappa_axis(self) -> np.ndarray:
         """Wavenumbers along one axis in FFT order: the integers as floats."""
-        n = self.modes_per_axis
-        return np.fft.fftfreq(n, 1.0 / n)
+        return _read_only(np.fft.fftfreq(self.modes_per_axis, 1.0 / self.modes_per_axis))
 
-    def kappa_mesh(self) -> list:
+    @cache
+    def kappa_mesh(self) -> tuple:
         """One |shape|-broadcastable kappa array per axis."""
         ax = self.kappa_axis()
-        if self.dimension == 1:
-            return [ax]
-        return list(np.meshgrid(*([ax] * self.dimension), indexing="ij"))
+        return tuple(_read_only(k) for k in np.meshgrid(*([ax] * self.dimension), indexing="ij"))
 
+    @cache
     def kappa_sq(self) -> np.ndarray:
-        out = np.zeros(self.spatial_shape)
-        for k in self.kappa_mesh():
-            out = out + k * k
-        return out
+        return _read_only(sum(k * k for k in self.kappa_mesh()))
 
+    @cache
     def bessel_symbol(self) -> np.ndarray:
         """Symbol of A = I - Laplacian/2 on the lattice."""
-        return 1.0 + 0.5 * self.kappa_sq()
+        return _read_only(1.0 + 0.5 * self.kappa_sq())
 
     def axis_points(self) -> np.ndarray:
         n = self.modes_per_axis
@@ -137,9 +141,7 @@ class _Field:
         if c.ndim != self._lead + 1 + d or c.shape[-d:] != self.grid.spatial_shape:
             lead = "(M+1, components)" if self._lead else "(components,)"
             raise ValueError(f"coeffs must have shape {lead}+{self.grid.spatial_shape}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _read_only(c.copy()))
 
     @property
     def components(self) -> int:
@@ -244,9 +246,11 @@ class SpectralField(_Field):
 
     @cached_property
     def _eval_bands(self):
-        """`evaluate`'s band per component (None in 2-D), kept per field since
-        its coefficients are read-only; refuses coefficients with
-        c_k != conj(c_-k) beyond _REAL_TOL relative to max(sum |c|, 1)."""
+        """`evaluate`'s band per component, folded (None in 2-D; kept per field,
+        its coefficients being read-only): a_k = c_k + conj(c_-k) for k = 0..K
+        (`_bands`; K >= N/2 - 1 is the full lattice), but a_0 = c_0 and
+        a_{N/2} = conj(c_-N/2).  Refuses coefficients with c_k != conj(c_-k)
+        beyond _REAL_TOL relative to max(sum |c|, 1)."""
         n, axes = self.grid.modes_per_axis, _spatial_axes(self)
         neg = -np.arange(n) % n
         mirror = self.coeffs[:, neg] if len(axes) == 1 else self.coeffs[:, neg[:, None], neg]
@@ -255,7 +259,11 @@ class SpectralField(_Field):
                        / np.maximum(np.sum(mag, axis=axes), 1.0))
         if resid > _REAL_TOL:
             raise ValueError(f"field is not real: coefficients have Hermitian residue {resid:.3e}")
-        return _bands(mag) if len(axes) == 1 else None
+        if len(axes) == 2:
+            return None
+        a = self.coeffs + np.conj(mirror)
+        a[:, 0], a[:, n // 2] = self.coeffs[:, 0], np.conj(self.coeffs[:, n // 2])
+        return [r[:k + 1 if k < n // 2 - 1 else n // 2 + 1] for r, k in zip(a, _bands(mag))]
 
 
 def _apply_multiplier(f: _F, mult: np.ndarray) -> _F:
@@ -429,31 +437,29 @@ def sobolev_norm(f: _Field, idx: SobolevIndex):
 def evaluate(f: SpectralField, x) -> np.ndarray:
     """Direct Fourier summation at arbitrary points, one kernel per dimension.
 
-    d = 1: Horner's rule on each component over the band it occupies
-    (`_bands`, `_horner_eval`).  d = 2: per component one matrix product
-    (zgemm) of the axis-0 phase matrix with the coefficient plane, summed
-    row-wise against the axis-1 phase matrix.  The band depends on the
-    coefficients alone and each point gets the same operations whatever the
-    batch size, so the first n rows of a batch equal an n-point call bit for
-    bit.
+    d = 1: Horner's rule on each component over k = 0..K, the band |k| <= K
+    it occupies folded onto k >= 0 (`_horner_eval`).  d = 2: per component
+    one matrix product (zgemm) of the axis-0 phase matrix with the coefficient
+    plane, summed row-wise against the axis-1 phase matrix.  The band depends
+    on the coefficients alone and each point gets the same operations whatever
+    the batch size, so the first n rows of a batch equal an n-point call bit
+    for bit.
 
     x: a batch of shape (m, d); one point is a one-row batch.  Returns
     (m, components), real.  Refuses coefficients that are not Hermitian
     (`SpectralField._eval_bands`).
     """
     pts = _points(x, f.grid.dimension)
-    m = pts.shape[0]
     bands = f._eval_bands
     # one point runs as a two-row batch: numpy's in-place complex product and
     # BLAS's matrix-vector path both round a lone row differently
-    rows = np.repeat(pts, 2, axis=0) if m == 1 else pts
+    rows = np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts
     if f.grid.dimension == 1:
-        per_comp = [_horner_eval(f.grid, c, rows[:, 0], k) for c, k in zip(f.coeffs, bands)]
+        per_comp = [_horner_eval(a, rows[:, 0]) for a in bands]
     else:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
-    out = np.stack(per_comp, axis=1)[:m]
-    return out.real
+    return np.stack(per_comp, axis=1)[:len(pts)].real
 
 
 def _points(x, d: int) -> np.ndarray:
@@ -477,22 +483,18 @@ def _bands(mag: np.ndarray) -> np.ndarray:
     return np.where(ok.any(axis=1), ok.argmax(axis=1), half)
 
 
-def _horner_eval(grid: GridSpec, coeffs: np.ndarray, x: np.ndarray, band: int) -> np.ndarray:
-    """z^-K sum_{k=-K}^{K} c_k z^{k+K}, z = exp(i x), by Horner's rule
-    (d=1 scalar); K = `band`, and K >= N/2 - 1 runs the full lattice
-    k = -N/2..N/2-1.  The error is the dropped tail, at most u sum |c_k|, plus
-    Horner's rounding, about 2(2K+1) u sum |c_k|: the recurrence is
-    backward-stable on the unit circle and needs no (points, modes) matrix.
-    """
-    n = grid.modes_per_axis
-    lo, hi = (band, band) if band < n // 2 - 1 else (n // 2, n // 2 - 1)
-    c = np.concatenate((coeffs[n - lo:], coeffs[:hi + 1]))    # k = -lo .. hi
+def _horner_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Re sum_{k=0}^{K} a_k z^k, z = exp(i x), by Horner's rule on a folded band
+    (`SpectralField._eval_bands`): on |z| = 1 it equals Re sum_{|k|<=K} c_k z^k
+    for any coefficients.  The error is the dropped tail, at most u sum |c_k|,
+    plus Horner's rounding, about 2(K+1) u sum |c_k|: the recurrence is
+    backward-stable on the unit circle and needs no (points, modes) matrix."""
     z = np.exp(1j * x)
-    acc = np.full(x.shape, c[-1], dtype=complex)
-    for ck in c[-2::-1]:
+    acc = np.full(x.shape, a[-1], dtype=complex)
+    for ak in a[-2::-1]:
         acc *= z
-        acc += ck
-    return acc * np.exp(-1j * lo * x)
+        acc += ak
+    return acc.real
 
 
 def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:

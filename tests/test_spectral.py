@@ -46,6 +46,30 @@ def test_grid_validation():
         assert np.array_equal(GridSpec(1, int(n)).kappa_axis(), np.fft.fftfreq(n, 1.0 / n))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lattice_symbols_are_shared_and_read_only(dim):
+    # memoized per (d, N): equal grids hand out the same arrays, and no
+    # caller can write into them
+    n = 16
+    grid, twin = GridSpec(dim, n), GridSpec(dim, n)
+
+    def symbols(g):
+        return g.kappa_axis(), *g.kappa_mesh(), g.kappa_sq(), g.bessel_symbol()
+
+    for a, b in zip(symbols(grid), symbols(twin)):
+        assert a is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # and they are the values the lattice defines, bit for bit
+    ax = np.fft.fftfreq(n, 1.0 / n)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    sq = np.zeros((n,) * dim)
+    for k in mesh:
+        sq = sq + k * k
+    for a, want in zip(symbols(grid), (ax, *mesh, sq, 1.0 + 0.5 * sq)):
+        assert a.dtype == want.dtype and np.array_equal(a, want)
+
+
 def test_known_coefficients_of_sine(grid64):
     x = grid64.axis_points()
     f = SpectralField.from_grid(grid64, np.sin(x)[None])
@@ -349,7 +373,9 @@ def test_evaluate_2d(grid64_2d):
 
 
 @pytest.mark.parametrize("dim, modes, comps, band", [
+    pytest.param(1, 8, 1, None, id="1-8-1"),
     pytest.param(1, 64, 1, None, id="1-64-1"),
+    pytest.param(1, 256, 1, None, id="1-256-1"),
     pytest.param(1, 64, 2, None, id="1-64-2"),
     pytest.param(1, 64, 2, 3, id="1-64-2-band3"),
     pytest.param(2, 32, 2, None, id="2-32-2"),
@@ -380,22 +406,57 @@ def _corner_mode(grid):
     return SpectralField(grid, c)
 
 
-@pytest.mark.parametrize("case", ["band-5", "smooth-test", "full-band", "zero",
-                                  "constant", "corner-mode"])
-def test_evaluate_band_matches_direct_sum(grid64, case):
+@pytest.mark.parametrize("case, modes", [
+    *[pytest.param(case, 64, id=case) for case in ("band-5", "smooth-test", "full-band",
+                                                   "zero", "constant", "corner-mode")],
+    pytest.param("full-band", 8, id="full-band-8"),
+    pytest.param("full-band", 256, id="full-band-256"),   # the rough benchmark drift's band
+])
+def test_evaluate_band_matches_direct_sum(case, modes):
+    grid = GridSpec(1, modes)
     fields = {
-        "band-5": lambda: random_field(grid64, 0.3, 8, band=5),
+        "band-5": lambda: random_field(grid, 0.3, 8, band=5),
         "smooth-test": lambda: generate(DriftSpec(family="smooth-test", seed=1, beta=0.25,
-                                                  amplitude=0.2), grid64, 1.0, 2).node(0),
-        "full-band": lambda: random_field(grid64, 0.3, 9),
-        "zero": lambda: SpectralField.zero(grid64),
-        "constant": lambda: SpectralField.constant(grid64, 1.3),
-        "corner-mode": lambda: _corner_mode(grid64),   # falls back to the full lattice
+                                                  amplitude=0.2), grid, 1.0, 2).node(0),
+        "full-band": lambda: random_field(grid, 0.3, 9),
+        "zero": lambda: SpectralField.zero(grid),
+        "constant": lambda: SpectralField.constant(grid, 1.3),
+        "corner-mode": lambda: _corner_mode(grid),     # falls back to the full lattice
     }
     f = fields[case]()
     x = np.random.default_rng(6).uniform(-1.0, 7.0, size=(200, 1))
     err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
     assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
+@pytest.mark.parametrize("modes", [8, 64, 256])
+@pytest.mark.parametrize("band", [5, None], ids=["band-5", "full-band"])
+def test_evaluate_fold_is_exact_for_non_hermitian_coeffs(modes, band):
+    # the fold a_k = c_k + conj(c_-k) keeps the real part of the full sum for
+    # any coefficients: perturbed off Hermitian symmetry by 1e-12 relative,
+    # well inside _REAL_TOL, they are accepted and still read exactly
+    grid = GridSpec(1, modes)
+    rng = np.random.default_rng(11)
+    c = random_field(grid, 0.3, 9, band=band).coeffs
+    c = c * (1.0 + 1e-12 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)))
+    f = SpectralField(grid, c)
+    x = rng.uniform(-1.0, 7.0, size=(200, 1))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("modes", [8, 64, 256])
+def test_evaluate_fold_keeps_a_complex_corner_mode(modes):
+    # c_-N/2 has no +N/2 partner: its fold conj(c_-N/2) z^{N/2} has the real
+    # part of c_-N/2 z^{-N/2}, so a complex c_-N/2 (1e-11 relative, inside
+    # _REAL_TOL) keeps the sign of its sin(N/2 x) term
+    grid = GridSpec(1, modes)
+    c = random_field(grid, 0.3, 9).coeffs.copy()
+    c[0, modes // 2] += 1e-11j * np.sum(np.abs(c))
+    f = SpectralField(grid, c)
+    x = np.random.default_rng(12).uniform(-1.0, 7.0, size=(200, 1))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(c))
 
 
 def test_evaluate_band_of_a_nan_field_is_full(grid64):
