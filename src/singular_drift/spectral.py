@@ -50,7 +50,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the torus [0, 2 pi)^d: d axes, N modes per axis, kappa = k.
-    Its lattice symbols are memoized per (d, N), as read-only arrays."""
+    Its lattice symbols are memoized per (d, N) (the low-pass per j too), as
+    read-only arrays."""
 
     dimension: int
     modes_per_axis: int
@@ -98,6 +99,11 @@ class GridSpec:
     def bessel_symbol(self) -> np.ndarray:
         """Symbol of A = I - Laplacian/2 on the lattice."""
         return _read_only(1.0 + 0.5 * self.kappa_sq())
+
+    @cache
+    def cutoff_symbol(self, j: int) -> np.ndarray:
+        """Symbol of the low-pass S^j: the smooth profile at radius |kappa|/2^j."""
+        return _read_only(cutoff_profile(np.sqrt(self.kappa_sq()) / float(2 ** j)))
 
     def axis_points(self) -> np.ndarray:
         n = self.modes_per_axis
@@ -322,8 +328,7 @@ def mollify(f: _F, n: float) -> _F:
 
 def dyadic_cutoff(f: _F, j: int) -> _F:
     """Low-pass S^j: multiply by the smooth profile at radius |kappa|/2^j."""
-    r = np.sqrt(f.grid.kappa_sq()) / float(2 ** j)
-    return _apply_multiplier(f, cutoff_profile(r))
+    return _apply_multiplier(f, f.grid.cutoff_symbol(j))
 
 
 def gradient(f: _F) -> _F:
@@ -550,7 +555,15 @@ class TimeField(_Field):
         return np.linspace(0.0, self.horizon, self.nodes + 1)
 
     def node(self, m: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[m])
+        """The field at node m.  The last node asked for is kept (the
+        coefficients are read-only), so calls that follow each other at one
+        node, as `psi` and the next Euler step do, find its evaluation band
+        once; keeping every node would hold a second copy of the field."""
+        last = self.__dict__.get("_last_node")
+        if last is None or last[0] != m:
+            last = (m, SpectralField(self.grid, self.coeffs[m]))
+            object.__setattr__(self, "_last_node", last)
+        return last[1]
 
     @staticmethod
     def from_nodes(fields, horizon: float) -> "TimeField":
@@ -563,8 +576,8 @@ class TimeField(_Field):
         return TimeField(grid, horizon, np.zeros(shape, dtype=complex))
 
     def at_time(self, t: float, rule: str = "linear") -> SpectralField:
-        """Field at an off-node time; 'linear' interpolates coefficients,
-        'left' takes the latest node at or before t."""
+        """Field at time t; 'linear' interpolates coefficients, 'left' takes
+        the latest node at or before t.  At a node time both return `node`."""
         eps = 1e-12 * max(self.horizon, 1.0)
         if t < -eps or t > self.horizon + eps:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
@@ -577,6 +590,8 @@ class TimeField(_Field):
         if rule == "left":
             return self.node(m)
         w = pos - m
+        if w == 0.0:
+            return self.node(m)
         c = (1.0 - w) * self.coeffs[m] + w * self.coeffs[m + 1]
         return SpectralField(self.grid, c)
 

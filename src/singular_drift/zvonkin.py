@@ -2,8 +2,10 @@
 
 Once the backward solution u carries the certificate sup |grad u| <= 1/2 the
 map x -> phi(t, x) is a diffeomorphism for every t: the inverse psi solves the
-fixed point x = y - u(t, x), contracting at rate <= 1/2 from the initial guess
-x = y.  Between time nodes u is interpolated linearly in its coefficients.
+fixed point x = y - u(t, x), a contraction at rate <= 1/2 from the initial
+guess x = y, which psi accelerates by a safeguarded Anderson(1) step (the
+secant method in 1-D) at no extra evaluation of u.  Between time nodes u is
+interpolated linearly in its coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class InverseDiverged(Exception):
     """Fixed-point iteration for psi ran out of iterations."""
 
 
-# sweeps psi may spend; at contraction rate 1/2 about 40 reach 1e-12
+# sweeps psi may spend: at contraction rate 1/2 about 40 reach 1e-12, and each
+# dropped Anderson step costs one sweep before a contraction step, so 80 cover
+# the contraction even if every other step is dropped
 INVERSE_MAX_ITER = 80
 
 
@@ -74,14 +78,28 @@ def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
 
 
 def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
-    """Inverse transform by the contraction x_{k+1} = y - u(t, x_k), x_0 = y,
-    on an (m, d) batch of points.
+    """Inverse transform: the fixed point x = y - u(t, x) from x_0 = y, on an
+    (m, d) batch of points, by a safeguarded Anderson(1) iteration (Walker &
+    Ni, SIAM J. Numer. Anal. 2011).
 
-    Each point iterates until its update is below inverse_tol; points that
-    converge are frozen while the rest continue.  Raises ValueError on a
-    non-finite point (its NaN move compares false against the tolerance,
-    so it would be dropped as converged) and InverseDiverged if INVERSE_MAX_ITER
-    sweeps are spent first.
+    Sweep k evaluates u once per point: g_k = y - u(t, x_k) and the residual
+    f_k = g_k - x_k.  A point with |f_k| < inverse_tol is frozen at the plain
+    step g_k, so the contraction's a posteriori bound holds, the error is at
+    most q/(1-q) inverse_tol with q the gradient bound.  Any other point steps
+    to x_{k+1} = g_k - gamma_k (g_k - g_{k-1}), where gamma_k = f_k.df/|df|^2
+    and df = f_k - f_{k-1} (the secant method in 1-D).  The first sweep takes
+    the plain step g_0 (gamma = 0).  So does a point whose accelerated iterate
+    shrank the residual by less than the factor q that a contraction step
+    guarantees: that iterate is dropped, and the point takes the plain step
+    from the iterate before it.  Every kept iterate thus gains a factor q or
+    is a contraction step, and a dropped one costs one sweep, so the
+    iteration converges wherever the contraction does.
+
+    Each point's iterates depend on that point alone, so a batch's rows do
+    not depend on the batch.  Raises ValueError on a non-finite point (its
+    NaN residual compares false against the tolerance, so it would be
+    dropped as converged) and InverseDiverged if INVERSE_MAX_ITER sweeps are
+    spent first.
     """
     pts = _points(y, ctx.u.grid.dimension)
     if not np.all(np.isfinite(pts)):
@@ -91,16 +109,38 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
         return pts.copy()
     x = pts.copy()
     active = np.arange(pts.shape[0])
-    tol_sq = ctx.inverse_tol ** 2
+    tol_sq, q_sq = ctx.inverse_tol ** 2, ctx.gradient_bound ** 2
+    # per active point: the last kept sweep (g, f, |f|^2), and whether x[active]
+    # is an accelerated iterate that must shrink |f|^2 by q_sq against it
+    g_kept = f_kept = r_kept = None
+    accelerated = np.zeros(pts.shape[0], dtype=bool)
     for _ in range(INVERSE_MAX_ITER):
-        ux = evaluate(u_t, x[active])
-        nxt = pts[active] - ux
-        move_sq = np.sum((nxt - x[active]) ** 2, axis=1)
-        x[active] = nxt
-        keep = move_sq >= tol_sq
-        active = active[keep]
-        if active.size == 0:
+        xa = x[active]
+        g = pts[active] - evaluate(u_t, xa)
+        f = g - xa
+        r = np.sum(f * f, axis=1)
+        done = r < tol_sq
+        x[active[done]] = g[done]
+        if g_kept is None:
+            nxt, g_kept, f_kept, r_kept = g, g, f, r
+        else:
+            drop = accelerated & (r > q_sq * r_kept)
+            df = f - f_kept
+            dd = np.sum(df * df, axis=1)
+            gamma = np.divide(np.sum(f * df, axis=1), dd, out=np.zeros_like(dd),
+                              where=dd > 0)
+            nxt = g - gamma[:, None] * (g - g_kept)
+            nxt[drop] = g_kept[drop]
+            keep = ~drop
+            g_kept[keep], f_kept[keep], r_kept[keep] = g[keep], f[keep], r[keep]
+            accelerated = keep
+        live = ~done
+        if not np.any(live):
             return x
+        active = active[live]
+        x[active] = nxt[live]
+        g_kept, f_kept, r_kept = g_kept[live], f_kept[live], r_kept[live]
+        accelerated = accelerated[live]
     raise InverseDiverged(
         f"{active.size} point(s) still moving after {INVERSE_MAX_ITER} "
         f"iterations (gradient bound {ctx.gradient_bound:.4f})"

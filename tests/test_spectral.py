@@ -28,7 +28,7 @@ from singular_drift.spectral import (
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.paraproduct import dealiased_multiply, drift_gradient_product
 
-from conftest import random_field, single_mode
+from conftest import random_field, random_time_field, single_mode
 
 
 # --- grid and field construction -------------------------------------------------
@@ -68,6 +68,13 @@ def test_lattice_symbols_are_shared_and_read_only(dim):
         sq = sq + k * k
     for a, want in zip(symbols(grid), (ax, *mesh, sq, 1.0 + 0.5 * sq)):
         assert a.dtype == want.dtype and np.array_equal(a, want)
+    # the dyadic low-pass is memoized per (d, N, j) the same way
+    for j in range(4):
+        a = grid.cutoff_symbol(j)
+        assert a is twin.cutoff_symbol(j)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        assert np.array_equal(a, cutoff_profile(np.sqrt(sq) / float(2 ** j)))
 
 
 def test_known_coefficients_of_sine(grid64):
@@ -496,6 +503,21 @@ def test_time_field_interpolation(grid64):
         tf.at_time(1.5)
     with pytest.raises(ValueError):
         tf.at_time(0.5, rule="cubic")
+
+
+def test_time_field_node_is_kept_while_asked_for(grid64):
+    # node(m) and at_time at t_m hand out the same field while m is asked for,
+    # so its evaluation band is found once; its coefficients are the
+    # interpolation's, bit for bit
+    tf = random_time_field(grid64, 4, 0.1, seed=2)
+    for m, t in enumerate(tf.times):
+        node = tf.node(m)
+        assert node is tf.node(m)
+        for rule in ("linear", "left"):
+            assert tf.at_time(t, rule=rule) is node
+        nxt = tf.coeffs[min(m + 1, tf.nodes)]
+        assert np.array_equal(node.coeffs, 1.0 * tf.coeffs[m] + 0.0 * nxt)
+    assert tf.at_time(0.3) is not tf.at_time(0.3)      # off the nodes: built per call
 
 
 def test_time_field_reversal(grid64):

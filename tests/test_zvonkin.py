@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 import singular_drift.zvonkin as zvonkin
 from singular_drift.drifts import DriftSpec
 from singular_drift.lab import ExperimentConfig, prepare_transform
-from singular_drift.spectral import GridSpec, TimeField, evaluate, gradient
+from singular_drift.kolmogorov import gradient_sup
+from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
 from singular_drift.zvonkin import (
     InverseDiverged,
     make_context,
@@ -16,7 +17,7 @@ from singular_drift.zvonkin import (
     transform_jacobian,
 )
 
-from conftest import node_gradient_jacobian, random_time_field, sine_time_field
+from conftest import node_gradient_jacobian, random_field, random_time_field, sine_time_field
 
 
 def test_make_context_certifies_gradient(grid64):
@@ -43,6 +44,51 @@ def test_phi_closed_form(sine_ctx):
     assert np.max(np.abs(got - (x + 0.4 * np.sin(x)))) < 1e-12
 
 
+def steep_context(node: SpectralField, target: float = 0.49, tol: float = 1e-12):
+    """A time-constant u with the node field's shape, scaled so that the
+    certificate sup |grad u| at the grid nodes reads `target`."""
+    u = TimeField.from_nodes([node] * 3, 1.0)
+    return make_context(u * (target / gradient_sup(u)), inverse_tol=tol)
+
+
+def triangle_wave(grid: GridSpec) -> SpectralField:
+    """Band-limited triangle wave: |u'| is nearly constant and flips sign at
+    every kink, so a secant through a kink misjudges the slope at the root."""
+    x = grid.axis_points()
+    k = np.arange(1, grid.modes_per_axis // 2, 2)
+    vals = np.sum(np.sin(np.outer(x, k)) * (-1.0) ** (k // 2) / k ** 2, axis=1)
+    return SpectralField.from_grid(grid, vals[None])
+
+
+def contraction_reference(ctx, t, y, tol):
+    """The plain contraction x <- y - u(t, x) from x = y, every point until
+    its move is below tol; returns the points and the point-sweeps spent."""
+    u_t = ctx.u_at(t)
+    x, active, sweeps = y.copy(), np.arange(len(y)), 0
+    for _ in range(200):
+        nxt = y[active] - evaluate(u_t, x[active])
+        sweeps += active.size
+        moving = np.sum((nxt - x[active]) ** 2, axis=1) >= tol ** 2
+        x[active] = nxt
+        active = active[moving]
+        if active.size == 0:
+            return x, sweeps
+    raise AssertionError("the contraction reference did not converge")
+
+
+def counted_evaluate(monkeypatch):
+    """Route psi's `evaluate` through a recorder of (points, values) per call."""
+    calls = []
+
+    def recording(f, x):
+        vals = evaluate(f, x)
+        calls.append((np.array(x), vals))
+        return vals
+
+    monkeypatch.setattr(zvonkin, "evaluate", recording)
+    return calls
+
+
 def test_psi_matches_scalar_root_finder(sine_ctx):
     rng = np.random.default_rng(8)
     ys = rng.uniform(0.0, 2 * np.pi, size=12)
@@ -51,6 +97,20 @@ def test_psi_matches_scalar_root_finder(sine_ctx):
         x_star = brentq(lambda x: x + 0.4 * np.sin(x) - y, y - 1.0, y + 1.0,
                         xtol=1e-14)
         assert abs(x_hat - x_star) < 5e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_psi_matches_scalar_root_finder_on_steep_rough_fields(seed):
+    # sup |u'| reads 0.49 at the nodes: the contraction's slowest admissible rate
+    ctx = steep_context(random_field(GridSpec(1, 64), eta=0.3, seed=seed))
+    u_t = ctx.u_at(0.25)
+    ys = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=20)
+    got = psi(ctx, 0.25, ys[:, None])[:, 0]
+    reach = float(np.max(np.abs(u_t.values()))) + 0.1
+    for y, x_hat in zip(ys, got):
+        x_star = brentq(lambda x: x + evaluate(u_t, [[x]])[0, 0] - y,
+                        y - reach, y + reach, xtol=1e-14)
+        assert abs(x_hat - x_star) <= 5e-12
 
 
 def test_round_trip(sine_ctx):
@@ -93,6 +153,50 @@ def test_psi_budget_exhaustion_raises(grid64, monkeypatch):
     ctx = make_context(sine_time_field(grid64, 0.4, 2))
     with pytest.raises(InverseDiverged):
         psi(ctx, 0.0, np.array([[1.0]]))
+
+
+def test_psi_matches_the_contraction_in_2d():
+    grid = GridSpec(2, 16)
+    u = random_time_field(grid, 4, 0.1, seed=11)
+    ctx = make_context(u * (0.45 / gradient_sup(u)), inverse_tol=1e-14)
+    y = np.random.default_rng(12).uniform(0.0, 2 * np.pi, size=(300, 2))
+    for t in (0.0, 0.37, 1.0):
+        want, _ = contraction_reference(ctx, t, y, 1e-14)
+        assert np.max(np.abs(psi(ctx, t, y) - want)) <= 1e-13
+
+
+def test_psi_spends_fewer_sweeps_than_the_contraction(monkeypatch):
+    ctx = steep_context(random_field(GridSpec(1, 256), eta=0.3, seed=7), tol=1e-9)
+    y = np.random.default_rng(13).uniform(0.0, 2 * np.pi, size=(2000, 1))
+    _, plain = contraction_reference(ctx, 0.5, y, 1e-9)
+    calls = counted_evaluate(monkeypatch)
+    psi(ctx, 0.5, y)
+    accelerated = sum(len(x) for x, _ in calls)
+    assert accelerated <= 0.75 * plain
+
+
+def test_psi_falls_back_to_the_plain_step(monkeypatch):
+    # on the triangle wave some accelerated iterates shrink the residual by
+    # less than the certified factor q; each must be dropped for the plain
+    # step from the iterate before it, and every point still converges
+    ctx = steep_context(triangle_wave(GridSpec(1, 64)))
+    q_sq = ctx.gradient_bound ** 2
+    calls = counted_evaluate(monkeypatch)
+    ys = np.random.default_rng(14).uniform(0.0, 2 * np.pi, size=60)
+    fallbacks = 0
+    for y in ys:
+        calls.clear()
+        x_hat = psi(ctx, 0.5, np.array([[y]]))[0, 0]
+        x = np.array([c[0][0, 0] for c in calls])
+        g = y - np.array([c[1][0, 0] for c in calls])
+        r = (g - x) ** 2
+        for k in range(1, len(x) - 1):
+            plain = np.any(x[k] == g[:k])
+            if not plain and not r[k] <= q_sq * r[k - 1]:
+                fallbacks += 1
+                assert x[k + 1] == g[k - 1]
+        assert abs(x_hat + evaluate(ctx.u_at(0.5), [[x_hat]])[0, 0] - y) <= 1e-12
+    assert fallbacks > 0
 
 
 def test_transform_jacobian_closed_form(sine_ctx):
