@@ -2,13 +2,14 @@
 
 The process Y solves dY = mu(t, Y) dt + sigma(t, Y) dW with
 
-    mu(t, y)    = (lam + 1) u(t, psi(t, y)),
+    mu(t, y)    = (lam + 1) u(t, psi(t, y)) = (lam + 1) (y - psi(t, y)),
     sigma(t, y) = grad u(t, psi(t, y)) + I,
 
-started from y0 = x0 + u(0, x0); X = psi(t, Y) is the virtual solution of the
-rough-drift equation.  The Euler loop advances the pair (Y_m, X_m): each step
-evaluates mu and sigma at X_m and solves X_{m+1} = psi(t_{m+1}, Y_{m+1}), so
-psi is solved once per node, and `virtual_x` hands back the X the steps used.
+started from y0 = phi(0, x0); X = psi(t, Y) is the virtual solution of the
+rough-drift equation.  The Euler loop advances the pair (Y_m, X_m) from
+(y0, x0): each step takes mu from the identity Y = X + u(t, X), evaluates sigma
+at X_m and solves X_{m+1} = psi(t_{m+1}, Y_{m+1}), so psi is solved once per
+step, and `virtual_x` hands back the X the steps used.
 
 Brownian increments come from counter-based streams so two simulations
 sharing a seed see identical noise regardless of path count, mollification
@@ -31,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import TimeField, _read_only, evaluate, singular_values_sq
+from .spectral import SpectralField, TimeField, _read_only, evaluate, singular_values_sq
 from .kolmogorov import GRADIENT_TARGET
-from .zvonkin import TransformContext, psi, transform_jacobian
+from .zvonkin import TransformContext, phi, psi, transform_jacobian
 
 __all__ = [
     "EllipticityError",
@@ -50,7 +51,7 @@ __all__ = [
 
 _PATH_BLOCK = 2048       # partition of the path axis in brownian_increments; bounds Box-Muller
 _ENSEMBLE_MAGIC = b"SDE1"
-_last_noise: dict = {}   # brownian_increments' one entry: key -> read-only increments
+_last_noise: dict = {}   # brownian_increments' one entry: key -> read-only base draw
 
 STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
                "(2m,2m+1) via box-muller, first d normals")
@@ -167,46 +168,44 @@ def _block_normals(seed: int, lo: int, hi: int, steps: int, d: int) -> np.ndarra
 def brownian_increments(cfg: SimConfig) -> np.ndarray:
     """All increments (paths, steps, d), summed from base_steps draws; read-only.
 
-    The noise is a pure function of the key below, so the last draw is handed
-    back for an equal key (the runs of a study on one seed share it) and
-    dropped before any other draw.  Box-Muller runs over a fixed partition of
-    the path axis and writes each block in place into the output, so its
-    temporaries stay bounded at any path count.
+    The base draw is a pure function of the key below, so the last one is kept
+    for an equal key (the runs of a study on one seed share it, at every step
+    count that nests in it) and dropped before any other draw.  Box-Muller runs
+    over a fixed partition of the path axis and writes each block in place
+    into the draw, so its temporaries stay bounded at any path count.
     """
     base = cfg.base_steps or cfg.steps
     d = cfg.dimension
-    key = (cfg.seed, cfg.paths, cfg.steps, base, d, cfg.horizon)
-    hit = _last_noise.get(key)
-    if hit is not None:
-        return hit
-    _last_noise.clear()
-    k = base // cfg.steps
-    out = np.empty((cfg.paths, cfg.steps, d))
-    for lo in range(0, cfg.paths, _PATH_BLOCK):
-        hi = min(lo + _PATH_BLOCK, cfg.paths)
-        z = _block_normals(cfg.seed, lo, hi, base, d)
-        z *= np.sqrt(cfg.horizon / base)
-        if k == 1:
-            out[lo:hi] = z
-        else:
-            np.sum(z.reshape(hi - lo, cfg.steps, k, d), axis=2, out=out[lo:hi])
-    _last_noise[key] = _read_only(out)
-    return out
+    key = (cfg.seed, cfg.paths, base, d, cfg.horizon)
+    z = _last_noise.get(key)
+    if z is None:
+        _last_noise.clear()
+        z = np.empty((cfg.paths, base, d))
+        for lo in range(0, cfg.paths, _PATH_BLOCK):
+            hi = min(lo + _PATH_BLOCK, cfg.paths)
+            np.multiply(_block_normals(cfg.seed, lo, hi, base, d),
+                        np.sqrt(cfg.horizon / base), out=z[lo:hi])
+        _last_noise[key] = z = _read_only(z)
+    if base == cfg.steps:
+        return z
+    return _read_only(np.sum(z.reshape(cfg.paths, cfg.steps, base // cfg.steps, d), axis=2))
 
 
 # --- coefficients of the transformed equation --------------------------------
 
 
-def coefficients(ctx: TransformContext, lam: float, t: float, x) -> tuple:
-    """Drift (m, d) and diffusion (m, d, d) of Y at time t, where X = psi(t, Y)
-    sits at the (m, d) batch x.
+def coefficients(ctx: TransformContext, lam: float, t: float, y, x) -> tuple:
+    """Drift (m, d) and diffusion (m, d, d) of Y at time t, for the (m, d)
+    batch y and its inverse x = psi(t, y).
 
-    mu = (lam+1) u(t, x), sigma = grad u(t, x) + I.  The lower singular-value
-    floor 1 - GRADIENT_TARGET, which the gradient certificate guarantees, is
-    asserted on every evaluation; a NaN singular value fails it.
+    mu = (lam+1)(y - x), which is (lam+1) u(t, x) by y = x + u(t, x) up to
+    (lam+1) q tol, q the gradient bound and tol psi's; sigma = grad u(t, x) + I.
+    The lower singular-value floor 1 - GRADIENT_TARGET, which the gradient
+    certificate guarantees, is asserted on every evaluation; a NaN singular
+    value fails it.
     """
     d = ctx.u.grid.dimension
-    mu = (lam + 1.0) * evaluate(ctx.u_at(t), x)
+    mu = (lam + 1.0) * np.subtract(y, x)
     sigma = transform_jacobian(ctx, t, x) + np.eye(d)[None]
     smin_sq, _ = singular_values_sq(sigma)
     floor = (1.0 - GRADIENT_TARGET) ** 2 * (1.0 - 1e-6)
@@ -234,29 +233,27 @@ def _euler(cfg: SimConfig, state0: np.ndarray, step) -> np.ndarray:
 
 
 def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed") -> PathEnsemble:
-    """Explicit Euler-Maruyama for Y from y0 = x0 + u(0, x0), carrying X.
+    """Explicit Euler-Maruyama for Y from y0 = phi(0, x0), carrying X.
 
-    The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m): a step takes mu
-    and sigma at X_m, forms Y_{m+1} and solves psi once at t_{m+1}.  X is kept
-    in the ensemble's `virtual` field.
+    The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m), started from
+    (y0, x0): a step takes mu and sigma at (Y_m, X_m), forms Y_{m+1} and solves
+    psi once at t_{m+1}.  X is kept in the ensemble's `virtual` field.
     """
     if cfg.dimension != ctx.u.grid.dimension:
         raise ValueError("config dimension does not match the transform")
     if cfg.horizon != ctx.horizon:
         raise ValueError("config horizon does not match the transform")
     x0 = np.asarray(cfg.x0)
-    y0 = x0 + evaluate(ctx.u_at(0.0), x0[None])[0]
+    y0 = phi(ctx, 0.0, x0[None])[0]
     times = cfg.times
     dt = cfg.dt
 
-    def pair(m, y):
-        return np.stack([y, psi(ctx, times[m], y)])
-
     def step(m, yx, dw):
-        mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[1])
-        return pair(m + 1, yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw))
+        mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[0], yx[1])
+        y = yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw)
+        return np.stack([y, psi(ctx, times[m + 1], y)])
 
-    y, x = _euler(cfg, pair(0, np.tile(y0, (cfg.paths, 1))), step)
+    y, x = _euler(cfg, np.stack([np.tile(v, (cfg.paths, 1)) for v in (y0, x0)]), step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "y0": list(np.atleast_1d(y0))}
     return PathEnsemble(states=y, config=cfg, label=label, provenance=prov, virtual=x)
@@ -282,16 +279,22 @@ def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -
     """Euler-Maruyama for dX = b(t, X) dt + dW (unit diffusion).
 
     Meant for smooth(ed) drifts; b is looked up at the latest drift node at or
-    before t, matching piecewise-constant time dependence.
+    before t, matching piecewise-constant time dependence.  One field is built
+    per drift node, and a node equal to the one before shares its field, so a
+    static drift finds its evaluation band once.
     """
     if cfg.dimension != b.grid.dimension:
         raise ValueError("config dimension does not match the drift")
-    dt = cfg.dt
+    dt, h = cfg.dt, b.horizon
     x0 = np.asarray(cfg.x0)
-    # drift nodes looked up once per step; sim and drift grids need not match
-    fields = [b.at_time(min(m * dt, b.horizon), rule="left") for m in range(cfg.steps)]
+    fields = [SpectralField(b.grid, b.coeffs[0])]
+    for prev, c in zip(b.coeffs, b.coeffs[1:]):
+        fields.append(fields[-1] if np.array_equal(c, prev) else SpectralField(b.grid, c))
+    # the node at or before each step's time; sim and drift grids need not match
+    node = [min(int(np.floor(min(m * dt, h) / h * b.nodes)), b.nodes)
+            for m in range(cfg.steps)]
     states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
-                    lambda m, x, dw: x + evaluate(fields[m], x) * dt + dw)
+                    lambda m, x, dw: x + evaluate(fields[node[m]], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}
     return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
 

@@ -555,15 +555,9 @@ class TimeField(_Field):
         return np.linspace(0.0, self.horizon, self.nodes + 1)
 
     def node(self, m: int) -> SpectralField:
-        """The field at node m.  The last node asked for is kept (the
-        coefficients are read-only), so calls that follow each other at one
-        node, as `psi` and the next Euler step do, find its evaluation band
-        once; keeping every node would hold a second copy of the field."""
-        last = self.__dict__.get("_last_node")
-        if last is None or last[0] != m:
-            last = (m, SpectralField(self.grid, self.coeffs[m]))
-            object.__setattr__(self, "_last_node", last)
-        return last[1]
+        """The field at node m, built per call: a caller that evaluates one
+        node repeatedly keeps the field, so its evaluation band is found once."""
+        return SpectralField(self.grid, self.coeffs[m])
 
     @staticmethod
     def from_nodes(fields, horizon: float) -> "TimeField":
@@ -575,20 +569,16 @@ class TimeField(_Field):
         shape = (steps + 1, components) + grid.spatial_shape
         return TimeField(grid, horizon, np.zeros(shape, dtype=complex))
 
-    def at_time(self, t: float, rule: str = "linear") -> SpectralField:
-        """Field at time t; 'linear' interpolates coefficients, 'left' takes
-        the latest node at or before t.  At a node time both return `node`."""
+    def at_time(self, t: float) -> SpectralField:
+        """Field at time t, its coefficients interpolated linearly between the
+        nodes; at a node time it is `node`, bit for bit."""
         eps = 1e-12 * max(self.horizon, 1.0)
         if t < -eps or t > self.horizon + eps:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        if rule not in ("linear", "left"):
-            raise ValueError(f"unknown interpolation rule {rule!r}")
         pos = np.clip(t, 0.0, self.horizon) / self.horizon * self.nodes
         m = int(np.floor(pos))
         if m >= self.nodes:
             return self.node(self.nodes)
-        if rule == "left":
-            return self.node(m)
         w = pos - m
         if w == 0.0:
             return self.node(m)

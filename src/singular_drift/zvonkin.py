@@ -4,17 +4,19 @@ Once the backward solution u carries the certificate sup |grad u| <= 1/2 the
 map x -> phi(t, x) is a diffeomorphism for every t: the inverse psi solves the
 fixed point x = y - u(t, x), a contraction at rate <= 1/2 from the initial
 guess x = y, which psi accelerates by a safeguarded Anderson(1) step (the
-secant method in 1-D) at no extra evaluation of u.  Between time nodes u is
-interpolated linearly in its coefficients.
+secant method in 1-D) at no extra evaluation of u.  Between time nodes u and
+its gradient, formed once per transform, are interpolated linearly in their
+coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .spectral import SpectralField, TimeField, _points, evaluate, gradient
+from .spectral import TimeField, _points, evaluate, gradient
 from .kolmogorov import GRADIENT_TARGET, gradient_sup
 
 __all__ = [
@@ -43,7 +45,7 @@ class TransformContext:
 
     gradient_bound is the measured certificate sup |grad u|; `make_context`
     refuses values above 1/2 because the contraction estimate would be void.
-    grad u is not stored: `transform_jacobian` derives it from u per call.
+    grad u is formed once, on first use, and kept (`jacobian`).
     """
 
     u: TimeField
@@ -54,8 +56,11 @@ class TransformContext:
     def horizon(self) -> float:
         return self.u.horizon
 
-    def u_at(self, t: float) -> SpectralField:
-        return self.u.at_time(t, rule="linear")
+    @cached_property
+    def jacobian(self) -> TimeField:
+        """grad u at every node, components ordered (i, j) -> d_j u_i: formed
+        on first use and kept, as the context is immutable."""
+        return gradient(self.u)
 
 
 def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
@@ -74,7 +79,7 @@ def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
 
 def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
     """Forward transform x + u(t, x) on an (m, d) batch of points."""
-    return np.asarray(x, dtype=float) + evaluate(ctx.u_at(t), x)
+    return np.asarray(x, dtype=float) + evaluate(ctx.u.at_time(t), x)
 
 
 def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
@@ -104,7 +109,7 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     pts = _points(y, ctx.u.grid.dimension)
     if not np.all(np.isfinite(pts)):
         raise ValueError("psi is defined on finite points; got NaN or infinity")
-    u_t = ctx.u_at(t)
+    u_t = ctx.u.at_time(t)
     if not np.any(u_t.coeffs):
         return pts.copy()
     x = pts.copy()
@@ -149,8 +154,9 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
 
 def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
     """grad u(t, x) as (m, d, d) matrices, J[i, j] = d_j u_i, on an (m, d)
-    batch of points: the spectral gradient of u(t), derived per call.  At
-    node times that is the node's gradient bit for bit."""
+    batch of points: the context's node gradients, interpolated linearly in
+    time.  At node times that is the gradient of u(t) bit for bit; between
+    them the two differ by rounding."""
     d = ctx.u.grid.dimension
-    vals = evaluate(gradient(ctx.u_at(t)), x)     # (m, d*d)
+    vals = evaluate(ctx.jacobian.at_time(t), x)     # (m, d*d)
     return vals.reshape(-1, d, d)

@@ -101,8 +101,8 @@ def random_time_field(grid, steps, amplitude, seed, horizon=1.0):
     return TimeField.from_nodes(nodes, horizon)
 
 
-def node_gradient_jacobian(ctx, t, x):
-    """grad u from the spectral gradients of the nodes, interpolated linearly
-    in time: the reference that `zvonkin.transform_jacobian` must match."""
+def u_gradient_jacobian(ctx, t, x):
+    """grad u from the spectral gradient of u(t), formed per call: the
+    reference that `zvonkin.transform_jacobian` must match."""
     d = ctx.u.grid.dimension
-    return evaluate(gradient(ctx.u).at_time(t, rule="linear"), x).reshape(-1, d, d)
+    return evaluate(gradient(ctx.u.at_time(t)), x).reshape(-1, d, d)

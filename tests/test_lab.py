@@ -306,17 +306,25 @@ def test_study_lambda_smoke():
     assert rep.floor > 0.0
 
 
-@pytest.mark.parametrize("study, draws", [(study_mollify, 3), (study_lambda, 2)],
-                         ids=["mollify", "lambda"])
-def test_study_draws_its_shared_noise_once(monkeypatch, study, draws):
+SMOOTH = DriftSpec(family="smooth-test", seed=1, beta=0.25, amplitude=0.2)
+
+
+@pytest.mark.parametrize("study, over, draws", [
+    (study_mollify, {}, 3),
+    (study_lambda, {}, 2),
+    (study_smooth_consistency, dict(drift=SMOOTH, lam=1.0, steps_list=(4, 8, 16)), 2),
+], ids=["mollify", "lambda", "consistency"])
+def test_study_draws_its_shared_noise_once(monkeypatch, study, over, draws):
     # mollify: the virtual run and both levels share one draw, then the floor
-    # and the floor base; lambda: both lambdas share one draw, then the floor
+    # and the floor base; lambda: both lambdas share one draw, then the floor;
+    # consistency: every step count sums its increments from one base draw,
+    # then the floor
     calls = []
     block_normals = sde._block_normals
     monkeypatch.setattr(sde, "_last_noise", {})
     monkeypatch.setattr(sde, "_block_normals",
                         lambda *a: calls.append(a) or block_normals(*a))
-    study(tiny_config(lambda_list=(2.0, 4.0)))
+    study(tiny_config(lambda_list=(2.0, 4.0), **over))
     assert len(calls) == draws
 
 
@@ -329,9 +337,7 @@ def test_study_lambda_without_the_base_lambda():
 
 
 def test_study_consistency_smoke():
-    cfg = tiny_config(drift=DriftSpec(family="smooth-test", seed=1, beta=0.25,
-                                      amplitude=0.2),
-                      lam=1.0, steps_list=(8, 16), paths=100)
+    cfg = tiny_config(drift=SMOOTH, lam=1.0, steps_list=(8, 16), paths=100)
     rep = study_smooth_consistency(cfg)
     assert [row["steps"] for row in rep.levels] == [8, 16]
     assert "dev_ratio" in rep.levels[1]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import singular_drift.sde as sde
-from singular_drift.spectral import GridSpec, SpectralField, TimeField
-from singular_drift.zvonkin import TransformContext, make_context, psi
+from singular_drift.drifts import DriftSpec, generate
+from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate
+from singular_drift.zvonkin import TransformContext, make_context, phi, psi
 from singular_drift.sde import (
     EllipticityError,
     PathEnsemble,
@@ -21,7 +22,7 @@ from singular_drift.sde import (
     virtual_x,
 )
 
-from conftest import node_gradient_jacobian, random_time_field, sine_time_field
+from conftest import random_time_field, sine_time_field, u_gradient_jacobian
 
 
 def zero_ctx(grid, steps=8):
@@ -140,7 +141,8 @@ def test_nested_refinement_preserves_path():
 
 def test_coefficients_zero_transform(grid64):
     ctx = zero_ctx(grid64)
-    mu, sigma = coefficients(ctx, 3.0, 0.5, np.array([[0.7], [1.4]]))
+    x = np.array([[0.7], [1.4]])
+    mu, sigma = coefficients(ctx, 3.0, 0.5, x, x)
     assert np.max(np.abs(mu)) == 0.0
     assert np.array_equal(sigma, np.tile(np.eye(1), (2, 1, 1)))
 
@@ -149,25 +151,49 @@ def test_coefficients_closed_form(grid64):
     # u = 0.4 sin x: mu = (lam+1) 0.4 sin(x), sigma = 1 + 0.4 cos(x) at X = x
     ctx = make_context(sine_time_field(grid64, 0.4, 4))
     x = np.array([[1.2]])
-    mu, sigma = coefficients(ctx, 2.0, 0.0, x)
+    y = phi(ctx, 0.0, x)
+    mu, sigma = coefficients(ctx, 2.0, 0.0, y, x)
     assert abs(mu[0, 0] - 3.0 * 0.4 * np.sin(x[0, 0])) < 1e-10
     assert abs(sigma[0, 0, 0] - (1.0 + 0.4 * np.cos(x[0, 0]))) < 1e-10
     with pytest.raises(ValueError, match="batch"):
-        coefficients(ctx, 2.0, 0.0, x[0])
+        coefficients(ctx, 2.0, 0.0, y[0], x[0])
 
 
 def test_coefficients_ellipticity_floor(grid64):
     # bypass the certificate to build sigma = 1 + 0.9 cos x, which dips to 0.1
     ctx = TransformContext(u=sine_time_field(grid64, 0.9, 2), gradient_bound=0.9)
+    x = np.array([[3.0]])
     with pytest.raises(EllipticityError):
-        coefficients(ctx, 1.0, 0.0, np.array([[3.0]]))
+        coefficients(ctx, 1.0, 0.0, x, x)
 
 
 def test_coefficients_refuse_nan_points(grid64):
     # a blown-up Y puts NaN into sigma; the floor test must not pass it
     ctx = make_context(sine_time_field(grid64, 0.4, 4))
+    x = np.array([[1.0], [np.nan]])
     with pytest.raises(EllipticityError):
-        coefficients(ctx, 1.0, 0.0, np.array([[1.0], [np.nan]]))
+        coefficients(ctx, 1.0, 0.0, x, x)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_identity_drift_matches_the_evaluated_drift(grid64, case):
+    # mu = (lam+1)(y - X) stands for (lam+1) u(t, X) at X = psi(t, y): psi
+    # stops within tol of its fixed point, so the two differ by at most
+    # (lam+1) q tol
+    tol, lam = 1e-9, 3.0
+    if case == "1d":
+        ctx = make_context(random_time_field(grid64, 4, 0.1, seed=4), inverse_tol=tol)
+    else:
+        ctx = make_context(ctx_2d().u, inverse_tol=tol)
+    d = ctx.u.grid.dimension
+    y = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(500, d))
+    worst = 0.0
+    for t in (0.0, 0.3, 0.5, 1.0):
+        x = psi(ctx, t, y)
+        mu, _ = coefficients(ctx, lam, t, y, x)
+        evaluated = (lam + 1.0) * evaluate(ctx.u.at_time(t), x)
+        worst = max(worst, float(np.max(np.linalg.norm(mu - evaluated, axis=1))))
+    assert 0.0 < worst <= (lam + 1.0) * ctx.gradient_bound * tol
 
 
 # --- simulators --------------------------------------------------------------------------
@@ -208,6 +234,30 @@ def test_simulate_classical_constant_drift(grid64):
     assert np.max(np.abs(np.asarray(ens.states) - ref)) < 1e-15
 
 
+@pytest.mark.parametrize("changes, steps, fields", [(0, 8, 1), (2, 8, 3), (2, 7, 3)],
+                         ids=["static", "piecewise", "piecewise-off-node"])
+def test_simulate_classical_takes_the_node_at_or_before_each_step(
+        grid64, monkeypatch, changes, steps, fields):
+    # a drift on 4 nodes, at a step count that is a multiple of the nodes and
+    # at one that is not: step m reads node floor(t_m / T * M), and one field
+    # is built per distinct node, so a static drift finds its band once
+    spec = DriftSpec(family="random-fourier", seed=3, beta=0.25, eta=0.3, amplitude=0.25,
+                     changes=changes)
+    b = generate(spec, grid64, 1.0, 4)
+    cfg = small_sim(steps=steps, paths=16)
+    dw = brownian_increments(cfg)
+    ref = np.empty((16, steps + 1, 1))
+    ref[:, 0] = 0.3
+    for m in range(steps):
+        node = int(np.floor(m * cfg.dt / b.horizon * b.nodes))
+        drift = evaluate(SpectralField(grid64, b.coeffs[node]), ref[:, m])
+        ref[:, m + 1] = ref[:, m] + drift * cfg.dt + dw[:, m]
+    built = []
+    monkeypatch.setattr(sde, "SpectralField", lambda *a: built.append(a) or SpectralField(*a))
+    assert np.array_equal(np.asarray(simulate_classical(b, cfg).states), ref)
+    assert len(built) == fields
+
+
 def test_simulation_reproducible_across_runs(grid64):
     cases = [(make_context(sine_time_field(grid64, 0.3, 8)), {}),
              (ctx_2d(), dict(x0=(0.3, -0.2), steps=8))]
@@ -244,9 +294,9 @@ def test_psi_solved_once_per_node(grid64, monkeypatch):
     monkeypatch.setattr(sde, "psi", counted)
     cfg = small_sim(paths=3000, steps=4)       # one batch of every path per node
     ys = simulate_y(ctx, cfg)
-    assert len(calls) == cfg.steps + 1
+    assert len(calls) == cfg.steps      # none at node 0, where X_0 = x0
     virtual_x(ctx, ys)
-    assert len(calls) == cfg.steps + 1
+    assert len(calls) == cfg.steps
 
 
 @pytest.mark.parametrize("case", ["1d", "2d"])
@@ -258,11 +308,18 @@ def test_virtual_x_is_the_x_the_steps_used(grid64, case):
     ys = simulate_y(ctx, cfg)
     y, x = np.asarray(ys.states), np.asarray(virtual_x(ctx, ys).states)
     dw = brownian_increments(cfg)
+    # node 0 starts from x0, so psi(0, Y_0) meets it only within psi's bound
+    x0 = np.tile(cfg.x0, (cfg.paths, 1))
+    assert np.array_equal(x[:, 0], x0)
+    assert np.array_equal(y[:, 0], phi(ctx, 0.0, x0))
+    q = ctx.gradient_bound
+    assert np.max(np.abs(psi(ctx, 0.0, y[:, 0]) - x0)) <= q / (1.0 - q) * ctx.inverse_tol
     for m, t in enumerate(cfg.times):
-        assert np.max(np.abs(x[:, m] - psi(ctx, t, y[:, m]))) <= 1e-14
+        if m > 0:
+            assert np.max(np.abs(x[:, m] - psi(ctx, t, y[:, m]))) <= 1e-14
         if m == cfg.steps:
             break
-        mu, sigma = coefficients(ctx, cfg.lam, t, x[:, m])
+        mu, sigma = coefficients(ctx, cfg.lam, t, y[:, m], x[:, m])
         rebuilt = y[:, m] + mu * cfg.dt + np.einsum("pij,pj->pi", sigma, dw[:, m])
         assert np.array_equal(rebuilt, y[:, m + 1])
 
@@ -270,13 +327,13 @@ def test_virtual_x_is_the_x_the_steps_used(grid64, case):
 @pytest.mark.parametrize("d, modes, amplitude", [(1, 64, 0.1), (2, 16, 0.06)])
 def test_off_node_paths_match_interpolated_node_gradients(monkeypatch, d, modes, amplitude):
     # 7 Euler steps over 4 PDE intervals put most steps between nodes, where
-    # sigma is the gradient of the interpolated u rather than the
-    # interpolated node gradients; X moves by rounding only
+    # sigma is the interpolated node gradients rather than the gradient of
+    # the interpolated u; X moves by rounding only
     ctx = make_context(random_time_field(GridSpec(d, modes), 4, amplitude,
                                          seed=3 + d))
     cfg = small_sim(x0=(0.3, -0.2)[:d], steps=7, paths=200)
     x = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)
-    monkeypatch.setattr(sde, "transform_jacobian", node_gradient_jacobian)
+    monkeypatch.setattr(sde, "transform_jacobian", u_gradient_jacobian)
     ref = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)
     assert np.max(np.abs(x - ref)) <= 1e-14
 

@@ -494,30 +494,18 @@ def test_time_field_interpolation(grid64):
     f0 = SpectralField.constant(grid64, 0.0)
     f1 = SpectralField.constant(grid64, 1.0)
     tf = TimeField.from_nodes([f0, f1], 1.0)
-    mid = tf.at_time(0.25, rule="linear")
+    mid = tf.at_time(0.25)
     assert abs(mid.coeffs[0, 0] - 0.25) < 1e-15
-    left = tf.at_time(0.25, rule="left")
-    assert abs(left.coeffs[0, 0]) == 0.0
     assert abs(tf.at_time(1.0).coeffs[0, 0] - 1.0) == 0.0
     with pytest.raises(ValueError):
         tf.at_time(1.5)
-    with pytest.raises(ValueError):
-        tf.at_time(0.5, rule="cubic")
-
-
-def test_time_field_node_is_kept_while_asked_for(grid64):
-    # node(m) and at_time at t_m hand out the same field while m is asked for,
-    # so its evaluation band is found once; its coefficients are the
-    # interpolation's, bit for bit
+    # at a node time the field is the node, and the node is the
+    # interpolation's coefficients bit for bit
     tf = random_time_field(grid64, 4, 0.1, seed=2)
     for m, t in enumerate(tf.times):
-        node = tf.node(m)
-        assert node is tf.node(m)
-        for rule in ("linear", "left"):
-            assert tf.at_time(t, rule=rule) is node
         nxt = tf.coeffs[min(m + 1, tf.nodes)]
-        assert np.array_equal(node.coeffs, 1.0 * tf.coeffs[m] + 0.0 * nxt)
-    assert tf.at_time(0.3) is not tf.at_time(0.3)      # off the nodes: built per call
+        assert np.array_equal(tf.at_time(t).coeffs, tf.node(m).coeffs)
+        assert np.array_equal(tf.node(m).coeffs, 1.0 * tf.coeffs[m] + 0.0 * nxt)
 
 
 def test_time_field_reversal(grid64):
@@ -533,10 +521,6 @@ def test_time_field_validation(grid64):
         TimeField(grid64, 0.0, np.zeros((2, 1, 64), dtype=complex))
     with pytest.raises(ValueError):
         TimeField(grid64, 1.0, np.zeros((1, 1, 64), dtype=complex))
-    tf = TimeField.zero(grid64, 1.0, 4)
-    for t in (0.5, tf.horizon):     # the rule is checked at the end of the grid too
-        with pytest.raises(ValueError, match="unknown interpolation rule"):
-            tf.at_time(t, rule="nearest")
 
 
 _OPERATORS = {

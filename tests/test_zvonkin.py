@@ -17,7 +17,7 @@ from singular_drift.zvonkin import (
     transform_jacobian,
 )
 
-from conftest import node_gradient_jacobian, random_field, random_time_field, sine_time_field
+from conftest import random_field, random_time_field, sine_time_field, u_gradient_jacobian
 
 
 def test_make_context_certifies_gradient(grid64):
@@ -63,7 +63,7 @@ def triangle_wave(grid: GridSpec) -> SpectralField:
 def contraction_reference(ctx, t, y, tol):
     """The plain contraction x <- y - u(t, x) from x = y, every point until
     its move is below tol; returns the points and the point-sweeps spent."""
-    u_t = ctx.u_at(t)
+    u_t = ctx.u.at_time(t)
     x, active, sweeps = y.copy(), np.arange(len(y)), 0
     for _ in range(200):
         nxt = y[active] - evaluate(u_t, x[active])
@@ -103,7 +103,7 @@ def test_psi_matches_scalar_root_finder(sine_ctx):
 def test_psi_matches_scalar_root_finder_on_steep_rough_fields(seed):
     # sup |u'| reads 0.49 at the nodes: the contraction's slowest admissible rate
     ctx = steep_context(random_field(GridSpec(1, 64), eta=0.3, seed=seed))
-    u_t = ctx.u_at(0.25)
+    u_t = ctx.u.at_time(0.25)
     ys = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=20)
     got = psi(ctx, 0.25, ys[:, None])[:, 0]
     reach = float(np.max(np.abs(u_t.values()))) + 0.1
@@ -195,7 +195,7 @@ def test_psi_falls_back_to_the_plain_step(monkeypatch):
             if not plain and not r[k] <= q_sq * r[k - 1]:
                 fallbacks += 1
                 assert x[k + 1] == g[k - 1]
-        assert abs(x_hat + evaluate(ctx.u_at(0.5), [[x_hat]])[0, 0] - y) <= 1e-12
+        assert abs(x_hat + evaluate(ctx.u.at_time(0.5), [[x_hat]])[0, 0] - y) <= 1e-12
     assert fallbacks > 0
 
 
@@ -208,18 +208,18 @@ def test_transform_jacobian_closed_form(sine_ctx):
 
 @pytest.mark.parametrize("d, modes, amplitude", [(1, 64, 0.1), (2, 16, 0.06)])
 def test_transform_jacobian_is_the_gradient_of_u(d, modes, amplitude):
-    # differentiating u(t) and interpolating the node gradients agree
-    # bitwise at node times and to rounding between them
+    # interpolating the kept node gradients and differentiating u(t) per
+    # call agree bitwise at node times and to rounding between them
     grid = GridSpec(d, modes)
     ctx = make_context(random_time_field(grid, 4, amplitude, seed=3 + d))
     x = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(40, d))
     for t in ctx.u.times:
         assert np.array_equal(transform_jacobian(ctx, t, x),
-                              node_gradient_jacobian(ctx, t, x))
+                              u_gradient_jacobian(ctx, t, x))
     worst = 0.0
     for t in (0.1, 0.3, 0.61, 0.999):
         got = transform_jacobian(ctx, t, x)
-        want = node_gradient_jacobian(ctx, t, x)
+        want = u_gradient_jacobian(ctx, t, x)
         worst = max(worst, float(np.max(np.abs(got - want))))
     assert 0.0 < np.max(np.abs(want)) and worst <= 1e-14
 
