@@ -82,8 +82,10 @@ class SimConfig:
             object.__setattr__(self, name, n if n is None else int(n))
         if self.steps < 1 or self.paths < 1:
             raise ValueError("steps and paths must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.seed < 0 or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
         if not 0.0 <= self.lam < np.inf:

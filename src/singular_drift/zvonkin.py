@@ -45,12 +45,18 @@ class TransformContext:
 
     gradient_bound is the measured certificate sup |grad u|; `make_context`
     refuses values above 1/2 because the contraction estimate would be void.
+    The context itself refuses an inverse_tol that is not finite and positive.
     grad u is formed once, on first use, and kept (`jacobian`).
     """
 
     u: TimeField
     gradient_bound: float
     inverse_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not 0.0 < self.inverse_tol < np.inf:
+            raise ValueError(f"inverse tolerance must be finite and positive, "
+                             f"got {self.inverse_tol}")
 
     @property
     def horizon(self) -> float:
@@ -72,8 +78,6 @@ def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
             f"gradient certificate failed: sup |grad u| = {bound:.6f} > {GRADIENT_TARGET:g}; "
             f"raise lambda before building the transform"
         )
-    if not inverse_tol > 0:
-        raise ValueError("inverse tolerance must be positive")
     return TransformContext(u=u, gradient_bound=float(bound), inverse_tol=float(inverse_tol))
 
 
@@ -110,44 +114,36 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("psi is defined on finite points; got NaN or infinity")
     u_t = ctx.u.at_time(t)
-    if not np.any(u_t.coeffs):
-        return pts.copy()
-    x = pts.copy()
-    active = np.arange(pts.shape[0])
     tol_sq, q_sq = ctx.inverse_tol ** 2, ctx.gradient_bound ** 2
-    # per active point: the last kept sweep (g, f, |f|^2), and whether x[active]
-    # is an accelerated iterate that must shrink |f|^2 by q_sq against it
-    g_kept = f_kept = r_kept = None
-    accelerated = np.zeros(pts.shape[0], dtype=bool)
-    for _ in range(INVERSE_MAX_ITER):
-        xa = x[active]
-        g = pts[active] - evaluate(u_t, xa)
-        f = g - xa
+    out = np.empty_like(pts)
+    # per moving point: its row, y, the iterate x, the last kept sweep (g, f),
+    # and whether x is an accelerated iterate that must shrink |f|^2 by q_sq
+    row, y, x = np.arange(pts.shape[0]), pts, pts
+    for sweep in range(INVERSE_MAX_ITER):
+        g = y - evaluate(u_t, x)
+        f = g - x
         r = np.sum(f * f, axis=1)
-        done = r < tol_sq
-        x[active[done]] = g[done]
-        if g_kept is None:
-            nxt, g_kept, f_kept, r_kept = g, g, f, r
+        if sweep == 0:
+            nxt, g_kept, f_kept, accelerated = g, g, f, np.zeros(r.shape, dtype=bool)
         else:
-            drop = accelerated & (r > q_sq * r_kept)
+            drop = accelerated & (r > q_sq * np.sum(f_kept * f_kept, axis=1))
             df = f - f_kept
             dd = np.sum(df * df, axis=1)
             gamma = np.divide(np.sum(f * df, axis=1), dd, out=np.zeros_like(dd),
                               where=dd > 0)
-            nxt = g - gamma[:, None] * (g - g_kept)
-            nxt[drop] = g_kept[drop]
-            keep = ~drop
-            g_kept[keep], f_kept[keep], r_kept[keep] = g[keep], f[keep], r[keep]
-            accelerated = keep
-        live = ~done
-        if not np.any(live):
-            return x
-        active = active[live]
-        x[active] = nxt[live]
-        g_kept, f_kept, r_kept = g_kept[live], f_kept[live], r_kept[live]
-        accelerated = accelerated[live]
+            nxt = np.where(drop[:, None], g_kept, g - gamma[:, None] * (g - g_kept))
+            g_kept = np.where(drop[:, None], g_kept, g)
+            f_kept = np.where(drop[:, None], f_kept, f)
+            accelerated = ~drop
+        done = r < tol_sq
+        out[row[done]] = g[done]
+        moving = np.flatnonzero(~done)
+        if moving.size == 0:
+            return out
+        row, y, x = row[moving], y[moving], nxt[moving]
+        g_kept, f_kept, accelerated = g_kept[moving], f_kept[moving], accelerated[moving]
     raise InverseDiverged(
-        f"{active.size} point(s) still moving after {INVERSE_MAX_ITER} "
+        f"{row.size} point(s) still moving after {INVERSE_MAX_ITER} "
         f"iterations (gradient bound {ctx.gradient_bound:.4f})"
     )
 

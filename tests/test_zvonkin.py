@@ -1,5 +1,7 @@
 """Space transform and its inverse against scalar root-finding oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -36,6 +38,14 @@ def test_make_context_validates_components(grid64):
         make_context(two)
     with pytest.raises(ValueError):
         make_context(u, inverse_tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_context_refuses_a_bad_inverse_tolerance(sine_ctx, bad):
+    # checked by the context itself, so a replaced tolerance is refused too
+    with pytest.raises(ValueError, match="inverse tolerance"):
+        dataclasses.replace(sine_ctx, inverse_tol=bad)
+    assert dataclasses.replace(sine_ctx, inverse_tol=1e-12).inverse_tol == 1e-12
 
 
 def test_phi_closed_form(sine_ctx):
@@ -132,7 +142,8 @@ def test_transform_rejects_single_point(sine_ctx):
         assert fn(sine_ctx, 0.0, np.array([[1.0]])).shape[0] == 1
 
 
-def test_psi_zero_transform_shortcut(grid64):
+def test_psi_zero_transform_returns_y(grid64):
+    # the first sweep's plain step is y - 0 with a zero residual
     ctx = make_context(sine_time_field(grid64, 0.0, 2))
     y = np.array([[1.0], [2.0]])
     assert np.array_equal(psi(ctx, 0.5, y), y)
@@ -140,7 +151,7 @@ def test_psi_zero_transform_shortcut(grid64):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_psi_refuses_non_finite_points(grid64, sine_ctx, bad):
-    # refused before the zero-transform shortcut too, which would return it
+    # refused up front, on the zero transform too
     zero = make_context(sine_time_field(grid64, 0.0, 2))
     y = np.array([[1.0], [bad]])
     for ctx in (sine_ctx, zero):
@@ -173,6 +184,19 @@ def test_psi_spends_fewer_sweeps_than_the_contraction(monkeypatch):
     psi(ctx, 0.5, y)
     accelerated = sum(len(x) for x, _ in calls)
     assert accelerated <= 0.75 * plain
+
+
+@pytest.mark.parametrize("node", [
+    random_field(GridSpec(1, 256), eta=0.3, seed=7),
+    triangle_wave(GridSpec(1, 64)),
+], ids=["steep-rough", "triangle-wave"])
+def test_psi_rows_do_not_depend_on_the_batch(node):
+    ctx = steep_context(node, tol=1e-9)
+    y = np.random.default_rng(15).uniform(0.0, 2 * np.pi, size=(300, 1))
+    whole = psi(ctx, 0.5, y)
+    for i in range(len(y)):
+        assert np.array_equal(whole[i], psi(ctx, 0.5, y[i:i + 1])[0])
+    assert np.array_equal(whole[:137], psi(ctx, 0.5, y[:137]))
 
 
 def test_psi_falls_back_to_the_plain_step(monkeypatch):
