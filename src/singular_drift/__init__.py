@@ -26,9 +26,7 @@ from .paraproduct import NonConvergent, product, drift_gradient_product
 from .drifts import (
     AssumptionViolated,
     DriftSpec,
-    EmptyRegion,
     InvalidSpec,
-    KappaRegion,
     assumption_check,
     generate,
     mollified_sequence,
@@ -43,7 +41,7 @@ from .kolmogorov import (
     solve_fwd,
     weighted_norm,
 )
-from .zvonkin import InverseDiverged, TransformContext, make_context, phi, psi
+from .zvonkin import InverseDiverged, TransformContext, phi, psi
 from .sde import (
     PathEnsemble,
     SimConfig,

@@ -21,10 +21,9 @@ from .spectral import GridSpec, SpectralField, TimeField, heat_semigroup, \
     load_time_field, load_time_field_meta, save_time_field
 from .paraproduct import SOLVER_STAGE, dealiased_multiply
 from .drifts import assumption_check, generate
-from .zvonkin import make_context, phi, psi
+from .zvonkin import TransformContext, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
 from .lab import (
-    INVERSE_TOL,
     ExperimentConfig,
     _sim_config,
     config_digest,
@@ -92,7 +91,7 @@ def cmd_simulate(args) -> int:
         if cfg.lam not in (None, lam):
             raise SystemExit(f"the config's lam {cfg.lam:g} differs from the lambda "
                              f"{lam:g} at which {args.u} was solved")
-        ctx = make_context(load_time_field(args.u), inverse_tol=INVERSE_TOL)
+        ctx = TransformContext(load_time_field(args.u))
     else:
         bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
         ctx, lam = bundle["ctx"], bundle["lam"]
@@ -149,7 +148,7 @@ def cmd_diagnostics(args) -> int:
     coeffs[:, 0, 1] = -0.05j
     coeffs[:, 0, -1] = 0.05j   # 0.1 sin(x)
     u = TimeField(grid, 1.0, coeffs)
-    ctx = make_context(u)
+    ctx = TransformContext(u, inverse_tol=1e-12)
     y = np.linspace(0.0, 2 * np.pi, 17)[:, None]
     back = phi(ctx, 0.5, psi(ctx, 0.5, y))
     err = np.max(np.abs(back - y))

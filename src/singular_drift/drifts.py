@@ -27,9 +27,7 @@ from .spectral import (
 __all__ = [
     "InvalidSpec",
     "AssumptionViolated",
-    "EmptyRegion",
     "DriftSpec",
-    "KappaRegion",
     "AssumptionReport",
     "generate",
     "assumption_check",
@@ -46,10 +44,6 @@ class InvalidSpec(Exception):
 
 class AssumptionViolated(Exception):
     """The (beta, q) window or a norm bound failed."""
-
-
-class EmptyRegion(Exception):
-    """No admissible (delta, p) pair for this (beta, q)."""
 
 
 @dataclass(frozen=True)
@@ -172,6 +166,17 @@ class AssumptionReport:
         return d
 
 
+def _check_window(beta: float, q: float, d: int) -> float:
+    """Refuse (beta, q) outside beta in (0, 1/2), q in (d/(1-beta), d/beta)
+    with AssumptionViolated; return the window's lower end q~ = d/(1-beta)."""
+    if not (0.0 < beta < 0.5):
+        raise AssumptionViolated(f"beta={beta} outside (0, 1/2)")
+    lo, hi = d / (1.0 - beta), d / beta
+    if not (lo < q < hi):
+        raise AssumptionViolated(f"q={q} outside ({lo:.6g}, {hi:.6g}) for d={d}")
+    return lo
+
+
 def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
     """Verify the admissibility window and measure the drift norms.
 
@@ -179,13 +184,7 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
     sup_t max(||b(t)||_{H^{-beta}_{q~}}, ||b(t)||_{H^{-beta}_q}).  Raises
     AssumptionViolated when the window or finiteness fails.
     """
-    d = b.grid.dimension
-    if not (0.0 < beta < 0.5):
-        raise AssumptionViolated(f"beta={beta} outside (0, 1/2)")
-    lo, hi = d / (1.0 - beta), d / beta
-    if not (lo < q < hi):
-        raise AssumptionViolated(f"q={q} outside ({lo:.6g}, {hi:.6g}) for d={d}")
-    q_tilde = d / (1.0 - beta)
+    q_tilde = _check_window(beta, q, b.grid.dimension)
     idx_q = SobolevIndex(-beta, q)
     idx_qt = SobolevIndex(-beta, q_tilde)
 
@@ -214,51 +213,21 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
 # --- the (delta, p) selection window -------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaRegion:
-    """Admissible auxiliary exponents {(delta, p): beta < delta < 1-beta, d/delta < p < q}."""
-
-    beta: float
-    q: float
-    dimension: int
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 0.5):
-            raise EmptyRegion(f"beta={self.beta} leaves no delta window")
-        if self.dimension not in (1, 2):
-            raise EmptyRegion(f"unsupported dimension {self.dimension}")
-        if not self.q > 1:
-            raise EmptyRegion(f"q={self.q} must exceed 1")
-
-    def contains(self, delta: float, p: float) -> bool:
-        return (self.beta < delta < 1.0 - self.beta) and (self.dimension / delta < p < self.q)
-
-    def is_empty(self) -> bool:
-        # largest admissible p window opens at d/delta with delta -> 1-beta
-        return self.q <= self.dimension / (1.0 - self.beta)
-
-
-def pick_kappa(region: KappaRegion) -> tuple:
-    """Canonical (delta, p) and p at the midpoint of (d/delta, q).
+def pick_kappa(beta: float, q: float, dimension: int) -> tuple:
+    """Canonical auxiliary exponents (delta, p) with beta < delta < 1-beta
+    and d/delta < p < q: p is the midpoint of (d/delta, q).
 
     delta is the midpoint 1/2 of its window (beta, 1-beta) when that leaves
     p room (q > 2d); otherwise the midpoint of (d/q, 1-beta), the deltas for
-    which d/delta < q.  Raises EmptyRegion when no pair exists.
+    which d/delta < q.  A pair exists exactly when q > d/(1-beta); raises
+    AssumptionViolated, as `assumption_check` does, outside the drift window.
     """
-    if region.is_empty():
-        raise EmptyRegion(
-            f"no (delta, p) with q={region.q} <= d/(1-beta)={region.dimension/(1-region.beta):.6g}"
-        )
-    delta = 0.5 * (region.beta + (1.0 - region.beta))  # = 1/2
-    if region.q <= region.dimension / delta:
+    _check_window(beta, q, dimension)
+    delta = 0.5 * (beta + (1.0 - beta))  # = 1/2
+    if q <= dimension / delta:
         # q <= 2d gives d/q >= 1/2 > beta, so d/q is the window's lower end
-        delta = 0.5 * (region.dimension / region.q + 1.0 - region.beta)
-    lo = region.dimension / delta
-    p = 0.5 * (lo + region.q)
-    # belt and braces: keep strictly inside the open interval
-    p = min(max(p, np.nextafter(lo, np.inf)), np.nextafter(region.q, -np.inf))
-    assert region.contains(delta, p)
-    return delta, p
+        delta = 0.5 * (dimension / q + 1.0 - beta)
+    return delta, 0.5 * (dimension / delta + q)
 
 
 def mollified_sequence(b: TimeField, n_list) -> list:

@@ -134,9 +134,11 @@ def _step_factors(tf: TimeField, lam: float) -> tuple:
     """E/(1 + lam w) and w/(1 + lam w) per mode, E = exp(-dt a), w = (1 - E)/a
     and a the Bessel symbol: the step v_m = E v_{m-1} + w (g_{m-1} - lam v_m)
     with the killing term at the right node.  For lam >= 0 both are positive
-    and the first is below 1, so no step amplifies; any other lam is refused."""
+    and the first is below 1, so no step amplifies; any other lam is refused,
+    as is a drift tf that is not real (`values`), before anything is marched."""
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    tf.values()
     dt = tf.horizon / tf.nodes
     a = tf.grid.bessel_symbol()[None]       # broadcast over components
     w = -np.expm1(-dt * a) / a
@@ -153,6 +155,7 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     I_m = (E I_{m-1} + w g_{m-1}) / (1 + lam w) with E = exp(-dt a),
     w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  g is formed
     at every node in one product, which refuses a v off b's grid or nodes.
+    A drift b that is not real is refused before the recurrence.
     """
     decay, weight = _step_factors(b, lam)
     g = _integrand(b, v)
@@ -183,7 +186,8 @@ def solve_fwd(b: TimeField, lam: float) -> tuple:
     is one march v_m = (E v_{m-1} + w g(v_{m-1})) / (1 + lam w) from v_0 = 0.
     The march does the operator's own floating-point operations in the same
     order, so integral_operator(v) equals v exactly.  The report reads one
-    pass, with no sweep differences and weight rate 0.
+    pass, with no sweep differences and weight rate 0.  A drift that is not
+    real is refused before the march.
     """
     decay, weight = _step_factors(b, lam)
     v = np.zeros_like(b.coeffs)

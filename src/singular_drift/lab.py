@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .spectral import GridSpec, TimeField, save_time_field
-from .drifts import DriftSpec, KappaRegion, assumption_check, generate, mollified_sequence, pick_kappa
+from .drifts import DriftSpec, assumption_check, generate, mollified_sequence, pick_kappa
 from .paraproduct import SOLVER_STAGE, ladder_agrees
 from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd
-from .zvonkin import make_context
+from .zvonkin import TransformContext
 from .sde import PathEnsemble, SimConfig, simulate_classical, simulate_y, virtual_x
 
 __all__ = [
@@ -44,11 +44,9 @@ __all__ = [
     "study_lambda",
     "study_smooth_consistency",
     "REPORT_TIMES",
-    "INVERSE_TOL",
 ]
 
 REPORT_TIMES = (0.25, 0.5, 0.75, 1.0)   # fractions of the horizon
-INVERSE_TOL = 1e-9                      # point inversion tolerance during simulation
 
 
 # --- sample statistics ----------------------------------------------------------
@@ -257,38 +255,38 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     Returns a bundle with the drift b, PdeConfig, lambda, trace, backward u,
     TransformContext, the solver report, and ladder_agrees at the march's
     last product (node M-1, where v(t_{M-1}) = u(t_1)).  The PdeConfig
-    always carries pick_kappa's canonical (delta, p) and the default tol.
+    always carries pick_kappa's canonical (delta, p) and the default tol,
+    the context the default inverse tolerance `zvonkin.INVERSE_TOL`.
     """
     t0 = time.perf_counter()
     b = drift if drift is not None else generate(cfg.drift, cfg.grid(), cfg.horizon,
                                                  cfg.pde_nodes)
     report = assumption_check(b, cfg.drift.beta, cfg.q)
-    delta, p = pick_kappa(KappaRegion(cfg.drift.beta, cfg.q, cfg.dimension))
+    delta, p = pick_kappa(cfg.drift.beta, cfg.q, b.grid.dimension)
     pde = PdeConfig(beta=cfg.drift.beta, delta=delta, p=p)
     if cfg.lam is None:
         lam, trace = calibrate_lambda(b)
     else:
         lam, trace = float(cfg.lam), []
-    u, ctx, solve_report = _transform_at(cfg, b, lam)
+    ctx, solve_report = _transform_at(b, lam)
     return {
         "b": b,
         "assumption": report,
         "pde": pde,
         "lam": lam,
         "trace": trace,
-        "u": u,
+        "u": ctx.u,
         "ctx": ctx,
         "solve_report": solve_report,
-        "ladder_agrees": ladder_agrees(b.node(b.nodes - 1), u.node(1), pde.product_index),
+        "ladder_agrees": ladder_agrees(b.node(b.nodes - 1), ctx.u.node(1), pde.product_index),
         "prepare_seconds": time.perf_counter() - t0,
     }
 
 
-def _transform_at(cfg: ExperimentConfig, b: TimeField, lam: float) -> tuple:
-    """Solve at lam and build the transform: (backward u, context, solver report)."""
+def _transform_at(b: TimeField, lam: float) -> tuple:
+    """Solve at lam and build the certified transform: (context, solver report)."""
     v, solve_report = solve_fwd(b, lam)
-    u = v.reversed_time()
-    return u, make_context(u, inverse_tol=INVERSE_TOL), solve_report
+    return TransformContext(v.reversed_time()), solve_report
 
 
 def _marginal(ens: PathEnsemble, frac: float, coord: int = 0) -> np.ndarray:
@@ -386,7 +384,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
         if lam == lam0:
             contexts[lam] = bundle["ctx"]
         else:
-            _, contexts[lam], _ = _transform_at(cfg, bundle["b"], lam)
+            contexts[lam], _ = _transform_at(bundle["b"], lam)
         sim = _sim_config(cfg, lam)
         x = virtual_x(contexts[lam], simulate_y(contexts[lam], sim))
         marginals[lam] = {frac: _marginal(x, frac) for frac in REPORT_TIMES}

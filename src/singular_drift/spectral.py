@@ -542,8 +542,8 @@ class TimeField(_Field):
         super().__post_init__()
         if self.coeffs.shape[0] < 2:
             raise ValueError("need at least two time nodes")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def nodes(self) -> int:

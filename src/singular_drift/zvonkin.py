@@ -11,7 +11,7 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,9 +20,9 @@ from .spectral import TimeField, _points, evaluate, gradient
 from .kolmogorov import GRADIENT_TARGET, gradient_sup
 
 __all__ = [
+    "INVERSE_TOL",
     "InverseDiverged",
     "TransformContext",
-    "make_context",
     "phi",
     "psi",
     "transform_jacobian",
@@ -37,26 +37,38 @@ class InverseDiverged(Exception):
 # dropped Anderson step costs one sweep before a contraction step, so 80 cover
 # the contraction even if every other step is dropped
 INVERSE_MAX_ITER = 80
+# psi's default tolerance on the residual |y - phi(x)|, the one every simulation uses
+INVERSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TransformContext:
-    """Backward solution u plus the data needed to invert x + u(t, x).
+    """Backward solution u, certified, plus the data needed to invert
+    x + u(t, x): u must have one component per axis.
 
-    gradient_bound is the measured certificate sup |grad u|; `make_context`
-    refuses values above 1/2 because the contraction estimate would be void.
-    The context itself refuses an inverse_tol that is not finite and positive.
-    grad u is formed once, on first use, and kept (`jacobian`).
+    gradient_bound is not a parameter: the context measures the certificate
+    sup |grad u| (`gradient_sup`) itself, on construction and on every
+    `dataclasses.replace`, and refuses values above 1/2, for which the
+    contraction estimate would be void.  It refuses an inverse_tol that is
+    not finite and positive.  grad u is formed once, on first use, and kept
+    (`jacobian`).
     """
 
     u: TimeField
-    gradient_bound: float
-    inverse_tol: float = 1e-12
+    inverse_tol: float = INVERSE_TOL
+    gradient_bound: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.inverse_tol < np.inf:
             raise ValueError(f"inverse tolerance must be finite and positive, "
                              f"got {self.inverse_tol}")
+        bound = gradient_sup(self.u)
+        if not bound <= GRADIENT_TARGET + 1e-12:
+            raise ValueError(
+                f"gradient certificate failed: sup |grad u| = {bound:.6f} > {GRADIENT_TARGET:g}; "
+                f"raise lambda before building the transform"
+            )
+        object.__setattr__(self, "gradient_bound", float(bound))
 
     @property
     def horizon(self) -> float:
@@ -67,18 +79,6 @@ class TransformContext:
         """grad u at every node, components ordered (i, j) -> d_j u_i: formed
         on first use and kept, as the context is immutable."""
         return gradient(self.u)
-
-
-def make_context(u: TimeField, inverse_tol: float = 1e-12) -> TransformContext:
-    """Certify and package a backward solution for transform work; u must
-    have one component per axis."""
-    bound = gradient_sup(u)
-    if not bound <= GRADIENT_TARGET + 1e-12:
-        raise ValueError(
-            f"gradient certificate failed: sup |grad u| = {bound:.6f} > {GRADIENT_TARGET:g}; "
-            f"raise lambda before building the transform"
-        )
-    return TransformContext(u=u, gradient_bound=float(bound), inverse_tol=float(inverse_tol))
 
 
 def phi(ctx: TransformContext, t: float, x) -> np.ndarray:

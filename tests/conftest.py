@@ -10,7 +10,7 @@ import pytest
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
 from singular_drift.drifts import DriftSpec, _power_profile, _unit_phases, generate
 from singular_drift.kolmogorov import PdeConfig
-from singular_drift.zvonkin import make_context
+from singular_drift.zvonkin import TransformContext
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,9 @@ def march_case(request, rough_drift64):
 
 @pytest.fixture(scope="module")
 def sine_ctx():
-    """u(t, x) = 0.4 sin(x), constant in time: phi = x + 0.4 sin x."""
-    return make_context(sine_time_field(GridSpec(1, 64), 0.4, 4))
+    """u(t, x) = 0.4 sin(x), constant in time: phi = x + 0.4 sin x, inverted
+    to 1e-12."""
+    return TransformContext(sine_time_field(GridSpec(1, 64), 0.4, 4), inverse_tol=1e-12)
 
 
 @pytest.fixture(scope="session")

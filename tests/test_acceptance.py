@@ -20,7 +20,6 @@ from singular_drift.spectral import (
 from singular_drift.paraproduct import product
 from singular_drift.drifts import (
     DriftSpec,
-    KappaRegion,
     generate,
     mollified_sequence,
     pick_kappa,
@@ -34,7 +33,7 @@ from singular_drift.kolmogorov import (
     mild_residual,
     solve_fwd,
 )
-from singular_drift.zvonkin import make_context, phi, psi
+from singular_drift.zvonkin import TransformContext, phi, psi
 from singular_drift.theory import (
     gamma_bound_check,
     lipschitz_probe,
@@ -74,7 +73,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def pde():
-    delta, p = pick_kappa(KappaRegion(BETA, Q, DIM))
+    delta, p = pick_kappa(BETA, Q, DIM)
     return PdeConfig(beta=BETA, delta=delta, p=p)
 
 
@@ -98,7 +97,7 @@ def solution(rough_drift, calibration):
 @pytest.fixture(scope="module")
 def transform(solution):
     _, v, _ = solution
-    return make_context(v.reversed_time())
+    return TransformContext(v.reversed_time(), inverse_tol=1e-12)
 
 
 def _random_rough(grid, eta, seed, band=None):
@@ -296,7 +295,7 @@ def test_criterion_10_trivial_sde(grid):
     zero = DriftSpec(family="smooth-test", seed=1, beta=BETA, amplitude=0.0)
     b0 = generate(zero, grid, T, M)
     v0, _ = solve_fwd(b0, 1.0)
-    ctx = make_context(v0.reversed_time())
+    ctx = TransformContext(v0.reversed_time())
     x0 = 0.3
     sim = SimConfig(x0=(x0,), horizon=T, steps=M, paths=PATHS, seed=77, lam=1.0)
     ens = virtual_x(ctx, simulate_y(ctx, sim))

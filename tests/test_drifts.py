@@ -9,9 +9,7 @@ from singular_drift.spectral import SobolevIndex, sobolev_norm
 from singular_drift.drifts import (
     AssumptionViolated,
     DriftSpec,
-    EmptyRegion,
     InvalidSpec,
-    KappaRegion,
     assumption_check,
     generate,
     mollified_sequence,
@@ -153,36 +151,40 @@ def test_assumption_check_rejects_bad_window(rough_drift64):
 # --- exponent selection ---------------------------------------------------------------
 
 
+def admissible(beta, q, d, delta, p):
+    return beta < delta < 1.0 - beta and d / delta < p < q
+
+
 def test_pick_kappa_canonical_point():
-    delta, p = pick_kappa(KappaRegion(0.25, 3.0, 1))
+    delta, p = pick_kappa(0.25, 3.0, 1)
     assert delta == 0.5
     assert p == pytest.approx(2.5)
 
 
 def test_pick_kappa_point_is_admissible():
-    region = KappaRegion(0.1, 8.0, 2)
-    delta, p = region and pick_kappa(region)
-    assert region.contains(delta, p)
+    delta, p = pick_kappa(0.1, 8.0, 2)
+    assert admissible(0.1, 8.0, 2, delta, p)
 
 
 def test_pick_kappa_widens_delta_when_one_half_is_too_small():
     # d=2, q=3: delta = 1/2 would need p > 4 > q, but any delta in (2/3, 3/4)
     # leaves p a window (d/delta, q)
-    region = KappaRegion(0.25, 3.0, 2)
-    delta, p = pick_kappa(region)
-    assert region.contains(delta, p)
+    delta, p = pick_kappa(0.25, 3.0, 2)
+    assert delta > 0.5 and admissible(0.25, 3.0, 2, delta, p)
 
 
 def test_pick_kappa_empty_region():
-    with pytest.raises(EmptyRegion):
-        pick_kappa(KappaRegion(0.25, 1.3, 1))        # q <= d/(1-beta)
+    # q <= d/(1-beta) leaves no (delta, p): the drift window's lower end
+    with pytest.raises(AssumptionViolated, match="outside"):
+        pick_kappa(0.25, 1.3, 1)
 
 
-def test_kappa_region_validation():
-    with pytest.raises(EmptyRegion):
-        KappaRegion(0.7, 3.0, 1)
-    with pytest.raises(EmptyRegion):
-        KappaRegion(0.25, 3.0, 3)
+def test_pick_kappa_refuses_outside_the_window():
+    # the window assumption_check enforces: beta in (0, 1/2), q < d/beta too
+    for beta, q, d in [(0.7, 3.0, 1), (0.0, 3.0, 1), (np.nan, 3.0, 1), (0.25, 5.0, 1),
+                       (0.25, 9.0, 2), (0.25, 3.0, 3), (0.25, np.nan, 1)]:
+        with pytest.raises(AssumptionViolated):
+            pick_kappa(beta, q, d)
 
 
 # --- mollification ---------------------------------------------------------------------

@@ -63,13 +63,13 @@ def test_pde_config_indices():
 
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_integral_operator_single_mode_exact(grid64, lam):
-    # time-constant integrand b = c e^{ikx}: the frozen-node quadrature is
-    # exact per mode, so I(0)(t) = c (1 - e^{-t a_k}) / a_k at lam = 0; at
-    # lam > 0 the right-node killing term gives the recurrence
+    # time-constant integrand b = c e^{ikx} + conj(c) e^{-ikx}: the frozen-node
+    # quadrature is exact per mode, so I(0)(t) = c (1 - e^{-t a_k}) / a_k at
+    # lam = 0; at lam > 0 the right-node killing term gives the recurrence
     # I_m = E' I_{m-1} + w' c, with closed form c w' (1 - E'^m) / (1 - E')
     k, c, steps = 3, 0.8 - 0.2j, 16
     coeffs = np.zeros((1, 64), dtype=complex)
-    coeffs[0, k] = c
+    coeffs[0, k], coeffs[0, -k] = c, np.conj(c)
     b = TimeField.from_nodes(
         [SpectralField(grid64, coeffs)] * (steps + 1), 1.0)
     v0 = TimeField.zero(grid64, 1.0, steps)
@@ -86,8 +86,21 @@ def test_integral_operator_single_mode_exact(grid64, lam):
         want = c * weight * (1.0 - decay ** m) / (1.0 - decay)
     got = out.coeffs[:, 0, k]
     assert np.max(np.abs(got - want)) < 1e-14
-    other = np.delete(out.coeffs, k, axis=2)
+    assert np.array_equal(out.coeffs[:, 0, -k], np.conj(got))
+    other = np.delete(out.coeffs, [k, 64 - k], axis=2)
     assert np.max(np.abs(other)) == 0.0
+
+
+def test_solver_refuses_a_drift_that_is_not_real(grid64):
+    # a lone mode c_3 = 1 has no Hermitian partner: its march gives grid
+    # values with imaginary parts up to 0.18, so both entry points refuse it
+    coeffs = np.zeros((1, 64), dtype=complex)
+    coeffs[0, 3] = 1.0
+    b = TimeField.from_nodes([SpectralField(grid64, coeffs)] * 65, 1.0)
+    with pytest.raises(ValueError, match="not real"):
+        solve_fwd(b, 1.0)
+    with pytest.raises(ValueError, match="not real"):
+        integral_operator(TimeField.zero(grid64, 1.0, 64), b, 1.0)
 
 
 @pytest.mark.parametrize("lam", [-0.5, -100.0, np.inf, np.nan])

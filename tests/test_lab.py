@@ -17,8 +17,8 @@ import singular_drift
 import singular_drift.sde as sde
 from singular_drift.drifts import DriftSpec
 from singular_drift.paraproduct import SOLVER_STAGE
+from singular_drift.zvonkin import INVERSE_TOL
 from singular_drift.lab import (
-    INVERSE_TOL,
     ExperimentConfig,
     config_digest,
     environment_fingerprint,
@@ -179,7 +179,7 @@ def test_experiment_config_roundtrip():
 def test_experiment_config_rejects_removed_keys(key):
     # the solver's product runs at a fixed stage, (delta, p) is always
     # pick_kappa's pair, the residual tolerance is PdeConfig's, the
-    # inversion tolerance is lab.INVERSE_TOL, the consistency study
+    # inversion tolerance is zvonkin.INVERSE_TOL, the consistency study
     # simulates cfg.paths and the torus is [0, 2 pi)^d
     d = tiny_config().to_dict()
     d[key] = 2.0
@@ -246,7 +246,7 @@ def test_prepare_transform_bundle():
     assert bundle["solve_report"].method == "march"
     assert bundle["assumption"].sup_norm > 0
     assert bundle["pde"].delta == 0.5 and bundle["pde"].p == 2.5
-    assert bundle["ctx"].inverse_tol == INVERSE_TOL
+    assert bundle["ctx"].inverse_tol == INVERSE_TOL == 1e-9
 
 
 def test_2d_pipeline_calibrates_at_nodes_over_horizon():

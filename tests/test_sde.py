@@ -8,7 +8,8 @@ import pytest
 import singular_drift.sde as sde
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate
-from singular_drift.zvonkin import TransformContext, make_context, phi, psi
+from singular_drift.kolmogorov import gradient_sup
+from singular_drift.zvonkin import TransformContext, phi, psi, transform_jacobian
 from singular_drift.sde import (
     EllipticityError,
     PathEnsemble,
@@ -26,7 +27,7 @@ from conftest import random_time_field, sine_time_field, u_gradient_jacobian
 
 
 def zero_ctx(grid, steps=8):
-    return make_context(sine_time_field(grid, 0.0, steps))
+    return TransformContext(sine_time_field(grid, 0.0, steps))
 
 
 def small_sim(**over):
@@ -42,7 +43,7 @@ def ctx_2d():
     vals = np.stack([0.2 * np.sin(x1 + x2), 0.15 * np.cos(x1 - x2)])
     nodes = [SpectralField.from_grid(grid, (1.0 - 0.5 * t) * vals)
              for t in np.linspace(0.0, 1.0, 5)]
-    return make_context(TimeField.from_nodes(nodes, 1.0))
+    return TransformContext(TimeField.from_nodes(nodes, 1.0))
 
 
 # --- configuration -----------------------------------------------------------------
@@ -152,7 +153,7 @@ def test_coefficients_zero_transform(grid64):
 
 def test_coefficients_closed_form(grid64):
     # u = 0.4 sin x: mu = (lam+1) 0.4 sin(x), sigma = 1 + 0.4 cos(x) at X = x
-    ctx = make_context(sine_time_field(grid64, 0.4, 4))
+    ctx = TransformContext(sine_time_field(grid64, 0.4, 4))
     x = np.array([[1.2]])
     y = phi(ctx, 0.0, x)
     mu, sigma = coefficients(ctx, 2.0, 0.0, y, x)
@@ -163,16 +164,22 @@ def test_coefficients_closed_form(grid64):
 
 
 def test_coefficients_ellipticity_floor(grid64):
-    # bypass the certificate to build sigma = 1 + 0.9 cos x, which dips to 0.1
-    ctx = TransformContext(u=sine_time_field(grid64, 0.9, 2), gradient_bound=0.9)
-    x = np.array([[3.0]])
+    # the certificate reads grad u at the grid nodes only: u = a sin(31 x + pi/64)
+    # scaled to read 1/2 there has |u'| = 0.5/cos(pi/64) between them, so at
+    # x = (pi - pi/64)/31 sigma = 1 + u' = 0.4994 is below the floor 1/2
+    node = SpectralField.from_grid(grid64, np.sin(31 * grid64.axis_points() + np.pi / 64)[None])
+    u = TimeField.from_nodes([node] * 3, 1.0)
+    ctx = TransformContext(u * (0.5 / gradient_sup(u)))
+    assert ctx.gradient_bound <= 0.5 + 1e-12
+    x = np.array([[(np.pi - np.pi / 64) / 31]])
+    assert 1.0 + transform_jacobian(ctx, 0.0, x)[0, 0, 0] == pytest.approx(0.4994, abs=1e-4)
     with pytest.raises(EllipticityError):
         coefficients(ctx, 1.0, 0.0, x, x)
 
 
 def test_coefficients_refuse_nan_points(grid64):
     # a blown-up Y puts NaN into sigma; the floor test must not pass it
-    ctx = make_context(sine_time_field(grid64, 0.4, 4))
+    ctx = TransformContext(sine_time_field(grid64, 0.4, 4))
     x = np.array([[1.0], [np.nan]])
     with pytest.raises(EllipticityError):
         coefficients(ctx, 1.0, 0.0, x, x)
@@ -185,9 +192,9 @@ def test_identity_drift_matches_the_evaluated_drift(grid64, case):
     # (lam+1) q tol
     tol, lam = 1e-9, 3.0
     if case == "1d":
-        ctx = make_context(random_time_field(grid64, 4, 0.1, seed=4), inverse_tol=tol)
+        ctx = TransformContext(random_time_field(grid64, 4, 0.1, seed=4), inverse_tol=tol)
     else:
-        ctx = make_context(ctx_2d().u, inverse_tol=tol)
+        ctx = TransformContext(ctx_2d().u, inverse_tol=tol)
     d = ctx.u.grid.dimension
     y = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=(500, d))
     worst = 0.0
@@ -262,7 +269,7 @@ def test_simulate_classical_takes_the_node_at_or_before_each_step(
 
 
 def test_simulation_reproducible_across_runs(grid64):
-    cases = [(make_context(sine_time_field(grid64, 0.3, 8)), {}),
+    cases = [(TransformContext(sine_time_field(grid64, 0.3, 8)), {}),
              (ctx_2d(), dict(x0=(0.3, -0.2), steps=8))]
     for ctx, over in cases:
         cfg = small_sim(paths=48, **over)
@@ -275,7 +282,7 @@ def test_simulation_reproducible_across_runs(grid64):
 
 
 def test_virtual_x_inverts_transform(grid64):
-    ctx = make_context(sine_time_field(grid64, 0.3, 8))
+    ctx = TransformContext(sine_time_field(grid64, 0.3, 8))
     cfg = small_sim(paths=24)
     ys = simulate_y(ctx, cfg)
     xs = virtual_x(ctx, ys)
@@ -287,7 +294,7 @@ def test_virtual_x_inverts_transform(grid64):
 
 
 def test_psi_solved_once_per_node(grid64, monkeypatch):
-    ctx = make_context(sine_time_field(grid64, 0.3, 8))
+    ctx = TransformContext(sine_time_field(grid64, 0.3, 8))
     calls = []
 
     def counted(*args):
@@ -305,7 +312,7 @@ def test_psi_solved_once_per_node(grid64, monkeypatch):
 @pytest.mark.parametrize("case", ["1d", "2d"])
 def test_virtual_x_is_the_x_the_steps_used(grid64, case):
     if case == "1d":
-        ctx, cfg = make_context(sine_time_field(grid64, 0.3, 8)), small_sim(paths=3000)
+        ctx, cfg = TransformContext(sine_time_field(grid64, 0.3, 8)), small_sim(paths=3000)
     else:
         ctx, cfg = ctx_2d(), small_sim(x0=(0.3, -0.2), steps=8, paths=200)
     ys = simulate_y(ctx, cfg)
@@ -332,8 +339,8 @@ def test_off_node_paths_match_interpolated_node_gradients(monkeypatch, d, modes,
     # 7 Euler steps over 4 PDE intervals put most steps between nodes, where
     # sigma is the interpolated node gradients rather than the gradient of
     # the interpolated u; X moves by rounding only
-    ctx = make_context(random_time_field(GridSpec(d, modes), 4, amplitude,
-                                         seed=3 + d))
+    ctx = TransformContext(random_time_field(GridSpec(d, modes), 4, amplitude,
+                                             seed=3 + d))
     cfg = small_sim(x0=(0.3, -0.2)[:d], steps=7, paths=200)
     x = np.asarray(virtual_x(ctx, simulate_y(ctx, cfg)).states)
     monkeypatch.setattr(sde, "transform_jacobian", u_gradient_jacobian)

@@ -517,8 +517,10 @@ def test_time_field_reversal(grid64):
 
 
 def test_time_field_validation(grid64):
-    with pytest.raises(ValueError):
-        TimeField(grid64, 0.0, np.zeros((2, 1, 64), dtype=complex))
+    # an infinite horizon would put every finite time at node 0
+    for horizon in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeField(grid64, horizon, np.zeros((2, 1, 64), dtype=complex))
     with pytest.raises(ValueError):
         TimeField(grid64, 1.0, np.zeros((1, 1, 64), dtype=complex))
 

@@ -7,7 +7,7 @@ import pytest
 import singular_drift.theory as theory
 from singular_drift.spectral import SobolevIndex, SpectralField, TimeField, refine
 from singular_drift.kolmogorov import PdeConfig, mild_residual, solve_fwd
-from singular_drift.zvonkin import make_context
+from singular_drift.zvonkin import TransformContext
 from singular_drift.theory import (
     MaxIterExceeded,
     gamma_bound_check,
@@ -101,7 +101,7 @@ def test_time_continuity_probe(grid64):
     nodes = [sine_time_field(grid64, 0.2 * t, 1).node(0)
              for t in np.linspace(0.0, 1.0, 5)]
     u = TimeField.from_nodes(nodes, 1.0)
-    ctx = make_context(u)
+    ctx = TransformContext(u, inverse_tol=1e-12)
     worst = time_continuity_probe(ctx, gamma=1.0, samples=200, seed=4)
     assert 0.0 < worst <= 0.4 + 1e-9
 

@@ -12,8 +12,9 @@ from singular_drift.lab import ExperimentConfig, prepare_transform
 from singular_drift.kolmogorov import gradient_sup
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
 from singular_drift.zvonkin import (
+    INVERSE_TOL,
     InverseDiverged,
-    make_context,
+    TransformContext,
     phi,
     psi,
     transform_jacobian,
@@ -22,22 +23,35 @@ from singular_drift.zvonkin import (
 from conftest import random_field, random_time_field, sine_time_field, u_gradient_jacobian
 
 
-def test_make_context_certifies_gradient(grid64):
+def test_context_certifies_gradient(grid64):
     u = sine_time_field(grid64, 0.4, 4)
-    ctx = make_context(u)
+    ctx = TransformContext(u)
     assert abs(ctx.gradient_bound - 0.4) < 1e-12
+    assert ctx.inverse_tol == INVERSE_TOL
     bad = sine_time_field(grid64, 0.9, 4)
     with pytest.raises(ValueError, match="gradient certificate"):
-        make_context(bad)
+        TransformContext(bad)
 
 
-def test_make_context_validates_components(grid64):
+def test_context_gradient_bound_cannot_be_set(sine_ctx):
+    # the bound is measured from u, never given, so psi's safeguard and its
+    # q/(1-q) bound never run on a void certificate
+    with pytest.raises(ValueError, match="gradient_bound"):
+        dataclasses.replace(sine_ctx, gradient_bound=0.9)
+    with pytest.raises(TypeError, match="gradient_bound"):
+        TransformContext(sine_ctx.u, gradient_bound=0.9)
+    steep = sine_time_field(GridSpec(1, 64), 0.9, 4)
+    with pytest.raises(ValueError, match="gradient certificate"):
+        dataclasses.replace(sine_ctx, u=steep)
+
+
+def test_context_validates_components(grid64):
     u = sine_time_field(grid64, 0.1, 2)
     two = TimeField(grid64, 1.0, np.concatenate([u.coeffs, u.coeffs], axis=1))
     with pytest.raises(ValueError, match="components"):
-        make_context(two)
+        TransformContext(two)
     with pytest.raises(ValueError):
-        make_context(u, inverse_tol=0.0)
+        TransformContext(u, inverse_tol=0.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
@@ -58,7 +72,7 @@ def steep_context(node: SpectralField, target: float = 0.49, tol: float = 1e-12)
     """A time-constant u with the node field's shape, scaled so that the
     certificate sup |grad u| at the grid nodes reads `target`."""
     u = TimeField.from_nodes([node] * 3, 1.0)
-    return make_context(u * (target / gradient_sup(u)), inverse_tol=tol)
+    return TransformContext(u * (target / gradient_sup(u)), inverse_tol=tol)
 
 
 def triangle_wave(grid: GridSpec) -> SpectralField:
@@ -144,7 +158,7 @@ def test_transform_rejects_single_point(sine_ctx):
 
 def test_psi_zero_transform_returns_y(grid64):
     # the first sweep's plain step is y - 0 with a zero residual
-    ctx = make_context(sine_time_field(grid64, 0.0, 2))
+    ctx = TransformContext(sine_time_field(grid64, 0.0, 2))
     y = np.array([[1.0], [2.0]])
     assert np.array_equal(psi(ctx, 0.5, y), y)
 
@@ -152,7 +166,7 @@ def test_psi_zero_transform_returns_y(grid64):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_psi_refuses_non_finite_points(grid64, sine_ctx, bad):
     # refused up front, on the zero transform too
-    zero = make_context(sine_time_field(grid64, 0.0, 2))
+    zero = TransformContext(sine_time_field(grid64, 0.0, 2))
     y = np.array([[1.0], [bad]])
     for ctx in (sine_ctx, zero):
         with pytest.raises(ValueError, match="finite"):
@@ -161,7 +175,7 @@ def test_psi_refuses_non_finite_points(grid64, sine_ctx, bad):
 
 def test_psi_budget_exhaustion_raises(grid64, monkeypatch):
     monkeypatch.setattr(zvonkin, "INVERSE_MAX_ITER", 1)
-    ctx = make_context(sine_time_field(grid64, 0.4, 2))
+    ctx = TransformContext(sine_time_field(grid64, 0.4, 2))
     with pytest.raises(InverseDiverged):
         psi(ctx, 0.0, np.array([[1.0]]))
 
@@ -169,7 +183,7 @@ def test_psi_budget_exhaustion_raises(grid64, monkeypatch):
 def test_psi_matches_the_contraction_in_2d():
     grid = GridSpec(2, 16)
     u = random_time_field(grid, 4, 0.1, seed=11)
-    ctx = make_context(u * (0.45 / gradient_sup(u)), inverse_tol=1e-14)
+    ctx = TransformContext(u * (0.45 / gradient_sup(u)), inverse_tol=1e-14)
     y = np.random.default_rng(12).uniform(0.0, 2 * np.pi, size=(300, 2))
     for t in (0.0, 0.37, 1.0):
         want, _ = contraction_reference(ctx, t, y, 1e-14)
@@ -235,7 +249,7 @@ def test_transform_jacobian_is_the_gradient_of_u(d, modes, amplitude):
     # interpolating the kept node gradients and differentiating u(t) per
     # call agree bitwise at node times and to rounding between them
     grid = GridSpec(d, modes)
-    ctx = make_context(random_time_field(grid, 4, amplitude, seed=3 + d))
+    ctx = TransformContext(random_time_field(grid, 4, amplitude, seed=3 + d))
     x = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(40, d))
     for t in ctx.u.times:
         assert np.array_equal(transform_jacobian(ctx, t, x),
