@@ -1,8 +1,8 @@
 """Command-line front end.
 
 All subcommands consume the same JSON experiment config (see
-ExperimentConfig.from_dict); artifacts use the documented binary formats with
-JSON sidecars.  solve-pde, calibrate and simulate build their transform with
+ExperimentConfig.from_dict); binary artifacts are snapshots, little-endian bytes
+with a JSON sidecar.  solve-pde, calibrate and simulate build their transform with
 lab.prepare_transform, as the studies do; simulation is serial.
 """
 
@@ -25,9 +25,9 @@ from .zvonkin import TransformContext, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
 from .lab import (
     ExperimentConfig,
-    _sim_config,
     config_digest,
     prepare_transform,
+    save_solution,
     study_lambda,
     study_mollify,
     study_smooth_consistency,
@@ -58,9 +58,8 @@ def cmd_gen_drift(args) -> int:
 def cmd_solve_pde(args) -> int:
     cfg = _load_config(args.config)
     bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
+    save_solution(bundle, args.out)
     u, lam, report = bundle["u"], bundle["lam"], bundle["solve_report"]
-    save_time_field(u, args.out, description="backward solution",
-                    extra={"lambda": lam, "solver": report.to_dict()})
     print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}, "
           f"product stage {SOLVER_STAGE}; u written to {args.out}")
     return 0
@@ -95,7 +94,7 @@ def cmd_simulate(args) -> int:
     else:
         bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
         ctx, lam = bundle["ctx"], bundle["lam"]
-    ens = virtual_x(ctx, simulate_y(ctx, _sim_config(cfg, float(lam))))
+    ens = virtual_x(ctx, simulate_y(ctx, cfg.sim(float(lam))))
     save_ensemble(ens, args.out)
     term = ens.terminal()[:, 0]
     print(f"{cfg.paths} paths written to {args.out}; terminal mean "

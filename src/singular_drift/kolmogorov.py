@@ -78,13 +78,14 @@ class PdeConfig:
     and `integral_operator` run at the fixed stage paraproduct.SOLVER_STAGE:
     these are the norms of the checks `mild_residual` and
     `paraproduct.ladder_agrees` and of the diagnostic `theory.picard_sweeps`.
-    tol bounds the mild residual that the checks accept, and stops the sweeps.
+    tol, a constant, bounds the mild residual that the checks accept, and
+    stops the sweeps.
     """
 
     beta: float
     delta: float
     p: float
-    tol: float = 1e-9
+    tol = 1e-9
 
     def __post_init__(self):
         if not (0.0 < self.beta < 0.5):
@@ -93,8 +94,6 @@ class PdeConfig:
             raise ValueError(f"delta={self.delta} outside ({self.beta}, {1-self.beta})")
         if not self.p > 1:
             raise ValueError("integrability exponent must exceed 1")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
 
     @property
     def solution_index(self) -> SobolevIndex:

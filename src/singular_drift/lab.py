@@ -3,9 +3,9 @@ of the virtual solution under the damping parameter, and consistency with the
 direct simulation when the drift is smooth.
 
 Every study is a pure function of an ExperimentConfig; results land in
-results/<digest>/ with a JSON report, RFC-4180 CSV tables, terminal-sample
-binaries, and a manifest of file digests, so reruns are byte-reproducible
-(wall-clock timings live only in the report).
+results/<digest>/ with a JSON report, RFC-4180 CSV tables, the drift and
+solution snapshots, and a manifest of file digests, so reruns are
+byte-reproducible (wall-clock timings live only in the report).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .spectral import GridSpec, TimeField, save_time_field
-from .drifts import DriftSpec, assumption_check, generate, mollified_sequence, pick_kappa
+from .drifts import (DriftSpec, _check_window, assumption_check, generate,
+                     mollified_sequence, pick_kappa)
 from .paraproduct import SOLVER_STAGE, ladder_agrees
 from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd
 from .zvonkin import TransformContext
@@ -40,6 +41,7 @@ __all__ = [
     "environment_fingerprint",
     "config_digest",
     "prepare_transform",
+    "save_solution",
     "study_mollify",
     "study_lambda",
     "study_smooth_consistency",
@@ -56,8 +58,8 @@ def wasserstein1(a, b) -> float:
     """Exact 1-d W1 between empirical laws.
 
     Equal sample counts: mean absolute difference of the sorted samples.
-    Unequal counts fall back to linear quantile interpolation on the common
-    plotting positions.
+    Unequal counts na, nb: the quantile functions are constant between the
+    merged breaks k/L, L = lcm(na, nb), so W1 sums width * |a_i - b_j| over L.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
@@ -65,11 +67,12 @@ def wasserstein1(a, b) -> float:
         raise ValueError("empty sample")
     if a.size == b.size:
         return float(np.mean(np.abs(a - b)))
-    k = min(a.size, b.size)
-    qs = (np.arange(k) + 0.5) / k
-    qa = np.quantile(a, qs, method="linear")
-    qb = np.quantile(b, qs, method="linear")
-    return float(np.mean(np.abs(qa - qb)))
+    L = math.lcm(a.size, b.size)
+    ends_a = np.arange(1, a.size + 1) * (L // a.size)
+    ends_b = np.arange(1, b.size + 1) * (L // b.size)
+    ends = np.union1d(ends_a, ends_b)
+    gaps = np.abs(a[np.searchsorted(ends_a, ends)] - b[np.searchsorted(ends_b, ends)])
+    return float(np.sum(np.diff(ends, prepend=0) * gaps) / L)
 
 
 def ks_stat(a, b) -> float:
@@ -196,9 +199,20 @@ class ExperimentConfig:
                                  or not all(0.0 < lam < math.inf for lam in lams)):
             raise ValueError("lambda_list must hold at least two distinct, positive, "
                              "finite lambdas")
+        # refused now, not after calibration (which starts at lambda = 1)
+        self.grid()
+        _check_window(self.drift.beta, self.q, self.dimension)
+        self.sim(1.0 if self.lam is None else self.lam)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.dimension, self.modes)
+
+    def sim(self, lam: float, **over) -> SimConfig:
+        """The SimConfig of a run at lam; over replaces any of its fields."""
+        kw = dict(x0=self.x0, horizon=self.horizon, steps=self.steps, paths=self.paths,
+                  seed=self.seed, lam=lam)
+        kw.update(over)
+        return SimConfig(**kw)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -283,21 +297,20 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     }
 
 
+def save_solution(bundle: dict, path) -> Path:
+    """Write a bundle's u with the lambda it solves, as `cli simulate --u` reads it."""
+    return save_time_field(bundle["u"], path, description="backward solution", extra={
+        "lambda": bundle["lam"], "solver": bundle["solve_report"].to_dict()})
+
+
 def _transform_at(b: TimeField, lam: float) -> tuple:
     """Solve at lam and build the certified transform: (context, solver report)."""
     v, solve_report = solve_fwd(b, lam)
     return TransformContext(v.reversed_time()), solve_report
 
 
-def _marginal(ens: PathEnsemble, frac: float, coord: int = 0) -> np.ndarray:
-    return ens.at_time(frac * ens.config.horizon)[:, coord]
-
-
-def _sim_config(cfg: ExperimentConfig, lam: float, **over) -> SimConfig:
-    kw = dict(x0=cfg.x0, horizon=cfg.horizon, steps=cfg.steps, paths=cfg.paths,
-              seed=cfg.seed, lam=lam)
-    kw.update(over)
-    return SimConfig(**kw)
+def _marginal(ens: PathEnsemble, frac: float) -> np.ndarray:
+    return ens.at_time(frac * ens.config.horizon)[:, 0]
 
 
 def _pipeline_summary(bundle, cfg: ExperimentConfig) -> dict:
@@ -329,8 +342,7 @@ def study_mollify(cfg: ExperimentConfig) -> StudyReport:
     bundle = prepare_transform(cfg)
     timings["prepare"] = bundle["prepare_seconds"]
 
-    lam = bundle["lam"]
-    sim = _sim_config(cfg, lam)
+    sim = cfg.sim(bundle["lam"])
     t0 = time.perf_counter()
     x_virtual = virtual_x(bundle["ctx"], simulate_y(bundle["ctx"], sim))
     timings["virtual"] = time.perf_counter() - t0
@@ -338,11 +350,8 @@ def study_mollify(cfg: ExperimentConfig) -> StudyReport:
     smoothed = mollified_sequence(bundle["b"], cfg.n_list)
     levels = []
     t0 = time.perf_counter()
-    terminal_w1 = []
-    last_classical = None
     for n, b_n in zip(cfg.n_list, smoothed):
-        x_n = simulate_classical(b_n, sim, label=f"classical-n{n}")
-        last_classical = b_n
+        x_n = simulate_classical(b_n, sim)
         row = {"level": int(n)}
         for frac in REPORT_TIMES:
             row[f"w1_t{frac:g}"] = wasserstein1(_marginal(x_n, frac), _marginal(x_virtual, frac))
@@ -353,19 +362,18 @@ def study_mollify(cfg: ExperimentConfig) -> StudyReport:
         row["coupling_t1"] = float(gap.mean())
         row["coupling_t1_halfwidth"] = float(1.96 * gap.std(ddof=1) / math.sqrt(gap.size))
         row["ks_terminal"] = ks_stat(term_n, term_v)
-        terminal_w1.append(row[f"w1_t{1.0:g}"])
         levels.append(row)
     timings["classical_ladder"] = time.perf_counter() - t0
 
-    # sampling floor: same law, fresh noise, cheapest honest reference
+    # sampling floor: same law, fresh noise, cheapest honest reference; the
+    # base run goes first, while the study seed's draw is still the kept one
     t0 = time.perf_counter()
-    floor_sim = replace(sim, seed=cfg.seed + 10_000)
-    x_floor = simulate_classical(last_classical, floor_sim, label="floor")
-    x_base = simulate_classical(last_classical, sim, label="floor-base")
+    x_base = simulate_classical(smoothed[-1], sim)
+    x_floor = simulate_classical(smoothed[-1], replace(sim, seed=cfg.seed + 10_000))
     floor = wasserstein1(_marginal(x_floor, 1.0), _marginal(x_base, 1.0))
     timings["floor"] = time.perf_counter() - t0
 
-    trend = kendall_trend(list(cfg.n_list), terminal_w1)
+    trend = kendall_trend(list(cfg.n_list), [row[f"w1_t{1.0:g}"] for row in levels])
     return _finish("mollify", cfg, bundle, levels, trend, floor, timings)
 
 
@@ -385,7 +393,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
             contexts[lam] = bundle["ctx"]
         else:
             contexts[lam], _ = _transform_at(bundle["b"], lam)
-        sim = _sim_config(cfg, lam)
+        sim = cfg.sim(lam)
         x = virtual_x(contexts[lam], simulate_y(contexts[lam], sim))
         marginals[lam] = {frac: _marginal(x, frac) for frac in REPORT_TIMES}
     timings["simulations"] = time.perf_counter() - t0
@@ -393,7 +401,7 @@ def study_lambda(cfg: ExperimentConfig) -> StudyReport:
     # floor: re-run the first listed lambda, with its own transform, on fresh noise
     t0 = time.perf_counter()
     first = lams[0]
-    sim_floor = _sim_config(cfg, first, seed=cfg.seed + 10_000)
+    sim_floor = cfg.sim(first, seed=cfg.seed + 10_000)
     x_floor = virtual_x(contexts[first], simulate_y(contexts[first], sim_floor))
     floor = wasserstein1(_marginal(x_floor, 1.0), marginals[first][1.0])
     timings["floor"] = time.perf_counter() - t0
@@ -430,8 +438,8 @@ def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
     finest = None
     t0 = time.perf_counter()
     for steps in sorted(cfg.steps_list):
-        sim = _sim_config(cfg, lam, steps=steps, base_steps=base)
-        x_direct = simulate_classical(bundle["b"], sim, label=f"direct-{steps}")
+        sim = cfg.sim(lam, steps=steps, base_steps=base)
+        x_direct = simulate_classical(bundle["b"], sim)
         x_virt = virtual_x(bundle["ctx"], simulate_y(bundle["ctx"], sim))
         dev = float(np.max(np.linalg.norm(
             np.asarray(x_direct.states) - np.asarray(x_virt.states), axis=2)))
@@ -448,7 +456,7 @@ def study_smooth_consistency(cfg: ExperimentConfig) -> StudyReport:
     t0 = time.perf_counter()
     x_d, x_v, sim_base = finest
     sim_floor = replace(sim_base, seed=cfg.seed + 10_000)
-    x_floor = simulate_classical(bundle["b"], sim_floor, label="floor")
+    x_floor = simulate_classical(bundle["b"], sim_floor)
     floor = wasserstein1(_marginal(x_floor, 1.0), _marginal(x_d, 1.0))
     timings["floor"] = time.perf_counter() - t0
 
@@ -490,7 +498,7 @@ def _persist(cfg: ExperimentConfig, report: StudyReport, bundle) -> Path | None:
 
     save_time_field(bundle["b"], root / "drift.bin", description="drift",
                     extra={"seed": cfg.drift.seed, "spec": cfg.drift.to_dict()})
-    save_time_field(bundle["u"], root / "u.bin", description="backward solution")
+    save_solution(bundle, root / "u.bin")
 
     manifest = {
         "study": report.study,

@@ -26,13 +26,13 @@ base_steps and summing adjacent fine increments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .spectral import SpectralField, TimeField, _read_only, evaluate, singular_values_sq
+from .spectral import (SpectralField, TimeField, _read_only, _read_snapshot, _write_snapshot,
+                       evaluate, singular_values_sq)
 from .kolmogorov import GRADIENT_TARGET
 from .zvonkin import TransformContext, phi, psi, transform_jacobian
 
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _PATH_BLOCK = 2048       # partition of the path axis in brownian_increments; bounds Box-Muller
-_ENSEMBLE_MAGIC = b"SDE1"
 _last_noise: dict = {}   # brownian_increments' one entry: key -> read-only base draw
 
 STREAM_RULE = ("philox2x64 key=(seed,path); step m uses uniform doubles "
@@ -234,7 +233,7 @@ def _euler(cfg: SimConfig, state0: np.ndarray, step) -> np.ndarray:
     return out
 
 
-def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed") -> PathEnsemble:
+def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
     """Explicit Euler-Maruyama for Y from y0 = phi(0, x0), carrying X.
 
     The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m), started from
@@ -258,10 +257,10 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig, label: str = "transformed"
     y, x = _euler(cfg, np.stack([np.tile(v, (cfg.paths, 1)) for v in (y0, x0)]), step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,
             "y0": list(np.atleast_1d(y0))}
-    return PathEnsemble(states=y, config=cfg, label=label, provenance=prov, virtual=x)
+    return PathEnsemble(states=y, config=cfg, label="transformed", provenance=prov, virtual=x)
 
 
-def virtual_x(ctx: TransformContext, ens: PathEnsemble, label: str = "virtual") -> PathEnsemble:
+def virtual_x(ctx: TransformContext, ens: PathEnsemble) -> PathEnsemble:
     """The virtual solution X = psi(t, Y) that simulate_y carried along ens.
 
     These are the points at which the Euler steps evaluated mu and sigma; psi
@@ -274,10 +273,10 @@ def virtual_x(ctx: TransformContext, ens: PathEnsemble, label: str = "virtual") 
                          f"it was not made by simulate_y")
     prov = dict(ens.provenance)
     prov["transformed_from"] = ens.label
-    return PathEnsemble(states=ens.virtual, config=ens.config, label=label, provenance=prov)
+    return PathEnsemble(states=ens.virtual, config=ens.config, label="virtual", provenance=prov)
 
 
-def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -> PathEnsemble:
+def simulate_classical(b: TimeField, cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama for dX = b(t, X) dt + dW (unit diffusion).
 
     Meant for smooth(ed) drifts; b is looked up at the latest drift node at or
@@ -298,39 +297,21 @@ def simulate_classical(b: TimeField, cfg: SimConfig, label: str = "classical") -
     states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
                     lambda m, x, dw: x + evaluate(fields[node[m]], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}
-    return PathEnsemble(states=states, config=cfg, label=label, provenance=prov)
+    return PathEnsemble(states=states, config=cfg, label="classical", provenance=prov)
 
 
-# --- ensemble container format ---------------------------------------------------
-#
-# Single file: magic, u64 little-endian header length, JSON header
-# (config, label, provenance, shape), then the state array as little-endian f64.
+# --- ensemble snapshot --------------------------------------------------------
 
 
 def save_ensemble(ens: PathEnsemble, path) -> Path:
-    path = Path(path)
-    header = {
-        "config": ens.config.to_dict(),
-        "label": ens.label,
-        "provenance": ens.provenance,
-        "shape": list(ens.states.shape),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_ENSEMBLE_MAGIC)
-        fh.write(np.array(len(blob), dtype="<u8").tobytes())
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ens.states.astype("<f8")).tobytes())
-    return path
+    """Write the states as '<f8' in a spectral snapshot whose sidecar holds the
+    config, label, provenance and shape; X (`virtual`) is not saved."""
+    meta = {"config": ens.config.to_dict(), "label": ens.label,
+            "provenance": ens.provenance, "shape": list(ens.states.shape)}
+    return _write_snapshot(path, ens.states, "<f8", meta)
 
 
 def load_ensemble(path) -> PathEnsemble:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _ENSEMBLE_MAGIC:
-        raise ValueError("not an ensemble file")
-    hlen = int(np.frombuffer(raw[4:12], dtype="<u8")[0])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    states = np.frombuffer(raw[12 + hlen :], dtype="<f8").reshape(header["shape"])
-    cfg = SimConfig.from_dict(header["config"])
-    return PathEnsemble(states=states.astype(np.float64), config=cfg,
-                        label=header["label"], provenance=header["provenance"])
+    meta, states = _read_snapshot(path, "<f8", lambda m: m["shape"])
+    return PathEnsemble(states=states, config=SimConfig.from_dict(meta["config"]),
+                        label=meta["label"], provenance=meta["provenance"])

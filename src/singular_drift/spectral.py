@@ -591,20 +591,40 @@ class TimeField(_Field):
 
 # --- snapshot format ----------------------------------------------------------
 #
-# Binary payload of a time field: little-endian f64 pairs (re, im), node-major,
-# then component-major, then row-major over the FFT-ordered lattice; complex128
-# '<c16' has exactly that layout.  Sidecar JSON carries the geometry and
-# "real_flag": true, which the reader requires (every field is real).
+# A snapshot is an array's little-endian bytes plus a JSON sidecar <name>.json
+# that says how to read them (sde.save_ensemble writes one too).  A time field's
+# payload is '<c16' in (node, component, FFT-ordered lattice) row-major order; its
+# sidecar carries the geometry and "real_flag": true, which the reader requires
+# (every field is real).
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _write_snapshot(path, array: np.ndarray, dtype: str, meta: dict) -> Path:
+    """Write array's bytes as dtype to path and meta to its sidecar."""
+    path = Path(path)
+    path.write_bytes(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+    return path
+
+
+def _read_snapshot(path, dtype: str, shape) -> tuple:
+    """(sidecar, payload as dtype in the shape shape(sidecar)) of the snapshot at
+    path; a missing sidecar or a payload of another size raises ValueError."""
+    path = Path(path)
+    if not _sidecar_path(path).exists():
+        raise ValueError(f"{path}: its sidecar {_sidecar_path(path).name} is missing")
+    meta = json.loads(_sidecar_path(path).read_text())
+    raw, shape = path.read_bytes(), tuple(shape(meta))
+    if len(raw) != np.dtype(dtype).itemsize * int(np.prod(shape)):
+        raise ValueError(f"{path}: {len(raw)} bytes do not hold shape {shape} as {dtype}")
+    return meta, np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
 def save_time_field(tf: TimeField, path, description: str = "",
                     extra: dict | None = None) -> Path:
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(tf.coeffs.astype("<c16")).tobytes())
     meta = {
         "d": tf.grid.dimension,
         "N": tf.grid.modes_per_axis,
@@ -616,22 +636,17 @@ def save_time_field(tf: TimeField, path, description: str = "",
     }
     if extra:
         meta["manifest"] = extra
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
-    return path
+    return _write_snapshot(path, tf.coeffs, "<c16", meta)
 
 
 def load_time_field(path) -> TimeField:
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
+    meta, coeffs = _read_snapshot(path, "<c16", lambda m: (m["time"]["steps"] + 1,
+                                  m["components"]) + GridSpec(m["d"], m["N"]).spatial_shape)
     if meta.get("real_flag") is not True:
         raise ValueError(f"{path}: sidecar does not mark the field real; fields are real")
     if meta.get("L") != GridSpec.period:
         raise ValueError(f"{path}: sidecar period L = {meta.get('L')!r}, not 2 pi")
-    grid = GridSpec(meta["d"], meta["N"])
-    steps = meta["time"]["steps"]
-    raw = np.frombuffer(path.read_bytes(), dtype="<c16")
-    shape = (steps + 1, meta["components"]) + grid.spatial_shape
-    tf = TimeField(grid, meta["time"]["horizon"], raw.reshape(shape))
+    tf = TimeField(GridSpec(meta["d"], meta["N"]), meta["time"]["horizon"], coeffs)
     tf.values()     # a snapshot is outside input: refuse one that is not real at a node
     return tf
 

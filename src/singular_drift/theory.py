@@ -186,8 +186,7 @@ def time_continuity_probe(ctx: TransformContext, gamma: float = 0.25,
 
 
 def product_bound_ratio(f: SpectralField, g: SpectralField, beta: float,
-                        delta: float, p: float, q: float,
-                        tol: float | None = None) -> float:
+                        delta: float, p: float, q: float) -> float:
     """||fg||_{H^{-beta}_p} / (||f||_{H^delta_p} ||g||_{H^{-beta}_q}).
 
     The smooth/rough product estimate says this is bounded by a constant for
@@ -198,7 +197,5 @@ def product_bound_ratio(f: SpectralField, g: SpectralField, beta: float,
     ng = sobolev_norm(g, SobolevIndex(-beta, q))
     if nf == 0.0 or ng == 0.0:
         return 0.0
-    if tol is None:
-        tol = 2.0 * (1.0 + nf * ng)
-    fg = product(f, g, tol, SobolevIndex(-beta, p))
+    fg = product(f, g, 2.0 * (1.0 + nf * ng), SobolevIndex(-beta, p))
     return sobolev_norm(fg, SobolevIndex(-beta, p)) / (nf * ng)

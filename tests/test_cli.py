@@ -57,6 +57,7 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
     ens_path = tmp_path / "paths.bin"
     assert main(["simulate", "--config", config_path, "--u", str(u_path),
                  "--out", str(ens_path)]) == 0
+    assert (tmp_path / "paths.bin.json").exists()
     ens = load_ensemble(ens_path)
     assert ens.states.shape == (200, 17, 1)
     assert "terminal mean" in capsys.readouterr().out
@@ -124,6 +125,14 @@ def test_study_command_writes_artifacts(tmp_path, config_path, capsys):
     root = out_dir / payload["digest"]
     assert (root / "report.json").exists()
     assert (root / "levels.csv").exists()
+
+    # the study's solution records its lambda, so simulate takes it with lam unset
+    p = tmp_path / "no-lam.json"
+    p.write_text(json.dumps(dict(TINY, lam=None)))
+    ens_path = tmp_path / "paths.bin"
+    assert main(["simulate", "--config", str(p), "--u", str(root / "u.bin"),
+                 "--out", str(ens_path)]) == 0
+    assert load_ensemble(ens_path).config.lam == 2.0
 
 
 def test_diagnostics(capsys):

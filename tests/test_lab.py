@@ -15,7 +15,7 @@ from scipy import stats
 
 import singular_drift
 import singular_drift.sde as sde
-from singular_drift.drifts import DriftSpec
+from singular_drift.drifts import AssumptionViolated, DriftSpec
 from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.zvonkin import INVERSE_TOL
 from singular_drift.lab import (
@@ -62,11 +62,14 @@ def test_wasserstein1_translation():
 
 
 def test_wasserstein1_unequal_sizes():
+    # exact at any sizes: quantile interpolation at min(na, nb) positions was
+    # off by several percent at (1, 7) and (3, 5)
     rng = np.random.default_rng(1)
-    a = rng.standard_normal(400)
-    b = rng.standard_normal(300) + 1.0
-    got = wasserstein1(a, b)
-    assert got == pytest.approx(stats.wasserstein_distance(a, b), abs=0.05)
+    for na, nb in [(400, 300), (1, 7), (3, 5)]:
+        a = rng.standard_normal(na)
+        b = rng.standard_normal(nb) + 1.0
+        assert wasserstein1(a, b) == pytest.approx(stats.wasserstein_distance(a, b),
+                                                   rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         wasserstein1(a, np.array([]))
 
@@ -223,6 +226,19 @@ def test_experiment_config_validates_lam(lam):
         tiny_config(lam=lam)
 
 
+@pytest.mark.parametrize("over", [
+    dict(modes=12), dict(dimension=3, x0=(0.0, 0.0, 0.0)), dict(q=10.0),
+    dict(steps=0), dict(paths=0), dict(seed=-3), dict(seed=1.5), dict(horizon=-1.0),
+    dict(horizon=math.inf), dict(x0=(math.nan,)), dict(lam=None, paths=0),
+], ids=["modes", "dimension", "q", "steps", "paths", "seed-negative", "seed-fraction",
+        "horizon-negative", "horizon-inf", "x0-nan", "paths-lam-unset"])
+def test_experiment_config_refuses_at_build_what_a_run_refuses(over):
+    # the grid, the (beta, q) window and the SimConfig used to refuse these
+    # only once a run reached them, some after the calibration
+    with pytest.raises((ValueError, AssumptionViolated)):
+        tiny_config(**over)
+
+
 def test_config_digest_sensitivity():
     a = config_digest(tiny_config())
     b = config_digest(tiny_config())
@@ -310,13 +326,13 @@ SMOOTH = DriftSpec(family="smooth-test", seed=1, beta=0.25, amplitude=0.2)
 
 
 @pytest.mark.parametrize("study, over, draws", [
-    (study_mollify, {}, 3),
+    (study_mollify, {}, 2),
     (study_lambda, {}, 2),
     (study_smooth_consistency, dict(drift=SMOOTH, lam=1.0, steps_list=(4, 8, 16)), 2),
 ], ids=["mollify", "lambda", "consistency"])
 def test_study_draws_its_shared_noise_once(monkeypatch, study, over, draws):
-    # mollify: the virtual run and both levels share one draw, then the floor
-    # and the floor base; lambda: both lambdas share one draw, then the floor;
+    # mollify: the virtual run, both levels and the floor base share one draw,
+    # then the floor; lambda: both lambdas share one draw, then the floor;
     # consistency: every step count sums its increments from one base draw,
     # then the floor
     calls = []

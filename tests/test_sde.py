@@ -389,17 +389,23 @@ def test_path_ensemble_accessors(grid64):
 def test_ensemble_roundtrip(tmp_path, grid64):
     ctx = zero_ctx(grid64, steps=4)
     cfg = small_sim(paths=8)
-    ens = simulate_y(ctx, cfg, label="unit")
+    ens = simulate_y(ctx, cfg)
     p = save_ensemble(ens, tmp_path / "e.bin")
+    assert (tmp_path / "e.bin.json").exists()
     back = load_ensemble(p)
     assert np.array_equal(np.asarray(back.states), np.asarray(ens.states))
     assert back.config == cfg
-    assert back.label == "unit"
+    assert back.label == "transformed"
     assert back.provenance["y0"] == ens.provenance["y0"]
 
 
-def test_load_ensemble_rejects_garbage(tmp_path):
+def test_load_ensemble_rejects_garbage(tmp_path, grid64):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="not an ensemble"):
+    with pytest.raises(ValueError, match="junk.bin: its sidecar junk.bin.json is missing"):
         load_ensemble(bad)
+    p = save_ensemble(simulate_y(zero_ctx(grid64, steps=4), small_sim(paths=8)),
+                      tmp_path / "e.bin")
+    p.write_bytes(p.read_bytes()[:-8])     # one state short of the sidecar's shape
+    with pytest.raises(ValueError, match=r"e.bin: .* do not hold shape \(8, 17, 1\)"):
+        load_ensemble(p)
