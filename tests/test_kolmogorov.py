@@ -43,6 +43,7 @@ def constant_drift(grid, c, steps, horizon=1.0):
     {"delta": 0.2},                       # below beta
     {"delta": 0.8},                       # above 1 - beta
     {"p": 1.0},
+    {"beta": 0.5},                        # upper end of (0, 1/2)
     {"beta": 0.0},
 ])
 def test_pde_config_rejects_bad_values(kwargs):
