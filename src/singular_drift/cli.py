@@ -19,7 +19,7 @@ import numpy as np
 
 from .spectral import GridSpec, SpectralField, TimeField, heat_semigroup, \
     load_time_field, load_time_field_meta, save_time_field
-from .paraproduct import SOLVER_STAGE, dealiased_multiply
+from .paraproduct import dealiased_multiply
 from .drifts import assumption_check, generate
 from .zvonkin import TransformContext, phi, psi
 from .sde import SimConfig, brownian_increments, save_ensemble, simulate_y, virtual_x
@@ -60,8 +60,8 @@ def cmd_solve_pde(args) -> int:
     bundle = prepare_transform(cfg, _drift_snapshot(args.drift))
     save_solution(bundle, args.out)
     u, lam, report = bundle["u"], bundle["lam"], bundle["solve_report"]
-    print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}, "
-          f"product stage {SOLVER_STAGE}; u written to {args.out}")
+    print(f"solved by {report.method} over {u.nodes} steps at lambda={lam:g}; "
+          f"u written to {args.out}")
     return 0
 
 

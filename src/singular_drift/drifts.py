@@ -18,6 +18,7 @@ from .spectral import (
     SobolevIndex,
     SpectralField,
     TimeField,
+    _is_count,
     gradient,
     mollify,
     refine,
@@ -66,10 +67,10 @@ class DriftSpec:
             raise InvalidSpec(f"decay exponent eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.amplitude < np.inf:
             raise InvalidSpec(f"amplitude must be nonnegative and finite, got {self.amplitude}")
-        if int(self.changes) != self.changes or self.changes < 0:
+        if not _is_count(self.changes):
             raise InvalidSpec("changes must be a nonnegative integer")
         object.__setattr__(self, "changes", int(self.changes))
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not _is_count(self.seed):
             raise InvalidSpec("seed must be a nonnegative integer")
 
     def to_dict(self) -> dict:

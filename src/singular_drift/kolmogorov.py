@@ -17,10 +17,10 @@ nodes, which `solve_fwd` performs.  Picard iteration in an exponentially
 weighted sup-norm, the contraction argument of the theory, lives in
 `theory.picard_sweeps`.  The backward-time solution u is `v.reversed_time()`.
 
-The product b . grad v is the fixed dyadic stage of
-`paraproduct.drift_gradient_product`, which the operator forms at every node
-at once and the march node by node.  Neither takes a PdeConfig, nor does the
-lambda calibration.
+The product b . grad v is `paraproduct.drift_gradient_product`, the
+dealiased product on the whole lattice, which the operator forms at every
+node at once and the march node by node.  Neither takes a PdeConfig, nor
+does the lambda calibration.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class PdeConfig:
     beta is the drift's regularity, (delta, p) the working pair: products
     are measured in H^{-beta}_p, the solution in H^{1+delta}_p.  The drift's
     window q is checked by `drifts.assumption_check`, not here.  The march
-    and `integral_operator` run at the fixed stage paraproduct.SOLVER_STAGE:
-    these are the norms of the checks `mild_residual` and
+    and `integral_operator` take the lattice product and no exponent: these
+    are the norms of the checks `mild_residual` and
     `paraproduct.ladder_agrees` and of the diagnostic `theory.picard_sweeps`.
     tol, a constant, bounds the mild residual that the checks accept, and
     stops the sweeps.

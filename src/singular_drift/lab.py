@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spectral import GridSpec, TimeField, save_time_field
+from .spectral import GridSpec, TimeField, _is_count, save_time_field
 from .drifts import (DriftSpec, _check_window, assumption_check, generate,
                      mollified_sequence, pick_kappa)
-from .paraproduct import SOLVER_STAGE, ladder_agrees
+from .paraproduct import ladder_agrees
 from .kolmogorov import PdeConfig, calibrate_lambda, solve_fwd
 from .zvonkin import TransformContext
 from .sde import PathEnsemble, SimConfig, simulate_classical, simulate_y, virtual_x
@@ -176,22 +176,26 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(c) for c in self.x0))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "steps_list", tuple(int(s) for s in self.steps_list))
         if self.lambda_list is not None:
             object.__setattr__(self, "lambda_list",
                                tuple(float(l) for l in self.lambda_list))
         if len(self.x0) != self.dimension:
             raise ValueError("x0 must have `dimension` coordinates")
+        if not _is_count(self.pde_nodes, 1):
+            raise ValueError(f"pde_nodes must be an integer >= 1, got {self.pde_nodes!r}")
+        object.__setattr__(self, "pde_nodes", int(self.pde_nodes))
         n = self.n_list
-        if len(n) < 2 or n[0] <= 0 or any(a >= b for a, b in zip(n, n[1:])):
+        if (len(n) < 2 or not all(_is_count(k, 1) for k in n)
+                or any(a >= b for a, b in zip(n, n[1:]))):
             raise ValueError("n_list must hold at least two positive, strictly "
-                             "increasing mollifier levels")
+                             "increasing integer mollifier levels")
+        object.__setattr__(self, "n_list", tuple(int(k) for k in n))
         steps = self.steps_list
-        if (not steps or min(steps) <= 0 or len(set(steps)) != len(steps)
-                or any(max(steps) % k for k in steps)):
+        if (not steps or not all(_is_count(k, 1) for k in steps)
+                or len(set(steps)) != len(steps) or any(max(steps) % k for k in steps)):
             raise ValueError("steps_list must hold distinct positive step counts "
                              "that each divide the largest")
+        object.__setattr__(self, "steps_list", tuple(int(k) for k in steps))
         if self.lam is not None and not 0.0 < self.lam < math.inf:
             raise ValueError(f"lam must be None or positive and finite, got {self.lam}")
         lams = self.lambda_list
@@ -267,8 +271,9 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
     """Drift -> admissibility -> exponents -> (calibrated) solve -> transform.
 
     Returns a bundle with the drift b, PdeConfig, lambda, trace, backward u,
-    TransformContext, the solver report, and ladder_agrees at the march's
-    last product (node M-1, where v(t_{M-1}) = u(t_1)).  The PdeConfig
+    TransformContext, the solver report, and ladder_agrees: whether the
+    reference ladder finds the solver's lattice product b . grad u at the
+    march's last node M-1, where v(t_{M-1}) = u(t_1).  The PdeConfig
     always carries pick_kappa's canonical (delta, p) and the default tol,
     the context the default inverse tolerance `zvonkin.INVERSE_TOL`.
     """
@@ -326,7 +331,6 @@ def _pipeline_summary(bundle, cfg: ExperimentConfig) -> dict:
         "lambda": bundle["lam"],
         "lambda_trace": [list(t) for t in bundle["trace"]],
         "solver": solve.method,
-        "product_stage": SOLVER_STAGE,
         "ladder_agrees": bundle["ladder_agrees"],
         "gradient_bound": bundle["ctx"].gradient_bound,
     }
@@ -504,7 +508,6 @@ def _persist(cfg: ExperimentConfig, report: StudyReport, bundle) -> Path | None:
         "study": report.study,
         "digest": report.digest,
         "seeds": {"master": cfg.seed, "drift": cfg.drift.seed},
-        "product_stage": SOLVER_STAGE,
         "environment": report.environment,
         "files": {},
     }

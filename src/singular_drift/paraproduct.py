@@ -1,14 +1,15 @@
 """Regularized products of rough periodic fields.
 
 The product of f and g is defined as the limit of S^j f * S^j g, where S^j is
-the smooth dyadic low-pass at radius 2^j.  Each stage is multiplied exactly on
-a 2x zero-padded grid (no aliasing).  The solver uses one fixed stage,
-SOLVER_STAGE; `drift_gradient_product` forms every term of b . grad u, at
-every node of a field over time, in one multiply.  The reference `product`
-advances the stage index until the successive difference measured in a
-negative-order Bessel norm drops below a tolerance; if the lattice runs out
-of scales first the product does not stabilize at this resolution and
-NonConvergent is raised.
+the smooth dyadic low-pass at radius 2^j.  On an N-point lattice the limit is
+reached once the low-pass covers the lattice, so it is the dealiased product
+of the pair, multiplied exactly on a 2x zero-padded grid (no aliasing).  The
+solver takes that product: `drift_gradient_product` forms every term of
+b . grad u, at every node of a field over time, in one multiply.  The
+reference `product` advances the stage index until the successive difference
+measured in a negative-order Bessel norm drops below a tolerance; if the
+lattice runs out of scales first the product does not stabilize at this
+resolution and NonConvergent is raised.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .spectral import (
 
 __all__ = [
     "NonConvergent",
-    "SOLVER_STAGE",
     "dealiased_multiply",
     "product",
     "drift_gradient_product",
@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 _FIRST_STAGE = 3  # the cutoff radius 2^3 already covers the smallest grids' core
-
-# The solver's product stage: low-pass at |k| <= 16, zero from |k| >= 24.
-# The adaptive ladder, at the tolerance the solver gave it (see
-# ladder_agrees), stopped here on every solver product measured, so fixing
-# it changed no result and saves a multiply and a Bessel norm per term.
-SOLVER_STAGE = 4
 
 
 class NonConvergent(Exception):
@@ -96,33 +90,32 @@ def product(f: SpectralField, g: SpectralField, tol: float, idx: SobolevIndex) -
 
 
 def drift_gradient_product(b: _F, u: _F) -> _F:
-    """Regularized b . grad(u), each term S^J b_j * S^J d_j u_i at J = SOLVER_STAGE,
-    at every leading index.  One stage call multiplies b_j, repeated once per
+    """b . grad(u) on the whole lattice, each term the dealiased b_j * d_j u_i,
+    at every leading index.  One multiply takes b_j, repeated once per
     component of u, with grad u, both in (i, j) row-major order, so a b
     without one component per axis is refused as incompatible; the sum over
     j runs (0 + t_i0) + t_i1."""
     d = b.grid.dimension
-    terms = _stage(replace(b, coeffs=np.concatenate([b.coeffs] * u.components, axis=-d - 1)),
-                   gradient(u), SOLVER_STAGE).coeffs
+    b_rep = replace(b, coeffs=np.concatenate([b.coeffs] * u.components, axis=-d - 1))
+    terms = dealiased_multiply(b_rep, gradient(u)).coeffs
     by_term = terms.reshape(u.coeffs.shape[:-d] + (d,) + u.grid.spatial_shape)
     return replace(u, coeffs=np.add.reduce(by_term, axis=-d - 1, initial=0.0))
 
 
 def ladder_agrees(b: SpectralField, u: SpectralField, idx: SobolevIndex) -> bool:
-    """Whether the reference ladder stops at SOLVER_STAGE for b . grad(u).
+    """Whether the reference ladder finds the solver's product of b . grad(u).
 
-    Each term b_j * d_j u_i goes through `product` at the tolerance the
-    adaptive solver used, 2 (1 + ||grad u||_{L^2}) in the idx norm, and is
-    compared bitwise with its stage SOLVER_STAGE.  False means the ladder
-    refines past the solver's stage here; NonConvergent propagates.
+    Each term b_j * d_j u_i goes through `product` at the tolerance
+    2 (1 + ||grad u||_{L^2}) in the idx norm and must lie within it of the
+    term's lattice product.  False flags the ladder's blind spot, two agreeing
+    stages that both miss energy the lattice holds.  NonConvergent propagates.
     """
-    grid = u.grid
-    d = grid.dimension
+    grid, d = u.grid, u.grid.dimension
     grad_l2 = np.sqrt(grid.period ** d
                       * np.sum(grid.kappa_sq()[None] * np.abs(u.coeffs) ** 2))
     tol = 2.0 * (1.0 + grad_l2)
     grad = gradient(u)                      # components ordered (i, axis) row-major
     terms = [(b.component(j), grad.component(i * d + j))
              for i in range(u.components) for j in range(d)]
-    return all(np.array_equal(product(f, g, tol, idx).coeffs,
-                              _stage(f, g, SOLVER_STAGE).coeffs) for f, g in terms)
+    return all(sobolev_norm(product(f, g, tol, idx) - dealiased_multiply(f, g), idx) < tol
+               for f, g in terms)

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import (SpectralField, TimeField, _read_only, _read_snapshot, _write_snapshot,
-                       evaluate, singular_values_sq)
+from .spectral import (SpectralField, TimeField, _is_count, _read_only, _read_snapshot,
+                       _write_snapshot, evaluate, singular_values_sq)
 from .kolmogorov import GRADIENT_TARGET
 from .zvonkin import TransformContext, phi, psi, transform_jacobian
 
@@ -76,16 +76,14 @@ class SimConfig:
         object.__setattr__(self, "x0", tuple(float(c) for c in np.atleast_1d(self.x0)))
         for name in ("steps", "paths", "base_steps"):
             n = getattr(self, name)
-            if n is not None and not float(n).is_integer():
-                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if n is not None and not _is_count(n, 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
             object.__setattr__(self, name, n if n is None else int(n))
-        if self.steps < 1 or self.paths < 1:
-            raise ValueError("steps and paths must be positive")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.seed < 0 or int(self.seed) != self.seed:
+        if not _is_count(self.seed):
             raise ValueError("seed must be a nonnegative integer")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")

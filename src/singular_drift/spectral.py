@@ -47,11 +47,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_count(n, least: int = 0) -> bool:
+    """Whether n is an integer >= least; NaN and inf are not (int() raises)."""
+    return float(n).is_integer() and n >= least
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the torus [0, 2 pi)^d: d axes, N modes per axis, kappa = k.
-    Its lattice symbols are memoized per (d, N) (the low-pass per j too), as
-    read-only arrays."""
+    Its lattice symbols are memoized per (d, N), as read-only arrays."""
 
     dimension: int
     modes_per_axis: int
@@ -99,11 +103,6 @@ class GridSpec:
     def bessel_symbol(self) -> np.ndarray:
         """Symbol of A = I - Laplacian/2 on the lattice."""
         return _read_only(1.0 + 0.5 * self.kappa_sq())
-
-    @cache
-    def cutoff_symbol(self, j: int) -> np.ndarray:
-        """Symbol of the low-pass S^j: the smooth profile at radius |kappa|/2^j."""
-        return _read_only(cutoff_profile(np.sqrt(self.kappa_sq()) / float(2 ** j)))
 
     def axis_points(self) -> np.ndarray:
         n = self.modes_per_axis
@@ -328,7 +327,7 @@ def mollify(f: _F, n: float) -> _F:
 
 def dyadic_cutoff(f: _F, j: int) -> _F:
     """Low-pass S^j: multiply by the smooth profile at radius |kappa|/2^j."""
-    return _apply_multiplier(f, f.grid.cutoff_symbol(j))
+    return _apply_multiplier(f, cutoff_profile(np.sqrt(f.grid.kappa_sq()) / float(2 ** j)))
 
 
 def gradient(f: _F) -> _F:
@@ -610,13 +609,18 @@ def _write_snapshot(path, array: np.ndarray, dtype: str, meta: dict) -> Path:
     return path
 
 
+def _read_sidecar(path: Path) -> dict:
+    """The sidecar of the snapshot at path; a missing one raises ValueError."""
+    if not _sidecar_path(path).exists():
+        raise ValueError(f"{path}: its sidecar {_sidecar_path(path).name} is missing")
+    return json.loads(_sidecar_path(path).read_text())
+
+
 def _read_snapshot(path, dtype: str, shape) -> tuple:
     """(sidecar, payload as dtype in the shape shape(sidecar)) of the snapshot at
     path; a missing sidecar or a payload of another size raises ValueError."""
     path = Path(path)
-    if not _sidecar_path(path).exists():
-        raise ValueError(f"{path}: its sidecar {_sidecar_path(path).name} is missing")
-    meta = json.loads(_sidecar_path(path).read_text())
+    meta = _read_sidecar(path)
     raw, shape = path.read_bytes(), tuple(shape(meta))
     if len(raw) != np.dtype(dtype).itemsize * int(np.prod(shape)):
         raise ValueError(f"{path}: {len(raw)} bytes do not hold shape {shape} as {dtype}")
@@ -652,4 +656,4 @@ def load_time_field(path) -> TimeField:
 
 
 def load_time_field_meta(path) -> dict:
-    return json.loads(_sidecar_path(Path(path)).read_text())
+    return _read_sidecar(Path(path))

@@ -52,7 +52,7 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
     assert meta["manifest"]["lambda"] == 2.0
     assert meta["manifest"]["solver"]["method"] == "march"
     assert "converged" not in meta["manifest"]["solver"]
-    assert "product stage 4" in capsys.readouterr().out
+    assert f"at lambda=2; u written to {u_path}" in capsys.readouterr().out
 
     ens_path = tmp_path / "paths.bin"
     assert main(["simulate", "--config", config_path, "--u", str(u_path),
@@ -75,6 +75,12 @@ def test_solve_pde_and_simulate_from_snapshot(tmp_path, config_path, capsys):
     p.write_text(json.dumps(dict(TINY, lam=4.0)))
     with pytest.raises(SystemExit, match="lam 4 differs from the lambda 2"):
         main(["simulate", "--config", str(p), "--u", str(u_path),
+              "--out", str(ens_path)])
+
+    # a u without its sidecar is refused by name, as every snapshot is
+    (tmp_path / "u.bin.json").unlink()
+    with pytest.raises(ValueError, match="u.bin: its sidecar u.bin.json is missing"):
+        main(["simulate", "--config", config_path, "--u", str(u_path),
               "--out", str(ens_path)])
 
 

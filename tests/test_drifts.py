@@ -35,6 +35,9 @@ from singular_drift.drifts import (
     {"eta": math.nan},
     {"amplitude": math.inf},
     {"amplitude": math.nan},
+    {"seed": math.inf},       # int() raised OverflowError, and ValueError on NaN
+    {"seed": math.nan},
+    {"changes": math.inf},
 ])
 def test_drift_spec_rejects_bad_parameters(kwargs):
     base = {"family": "random-fourier", "seed": 1, "beta": 0.25}

@@ -9,10 +9,8 @@ from singular_drift.spectral import (
     SobolevIndex,
     SpectralField,
     TimeField,
-    gradient,
 )
 from singular_drift.drifts import DriftSpec, generate
-from singular_drift.paraproduct import drift_gradient_product, ladder_agrees, product
 from singular_drift.kolmogorov import (
     CalibrationFailed,
     PdeConfig,
@@ -157,27 +155,6 @@ def test_march_is_exact_fixed_point(march_case):
     assert v.components == b.grid.dimension
     assert report.method == "march" and report.iterations == 1
     assert np.max(np.abs((integral_operator(v, b, 4.0) - v).coeffs)) == 0.0
-
-
-def test_fixed_stage_equals_the_reference_ladder(march_case):
-    # the solver's rule before its stage was fixed: each term through the
-    # ladder at tolerance 2 (1 + ||grad v||_{L^2}) in H^{-beta}_p
-    b, cfg = march_case
-    v, _ = solve_fwd(b, 4.0)
-    grid = b.grid
-    d = grid.dimension
-    for m in (1, v.nodes // 2, v.nodes):
-        bm, vm = b.node(m), v.node(m)
-        grad_l2 = np.sqrt(grid.period ** d
-                          * np.sum(grid.kappa_sq()[None] * np.abs(vm.coeffs) ** 2))
-        grad = gradient(vm)
-        want = np.zeros_like(vm.coeffs)
-        for i in range(vm.components):
-            for ax in range(d):
-                want[i] += product(bm.component(ax), grad.component(i * d + ax),
-                                   2.0 * (1.0 + grad_l2), cfg.product_index).coeffs[0]
-        assert np.array_equal(drift_gradient_product(bm, vm).coeffs, want)
-        assert ladder_agrees(bm, vm, cfg.product_index)
 
 
 def test_zero_drift_gives_zero_solution(grid64):

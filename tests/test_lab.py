@@ -16,7 +16,6 @@ from scipy import stats
 import singular_drift
 import singular_drift.sde as sde
 from singular_drift.drifts import AssumptionViolated, DriftSpec
-from singular_drift.paraproduct import SOLVER_STAGE
 from singular_drift.zvonkin import INVERSE_TOL
 from singular_drift.lab import (
     ExperimentConfig,
@@ -175,6 +174,9 @@ def test_experiment_config_roundtrip():
     cfg = tiny_config(lambda_list=(2.0, 4.0))
     back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert back == cfg
+    # integral counts are stored as ints, as SimConfig stores its counts
+    cfg = tiny_config(pde_nodes=16.0, n_list=(2.0, 4.0), steps_list=(8.0, 16.0))
+    assert all(type(k) is int for k in (cfg.pde_nodes, *cfg.n_list, *cfg.steps_list))
 
 
 @pytest.mark.parametrize("key", ["product_tol", "delta", "p", "tol", "inverse_tol",
@@ -195,18 +197,21 @@ def test_experiment_config_validates_x0():
         tiny_config(x0=(0.0, 0.0))
 
 
-@pytest.mark.parametrize("n_list", [(0, 2), (-1, 2), (2, 2), (4, 2), (2,), ()])
+@pytest.mark.parametrize("n_list", [(0, 2), (-1, 2), (2, 2), (4, 2), (2,), (), (2.5, 4)])
 def test_experiment_config_validates_n_list(n_list):
     # refused before any solve: a zero level would fail only in spectral.mollify,
-    # a repeated one would feed tied levels to the trend test
+    # a repeated one would feed tied levels to the trend test, and a fractional
+    # one was truncated
     with pytest.raises(ValueError, match="n_list"):
         tiny_config(n_list=n_list)
 
 
-@pytest.mark.parametrize("steps_list", [(250, 300), (0, 16), (-8, 16), (8, 8, 16), ()])
+@pytest.mark.parametrize("steps_list", [(250, 300), (0, 16), (-8, 16), (8, 8, 16), (),
+                                        (8.5, 16)])
 def test_experiment_config_validates_steps_list(steps_list):
     # refused before calibration and the solve: the consistency study draws
-    # every step count's noise at the largest, which each must divide
+    # every step count's noise at the largest, which each must divide, and a
+    # fractional count was truncated
     with pytest.raises(ValueError, match="steps_list"):
         tiny_config(steps_list=steps_list)
 
@@ -230,8 +235,10 @@ def test_experiment_config_validates_lam(lam):
     dict(modes=12), dict(dimension=3, x0=(0.0, 0.0, 0.0)), dict(q=10.0),
     dict(steps=0), dict(paths=0), dict(seed=-3), dict(seed=1.5), dict(horizon=-1.0),
     dict(horizon=math.inf), dict(x0=(math.nan,)), dict(lam=None, paths=0),
+    dict(pde_nodes=0), dict(pde_nodes=-4), dict(pde_nodes=1.5), dict(seed=math.inf),
 ], ids=["modes", "dimension", "q", "steps", "paths", "seed-negative", "seed-fraction",
-        "horizon-negative", "horizon-inf", "x0-nan", "paths-lam-unset"])
+        "horizon-negative", "horizon-inf", "x0-nan", "paths-lam-unset", "pde-nodes-zero",
+        "pde-nodes-negative", "pde-nodes-fraction", "seed-inf"])
 def test_experiment_config_refuses_at_build_what_a_run_refuses(over):
     # the grid, the (beta, q) window and the SimConfig used to refuse these
     # only once a run reached them, some after the calibration
@@ -304,10 +311,8 @@ def test_study_mollify_smoke(tmp_path):
         assert (root / name).exists(), name
     manifest = json.loads((root / "manifest.json").read_text())
     assert manifest["digest"] == rep.digest
-    assert manifest["product_stage"] == SOLVER_STAGE == 4
     saved = json.loads((root / "report.json").read_text())
     assert saved["levels"] == rep.levels
-    assert saved["pipeline"]["product_stage"] == SOLVER_STAGE
     assert saved["pipeline"]["ladder_agrees"] is True
     assert saved["trend"]["p_method"] == "exact"
 

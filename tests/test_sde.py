@@ -63,6 +63,7 @@ def ctx_2d():
     {"x0": (math.nan,)},         # would run all-NaN paths
     {"x0": (0.0, math.inf)},
     {"horizon": math.inf},       # would make a NaN step
+    {"seed": math.inf},          # int() raised OverflowError
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     base = dict(x0=(0.0,), horizon=1.0, steps=16, paths=4, seed=0, lam=1.0)

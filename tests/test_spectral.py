@@ -68,13 +68,6 @@ def test_lattice_symbols_are_shared_and_read_only(dim):
         sq = sq + k * k
     for a, want in zip(symbols(grid), (ax, *mesh, sq, 1.0 + 0.5 * sq)):
         assert a.dtype == want.dtype and np.array_equal(a, want)
-    # the dyadic low-pass is memoized per (d, N, j) the same way
-    for j in range(4):
-        a = grid.cutoff_symbol(j)
-        assert a is twin.cutoff_symbol(j)
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
-        assert np.array_equal(a, cutoff_profile(np.sqrt(sq) / float(2 ** j)))
 
 
 def test_known_coefficients_of_sine(grid64):
