@@ -72,6 +72,7 @@ class DriftSpec:
         object.__setattr__(self, "changes", int(self.changes))
         if not _is_count(self.seed):
             raise InvalidSpec("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
         return asdict(self)

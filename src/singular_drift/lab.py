@@ -207,6 +207,7 @@ class ExperimentConfig:
         self.grid()
         _check_window(self.drift.beta, self.q, self.dimension)
         self.sim(1.0 if self.lam is None else self.lam)
+        object.__setattr__(self, "seed", int(self.seed))    # checked by sim
 
     def grid(self) -> GridSpec:
         return GridSpec(self.dimension, self.modes)

@@ -85,6 +85,7 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not _is_count(self.seed):
             raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         base = self.base_steps
@@ -150,12 +151,22 @@ class PathEnsemble:
 
 def _block_normals(seed: int, lo: int, hi: int, steps: int, d: int) -> np.ndarray:
     """The first d normals of each Box-Muller pair for paths [lo, hi), shape
-    (hi-lo, steps, d)."""
+    (hi-lo, steps, d).  One generator serves the block: its Philox state is
+    set to what Philox(key=(seed, p)) starts from (counter 0, empty buffer)
+    before path p draws, so the draw is the per-path generators' bit for bit
+    without building one per path."""
     uni = np.empty((hi - lo, steps, 2))
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    key = np.array([seed, 0], dtype=np.uint64)
+    start = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for i, p in enumerate(range(lo, hi)):
-        key = np.array([seed, p], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        uni[i] = gen.random((steps, 2))
+        key[1] = p
+        bits.state = start      # the setter copies the values
+        gen.random(out=uni[i])
     radial = np.sqrt(-2.0 * np.log1p(-uni[..., 0]))   # 1-u in (0,1] avoids log 0
     angle = 2.0 * np.pi * uni[..., 1]
     z = np.empty((hi - lo, steps, d))

@@ -254,6 +254,15 @@ def test_config_digest_sensitivity():
     assert config_digest(tiny_config(note="annotated")) != a
 
 
+def test_config_digest_reads_integral_float_seeds_as_ints():
+    # equal configs get one digest, so a study writes one results directory:
+    # the seeds are stored as ints, as the counts are
+    drift = replace(ROUGH, seed=float(ROUGH.seed))
+    cfg = tiny_config(seed=5.0, drift=drift)
+    assert cfg == tiny_config() and config_digest(cfg) == config_digest(tiny_config())
+    assert type(cfg.seed) is int and type(cfg.drift.seed) is int
+
+
 def test_environment_fingerprint_keys():
     fp = environment_fingerprint()
     assert {"python", "numpy", "scipy", "platform", "package"} <= set(fp)

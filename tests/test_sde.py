@@ -87,6 +87,9 @@ def test_sim_config_counts_are_integers(field):
 def test_sim_config_roundtrip():
     cfg = small_sim(base_steps=32)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    # an integral float seed is stored, and so written, as an int
+    assert type(small_sim(seed=5.0).to_dict()["seed"]) is int
+    assert small_sim(seed=5.0).to_dict()["seed"] == 5
 
 
 # --- noise streams -------------------------------------------------------------------
@@ -114,6 +117,19 @@ def test_increments_cached_read_only_and_equal_to_a_direct_draw():
         a[0, 0, 0] = 1.0
     direct = sde._block_normals(cfg.seed, 0, cfg.paths, cfg.steps, 1) * np.sqrt(cfg.dt)
     assert np.array_equal(a, direct)
+
+
+@pytest.mark.parametrize("seed, lo, hi, d", [(11, 0, 5, 1), (2 ** 40 + 3, 3, 9, 2)])
+def test_block_normals_are_the_per_path_generators_draws(seed, lo, hi, d):
+    # one generator reset per path draws what a generator built for each
+    # path draws (the stream rule), bit for bit
+    steps = 6
+    uni = np.stack([np.random.Generator(np.random.Philox(key=(seed, p))).random((steps, 2))
+                    for p in range(lo, hi)])
+    radial = np.sqrt(-2.0 * np.log1p(-uni[..., 0]))
+    angle = 2.0 * np.pi * uni[..., 1]
+    want = np.stack([radial * np.cos(angle), radial * np.sin(angle)][:d], axis=-1)
+    assert np.array_equal(sde._block_normals(seed, lo, hi, steps, d), want)
 
 
 def test_increments_redrawn_after_another_config():

@@ -2,9 +2,13 @@
 
 import json
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import singular_drift.spectral as spectral
 from singular_drift.spectral import (
     GridSpec,
     SobolevIndex,
@@ -465,6 +469,89 @@ def test_evaluate_band_of_a_nan_field_is_full(grid64):
     c = random_field(grid64, 0.3, 8, band=5).coeffs.copy()
     c[0, 20] = c[0, -20] = np.nan
     assert np.all(np.isnan(evaluate(SpectralField(grid64, c), np.zeros((3, 1)))))
+
+
+def _table_points(modes, rng):
+    """Random points in one period, points half a table row off a row (the
+    largest Taylor offset) and points out to |x| = 50.  All lie on the grid
+    2^-30 Z, so `_direct_sum`'s products k x are exact: a rounded k x puts an
+    error of about |k x| u on each mode, 3e-14 sum |c_k| at |x| = 50 and
+    N = 1024, which would be the reference's own."""
+    rows = spectral._TABLE_OVERSAMPLE * modes
+    half = (rng.integers(0, rows, 100) + 0.5) * (2.0 * np.pi / rows)
+    x = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 100), half,
+                        rng.uniform(-50.0, 50.0, 100)])
+    return np.round(x * 2.0 ** 30)[:, None] / 2.0 ** 30
+
+
+@pytest.mark.parametrize("modes", [64, 256, 1024])
+def test_evaluate_table_matches_direct_sum(modes):
+    # a full band reads its Taylor table; the Cody-Waite offset keeps the
+    # error at the level of a point in [0, 2 pi) out to |x| = 50
+    f = random_field(GridSpec(1, modes), 0.3, 9)
+    assert f._eval_tables[0] is not None
+    x = _table_points(modes, np.random.default_rng(13))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["horner", "table"])
+def test_evaluate_band_at_the_kernel_switch_matches_direct_sum(past):
+    # the widest band Horner's rule sums, and the narrowest the table reads
+    grid = GridSpec(1, 256)
+    band = spectral._TABLE_MIN_MODES - 1 + past
+    f = random_field(grid, 0.3, 9, band=band)
+    assert len(f._eval_bands[0]) == band + 1
+    assert (f._eval_tables[0] is not None) == bool(past)
+    x = _table_points(256, np.random.default_rng(14))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
+@pytest.mark.parametrize("modes", [8, 64, 256, 1024])
+def test_taylor_depth_bounds_the_remainder_by_the_unit_roundoff(modes):
+    # (K pi/F)^{p+1}/(p+1)! <= 2^-53 at the smallest such depth, for every
+    # band K <= N/2 of a table on F = 8N rows; 12 terms always suffice
+    rows = spectral._TABLE_OVERSAMPLE * modes
+    for k_max in range(modes // 2 + 1):
+        depth = spectral._taylor_depth(k_max, rows)
+        r = k_max * np.pi / rows
+        assert r ** depth / math.factorial(depth) <= 2.0 ** -53
+        assert depth == 1 or r ** (depth - 1) / math.factorial(depth - 1) > 2.0 ** -53
+        assert depth <= 12
+
+
+def test_evaluate_table_reads_nan_and_far_points_without_warning():
+    # a NaN point has no table row: it gets a NaN value and no warning (pytest
+    # turns warnings into errors), and a point past the table's reach gets
+    # Horner's value, in any batch
+    f = random_field(GridSpec(1, 64), 0.3, 9)
+    far = spectral._TABLE_REACH * 2.0 * np.pi / (spectral._TABLE_OVERSAMPLE * 64) + 3.0
+    x = np.array([[0.4], [np.nan], [far], [1.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(f, x)
+    assert np.isnan(got[1, 0]) and not np.any(np.isnan(got[[0, 2, 3], 0]))
+    horner = spectral._horner_eval(f._eval_bands[0], np.array([far, far]))[0]
+    assert got[2, 0] == horner
+    assert np.array_equal(evaluate(f, x[:2]), got[:2], equal_nan=True)
+    assert np.array_equal(evaluate(f, x[2:3]), got[2:3])
+
+
+def test_evaluate_full_band_takes_the_table(monkeypatch):
+    # a wide band never reaches Horner's rule, a narrow one always does
+    grid = GridSpec(1, 256)
+    wide, narrow = random_field(grid, 0.3, 9), random_field(grid, 0.3, 9, band=5)
+    assert wide._eval_tables[0].shape == (8 * 256, 12)
+    assert narrow._eval_tables == [None]
+
+    def refuse(a, x):
+        raise AssertionError("Horner's rule ran on a wide band")
+
+    monkeypatch.setattr(spectral, "_horner_eval", refuse)
+    evaluate(wide, np.linspace(0.0, 7.0, 50)[:, None])
+    with pytest.raises(AssertionError, match="Horner"):
+        evaluate(narrow, np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
