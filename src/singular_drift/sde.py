@@ -141,7 +141,7 @@ class PathEnsemble:
         """Marginal at the nearest step node; t outside [0, horizon] is refused."""
         horizon = self.config.horizon
         eps = 1e-12 * max(horizon, 1.0)
-        if t < -eps or t > horizon + eps:
+        if not -eps <= t <= horizon + eps:
             raise ValueError(f"time {t} outside [0, {horizon}]")
         return self.states[:, int(round(t / horizon * self.config.steps)), :]
 

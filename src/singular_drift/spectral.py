@@ -481,10 +481,16 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     an n-point call bit for bit.
 
     x: a batch of shape (m, d); one point is a one-row batch.  Returns
-    (m, components), real.  Refuses coefficients that are not Hermitian
-    (`SpectralField._eval_bands`).
+    (m, components), real; a point with a NaN or infinite coordinate reads
+    NaN, and the kernels see 0 in its place.  Refuses coefficients that are
+    not Hermitian (`SpectralField._eval_bands`).
     """
     pts = _points(x, f.grid.dimension)
+    finite = np.isfinite(pts)
+    # per row only when needed: on a 2-D batch that test costs 10x this one
+    bad = None if finite.all() else ~finite.all(axis=1)
+    if bad is not None:
+        pts = np.where(bad[:, None], 0.0, pts)
     bands = f._eval_bands
     # one point runs as a two-row batch: numpy's in-place complex product and
     # BLAS's matrix-vector path both round a lone row differently
@@ -495,7 +501,10 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     else:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
-    return np.stack(per_comp, axis=1)[:len(pts)].real
+    out = np.stack(per_comp, axis=1)[:len(pts)].real
+    if bad is not None:
+        out[bad] = np.nan
+    return out
 
 
 def _points(x, d: int) -> np.ndarray:
@@ -565,11 +574,11 @@ def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Taylor series in dx = x - 2 pi i/F, |dx| <= pi/F, by Horner's rule.  The
     offset is reduced Cody-Waite style, (x - i hi) - i lo with 2 pi/F = hi + lo
     (`_TWO_PI_HI`): the first difference is exact, so dx carries no multiple
-    of 2 pi's rounding.  Points _TABLE_REACH rows or more from 0, NaN and
-    infinities among them, take `_horner_eval` on the band instead, as a
-    batch of two rows at least (`evaluate`)."""
+    of 2 pi's rounding.  The points are finite (`evaluate`); those
+    _TABLE_REACH rows or more from 0 take `_horner_eval` on the band instead,
+    as a batch of two rows at least."""
     rows, depth = table.shape
-    near = np.abs(x) < _TABLE_REACH * (2.0 * np.pi / rows)     # false at NaN
+    near = np.abs(x) < _TABLE_REACH * (2.0 * np.pi / rows)
     xn = np.where(near, x, 0.0)
     i = np.rint(xn * (rows / (2.0 * np.pi)))
     dx = (xn - i * (_TWO_PI_HI / rows)) - i * (_TWO_PI_LO / rows)
@@ -655,7 +664,7 @@ class TimeField(_Field):
         """Field at time t, its coefficients interpolated linearly between the
         nodes; at a node time it is `node`, bit for bit."""
         eps = 1e-12 * max(self.horizon, 1.0)
-        if t < -eps or t > self.horizon + eps:
+        if not -eps <= t <= self.horizon + eps:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         pos = np.clip(t, 0.0, self.horizon) / self.horizon * self.nodes
         m = int(np.floor(pos))

@@ -4,15 +4,14 @@ Once the backward solution u carries the certificate sup |grad u| <= 1/2 the
 map x -> phi(t, x) is a diffeomorphism for every t: the inverse psi solves the
 fixed point x = y - u(t, x), a contraction at rate <= 1/2 from the initial
 guess x = y, which psi accelerates by a safeguarded Anderson(1) step (the
-secant method in 1-D) at no extra evaluation of u.  Between time nodes u and
-its gradient, formed once per transform, are interpolated linearly in their
-coefficients.
+secant method in 1-D) at no extra evaluation of u.  Between time nodes u is
+interpolated linearly in its coefficients, and the Jacobian of the transform
+is the gradient of that interpolated u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +49,7 @@ class TransformContext:
     sup |grad u| (`gradient_sup`) itself, on construction and on every
     `dataclasses.replace`, and refuses values above 1/2, for which the
     contraction estimate would be void.  It refuses an inverse_tol that is
-    not finite and positive.  grad u is formed once, on first use, and kept
-    (`jacobian`).
+    not finite and positive.
     """
 
     u: TimeField
@@ -73,12 +71,6 @@ class TransformContext:
     @property
     def horizon(self) -> float:
         return self.u.horizon
-
-    @cached_property
-    def jacobian(self) -> TimeField:
-        """grad u at every node, components ordered (i, j) -> d_j u_i: formed
-        on first use and kept, as the context is immutable."""
-        return gradient(self.u)
 
 
 def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
@@ -150,9 +142,6 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
 
 def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
     """grad u(t, x) as (m, d, d) matrices, J[i, j] = d_j u_i, on an (m, d)
-    batch of points: the context's node gradients, interpolated linearly in
-    time.  At node times that is the gradient of u(t) bit for bit; between
-    them the two differ by rounding."""
+    batch of points: the gradient of the u(t) that `phi` and `psi` read."""
     d = ctx.u.grid.dimension
-    vals = evaluate(ctx.jacobian.at_time(t), x)     # (m, d*d)
-    return vals.reshape(-1, d, d)
+    return evaluate(gradient(ctx.u.at_time(t)), x).reshape(-1, d, d)

@@ -7,7 +7,7 @@ stays fast; the acceptance tests build their own desk-scale fixtures.
 import numpy as np
 import pytest
 
-from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
+from singular_drift.spectral import GridSpec, SpectralField, TimeField
 from singular_drift.drifts import DriftSpec, _power_profile, _unit_phases, generate
 from singular_drift.kolmogorov import PdeConfig
 from singular_drift.zvonkin import TransformContext
@@ -100,10 +100,3 @@ def random_time_field(grid, steps, amplitude, seed, horizon=1.0):
                 comp += amplitude * rng.standard_normal() / np.dot(k, k) * np.cos(phase)
         nodes.append(SpectralField.from_grid(grid, vals))
     return TimeField.from_nodes(nodes, horizon)
-
-
-def u_gradient_jacobian(ctx, t, x):
-    """grad u from the spectral gradient of u(t), formed per call: the
-    reference that `zvonkin.transform_jacobian` must match."""
-    d = ctx.u.grid.dimension
-    return evaluate(gradient(ctx.u.at_time(t)), x).reshape(-1, d, d)

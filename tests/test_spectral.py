@@ -538,6 +538,27 @@ def test_evaluate_table_reads_nan_and_far_points_without_warning():
     assert np.array_equal(evaluate(f, x[2:3]), got[2:3])
 
 
+@pytest.mark.parametrize("field", [
+    random_field(GridSpec(1, 64), 0.3, 9, band=5),
+    random_field(GridSpec(1, 64), 0.3, 9),
+    random_field(GridSpec(2, 16), 0.3, 9),
+], ids=["horner", "table", "2d"])
+def test_evaluate_reads_non_finite_points_as_nan(field):
+    # a NaN or infinite coordinate reads NaN in its row and raises no warning
+    # (pytest turns warnings into errors); every other row is the value it
+    # has in a batch without the bad row, bit for bit
+    d = field.grid.dimension
+    good = np.random.default_rng(16).uniform(0.0, 2.0 * np.pi, size=(5, d))
+    want = evaluate(field, good)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.insert(good, 2, [bad] + [0.5] * (d - 1), axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(field, x)
+        assert np.all(np.isnan(got[2]))
+        assert np.array_equal(np.delete(got, 2, axis=0), want)
+
+
 def test_evaluate_full_band_takes_the_table(monkeypatch):
     # a wide band never reaches Horner's rule, a narrow one always does
     grid = GridSpec(1, 256)
@@ -577,8 +598,9 @@ def test_time_field_interpolation(grid64):
     mid = tf.at_time(0.25)
     assert abs(mid.coeffs[0, 0] - 0.25) < 1e-15
     assert abs(tf.at_time(1.0).coeffs[0, 0] - 1.0) == 0.0
-    with pytest.raises(ValueError):
-        tf.at_time(1.5)
+    for t in (1.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            tf.at_time(t)
     # at a node time the field is the node, and the node is the
     # interpolation's coefficients bit for bit
     tf = random_time_field(grid64, 4, 0.1, seed=2)
