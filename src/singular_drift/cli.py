@@ -77,7 +77,7 @@ def cmd_calibrate(args) -> int:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["lambda", "gradient_sup"])
         writer.writerows(trace)
-    print(f"accepted lambda={lam:g} after {len(trace)} solves; trace at {trace_path}")
+    print(f"accepted lambda={lam:g} of {len(trace)} lambdas tried; trace at {trace_path}")
     return 0
 
 

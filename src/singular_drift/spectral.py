@@ -121,6 +121,16 @@ class GridSpec:
         """Symbol of A = I - Laplacian/2 on the lattice."""
         return _read_only(1.0 + 0.5 * self.kappa_sq())
 
+    @cache
+    def gradient_symbol(self) -> np.ndarray:
+        """i kappa_axis for each axis, stacked: shape (d,) + spatial.  The
+        Nyquist row on the differentiated axis is zeroed (its i kappa image
+        has no Hermitian partner on the lattice)."""
+        mults = np.stack([1j * k for k in self.kappa_mesh()])
+        for axis in range(self.dimension):
+            mults[(axis,) + (slice(None),) * axis + (self.modes_per_axis // 2,)] = 0.0
+        return _read_only(mults)
+
     def axis_points(self) -> np.ndarray:
         n = self.modes_per_axis
         return np.arange(n) * self.spacing
@@ -357,19 +367,10 @@ def dyadic_cutoff(f: _F, j: int) -> _F:
 
 
 def gradient(f: _F) -> _F:
-    """Spectral gradient.
-
-    Output has components ordered (comp0 d/dx_0, ..., comp0 d/dx_{d-1},
-    comp1 d/dx_0, ...).  The Nyquist row on the differentiated axis is zeroed
-    (its i*kappa image has no Hermitian partner on the lattice).
-    """
+    """Spectral gradient by the lattice's `gradient_symbol`, components
+    ordered (comp0 d/dx_0, ..., comp0 d/dx_{d-1}, comp1 d/dx_0, ...)."""
     g = f.grid
-    mults = []
-    for axis, k in enumerate(g.kappa_mesh()):
-        mult = 1j * k
-        mult[(slice(None),) * axis + (g.modes_per_axis // 2,)] = 0.0
-        mults.append(mult)
-    c = np.expand_dims(f.coeffs, -g.dimension - 1) * np.stack(mults)
+    c = np.expand_dims(f.coeffs, -g.dimension - 1) * g.gradient_symbol()
     lead = f.coeffs.shape[: -g.dimension - 1]
     return replace(f, coeffs=c.reshape(lead + (f.components * g.dimension,) + g.spatial_shape))
 

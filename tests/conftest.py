@@ -9,6 +9,7 @@ import pytest
 
 from singular_drift.spectral import GridSpec, SpectralField, TimeField
 from singular_drift.drifts import DriftSpec, _power_profile, _unit_phases, generate
+from singular_drift import kolmogorov, lab
 from singular_drift.kolmogorov import PdeConfig
 from singular_drift.zvonkin import TransformContext
 
@@ -55,6 +56,21 @@ def sine_field(grid64):
     """sin(x) as a spectral field (exact two-mode representation)."""
     x = grid64.axis_points()
     return SpectralField.from_grid(grid64, np.sin(x)[None])
+
+
+def record_solves(monkeypatch):
+    """The lam of every solve_fwd call, from the solver module and from lab,
+    in call order: calibrate_lambda passes each stack as a list."""
+    seen = []
+    solve_fwd = kolmogorov.solve_fwd
+
+    def recorded(b, lam):
+        seen.append(lam)
+        return solve_fwd(b, lam)
+
+    for module in (kolmogorov, lab):
+        monkeypatch.setattr(module, "solve_fwd", recorded)
+    return seen
 
 
 def single_mode(grid, k, amplitude=1.0, component_count=1):

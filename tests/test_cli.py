@@ -119,7 +119,8 @@ def test_calibrate(tmp_path, capsys):
     assert data["lambda"] == 1.0
     trace = out.with_suffix(".csv").read_text()
     assert trace.startswith("lambda,gradient_sup")
-    assert "accepted lambda" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "accepted lambda" in out and "of 1 lambdas tried" in out
 
 
 def test_study_command_writes_artifacts(tmp_path, config_path, capsys):

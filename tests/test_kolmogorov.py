@@ -14,6 +14,7 @@ from singular_drift.drifts import DriftSpec, generate
 from singular_drift.kolmogorov import (
     CalibrationFailed,
     PdeConfig,
+    _stack_width,
     calibrate_lambda,
     gradient_sup,
     integral_operator,
@@ -21,7 +22,7 @@ from singular_drift.kolmogorov import (
     weighted_norm,
 )
 
-from conftest import sine_time_field
+from conftest import record_solves, sine_time_field
 
 CFG = PdeConfig(beta=0.25, delta=0.5, p=2.5)
 
@@ -101,10 +102,18 @@ def test_solver_refuses_a_drift_that_is_not_real(grid64):
         integral_operator(TimeField.zero(grid64, 1.0, 64), b, 1.0)
 
 
-@pytest.mark.parametrize("lam", [-0.5, -100.0, np.inf, np.nan])
+@pytest.mark.parametrize("lam", [
+    -0.5, -100.0, np.inf, np.nan,
+    pytest.param([2.0, -1.0], id="stack-negative"),
+    pytest.param([1.0, np.nan], id="stack-nan"),
+    pytest.param([], id="stack-empty"),
+    pytest.param([[1.0]], id="stack-nested"),
+])
 def test_solver_refuses_lambdas_the_theory_excludes(grid64, lam):
     # the step factors damp only for 0 <= lam < inf; a negative lambda used
-    # to amplify, inf to zero every step, and NaN to fail at the certificate
+    # to amplify, inf to zero every step, and NaN to fail at the certificate.
+    # A stack is refused for any one such lambda, and so are an empty stack
+    # and one that is not a flat list
     b = constant_drift(grid64, 1.0, 8)
     with pytest.raises(ValueError, match="lam"):
         solve_fwd(b, lam)
@@ -155,6 +164,30 @@ def test_march_is_exact_fixed_point(march_case):
     assert v.components == b.grid.dimension
     assert report.method == "march" and report.iterations == 1
     assert np.max(np.abs((integral_operator(v, b, 4.0) - v).coeffs)) == 0.0
+
+
+def rough_drift(dim, n, steps):
+    """The rough drift of rough_drift64 (1-D) and march_case (2-D) on the
+    lattice (dim, n)."""
+    spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
+                     amplitude=0.25 if dim == 1 else 0.1)
+    return generate(spec, GridSpec(dim, n), 1.0, steps)
+
+
+@pytest.mark.parametrize("dim, n, steps, lams", [
+    (1, 64, 32, (2.0, 4.0, 8.0, 16.0)),
+    (1, 256, 64, (2.0, 4.0, 8.0, 16.0)),
+    (2, 16, 16, (2.0, 4.0)),
+])
+def test_a_stack_matches_separate_solves(dim, n, steps, lams):
+    # every operation of the march acts on each component by itself, so each
+    # lambda's block of a stacked march is its own march bit for bit
+    b = rough_drift(dim, n, steps)
+    v, report = solve_fwd(b, list(lams))
+    assert v.components == len(lams) * dim and report.lam == lams
+    for i, lam in enumerate(lams):
+        alone, _ = solve_fwd(b, lam)
+        assert np.array_equal(v.coeffs[:, i * dim:(i + 1) * dim], alone.coeffs)
 
 
 def test_zero_drift_gives_zero_solution(grid64):
@@ -233,12 +266,47 @@ def test_calibrate_lambda_on_coarse_time_grid(grid64):
     assert all(g > 0.5 for _, g in trace[:-1])
 
 
-def test_calibrate_lambda_fails_after_max_doublings(grid64, monkeypatch):
-    monkeypatch.setattr(kolmogorov, "MAX_DOUBLINGS", 2)
-    with pytest.raises(CalibrationFailed, match="after 2 doublings") as exc:
+def plain_doubling(b):
+    """The reference calibration: one march per lambda, doubling from 1."""
+    lam, trace = 1.0, []
+    while True:
+        v, _ = solve_fwd(b, lam)
+        trace.append((lam, gradient_sup(v.reversed_time())))
+        if trace[-1][1] <= 0.5:
+            return lam, trace
+        lam *= 2.0
+
+
+@pytest.mark.parametrize("drift", ["smooth", "rough-1d", "coarse-strong", "rough-2d"])
+def test_calibrate_lambda_matches_a_plain_doubling_loop(grid64, monkeypatch, drift):
+    # lambda 1, 8, 256 and 16: lambda = 1 marches alone, then the doublings
+    # in stacks of _stack_width (8, 4, 8 and 1 lambdas here) up to the stack
+    # that holds the accepted lambda; lambda and trace are the loop's
+    b = {"smooth": lambda: generate(DriftSpec(family="smooth-test", seed=1, beta=0.25,
+                                              amplitude=0.2), grid64, 1.0, 16),
+         "rough-1d": lambda: rough_drift(1, 256, 64),
+         "coarse-strong": lambda: coarse_strong_drift(grid64),
+         "rough-2d": lambda: rough_drift(2, 16, 16)}[drift]()
+    want = plain_doubling(b)
+    seen = record_solves(monkeypatch)
+    assert calibrate_lambda(b) == want
+    accepted, width = len(want[1]) - 1, _stack_width(b.grid)
+    assert seen == [[1.0]] + [[2.0 ** k for k in range(i, i + width)]
+                              for i in range(1, accepted + 1, width)]
+
+
+@pytest.mark.parametrize("doublings", [2, 5])
+def test_calibrate_lambda_fails_after_max_doublings(grid64, monkeypatch, doublings):
+    # the drift needs lambda 2^8; a stack holds 8 doublings at N = 64, so
+    # the limit cuts the first stack short and no later lambda is marched
+    monkeypatch.setattr(kolmogorov, "MAX_DOUBLINGS", doublings)
+    seen = record_solves(monkeypatch)
+    with pytest.raises(CalibrationFailed, match=f"after {doublings} doublings") as exc:
         calibrate_lambda(coarse_strong_drift(grid64))
-    assert [lam for lam, _ in exc.value.trace] == [1.0, 2.0, 4.0]
+    lams = [2.0 ** k for k in range(doublings + 1)]
+    assert [lam for lam, _ in exc.value.trace] == lams
     assert all(g > 0.5 for _, g in exc.value.trace)
+    assert _stack_width(grid64) > doublings and seen == [lams[:1], lams[1:]]
 
 
 def test_calibrate_lambda_2d_rough_drift():

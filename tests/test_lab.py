@@ -31,6 +31,8 @@ from singular_drift.lab import (
 )
 from singular_drift.sde import SimConfig, simulate_y, virtual_x
 
+from conftest import record_solves
+
 
 ROUGH = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
                   amplitude=0.25)
@@ -279,6 +281,15 @@ def test_prepare_transform_bundle():
     assert bundle["assumption"].sup_norm > 0
     assert bundle["pde"].delta == 0.5 and bundle["pde"].p == 2.5
     assert bundle["ctx"].inverse_tol == INVERSE_TOL == 1e-9
+
+
+def test_prepare_transform_marches_a_stack_of_lambdas(monkeypatch):
+    # the rough 1-D drift at N = 256 calibrates at lambda 8: lambda 1 marches
+    # alone, 2 to 16 in one stack, and the transform solves lambda 8 again
+    seen = record_solves(monkeypatch)
+    bundle = prepare_transform(tiny_config(modes=256, pde_nodes=64, steps=64, q=3.0, lam=None))
+    assert bundle["lam"] == 8.0 and len(bundle["trace"]) == 4
+    assert seen == [[1.0], [2.0, 4.0, 8.0, 16.0], 8.0]
 
 
 def test_2d_pipeline_calibrates_at_nodes_over_horizon():

@@ -58,7 +58,8 @@ def test_lattice_symbols_are_shared_and_read_only(dim):
     grid, twin = GridSpec(dim, n), GridSpec(dim, n)
 
     def symbols(g):
-        return g.kappa_axis(), *g.kappa_mesh(), g.kappa_sq(), g.bessel_symbol()
+        return (g.kappa_axis(), *g.kappa_mesh(), g.kappa_sq(), g.bessel_symbol(),
+                g.gradient_symbol())
 
     for a, b in zip(symbols(grid), symbols(twin)):
         assert a is b
@@ -70,7 +71,9 @@ def test_lattice_symbols_are_shared_and_read_only(dim):
     sq = np.zeros((n,) * dim)
     for k in mesh:
         sq = sq + k * k
-    for a, want in zip(symbols(grid), (ax, *mesh, sq, 1.0 + 0.5 * sq)):
+    # i kappa per axis, with the Nyquist row of the differentiated axis at 0
+    grad = np.stack([np.where(k == -n // 2, 0.0, 1j * k) for k in mesh])
+    for a, want in zip(symbols(grid), (ax, *mesh, sq, 1.0 + 0.5 * sq, grad)):
         assert a.dtype == want.dtype and np.array_equal(a, want)
 
 
