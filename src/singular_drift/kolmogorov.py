@@ -1,26 +1,28 @@
 """Mild solver for the resolvent-type backward equation with rough drift.
 
-The unknown v solves, in mild form on [0, T],
+The backward solution u(t) on [0, T], u(T) = 0, is v(tau) = u(T - tau) in
+the time tau to the horizon, and v solves, in mild form on [0, T],
 
-    v(t) = int_0^t P(t-r) (b . grad v)(r) dr + int_0^t P(t-r) (b - lam v)(r) dr,
+    v(tau) = int_0^tau P(tau-r) (b(T-r) . grad v(r) + b(T-r) - lam v(r)) dr,
 
 where P(t) = exp(t (Laplacian/2 - I)) acts diagonally on Fourier modes with
-symbol exp(-t a_kappa), a_kappa = 1 + |kappa|^2/2.  Each timestep of the
-integral is evaluated exactly in the semigroup factor, with b . grad v + b
-frozen at the left node and the killing term -lam v at the right node, so the
-kernel singularity never meets the quadrature: exponential Euler for the
-Laplacian beside implicit Euler for lambda (Ascher, Ruuth & Wetton, SIAM J.
-Numer. Anal. 1995), whose step factors damp at every lambda >= 0.  The frozen
-integrand makes the discrete operator strictly causal: node m of its output
-depends only on nodes before m, so its fixed point is one march over the time
-nodes, which `solve_fwd` performs.  Picard iteration in an exponentially
-weighted sup-norm, the contraction argument of the theory, lives in
-`theory.picard_sweeps`.  The backward-time solution u is `v.reversed_time()`.
+symbol exp(-t a_kappa), a_kappa = 1 + |kappa|^2/2.  So the march reads b at
+T - tau: v's node m and b's node M - m are the same physical time.  Each
+timestep of the integral is evaluated exactly in the semigroup factor, with
+b . grad v + b frozen at the left node and the killing term -lam v at the
+right node, so the kernel singularity never meets the quadrature:
+exponential Euler for the Laplacian beside implicit Euler for lambda (Ascher,
+Ruuth & Wetton, SIAM J. Numer. Anal. 1995), whose step factors damp at every
+lambda >= 0.  The frozen integrand makes the discrete operator strictly
+causal: node m of its output depends only on nodes before m, so its fixed
+point is one march over the time nodes, which `solve_fwd` performs.  Picard
+iteration in an exponentially weighted sup-norm, the contraction argument of
+the theory, lives in `theory.picard_sweeps`.  u is `v.reversed_time()`.
 
 The product b . grad v is `paraproduct.drift_gradient_product`, the
-dealiased product on the whole lattice, which the operator forms at every
-node at once and the march node by node.  Neither takes a PdeConfig, nor
-does the lambda calibration.
+dealiased product on the whole lattice.  The solver and the operator step one
+node loop, `_march`, which forms it node by node.  Neither takes a PdeConfig,
+nor does the lambda calibration.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .spectral import (
     SobolevIndex,
     SpectralField,
     TimeField,
+    _check_compatible,
     gradient,
     singular_values_sq,
     sobolev_norm,
@@ -160,6 +163,19 @@ def _step_factors(tf: TimeField, lam) -> tuple:
     return tuple(np.repeat(f / damp, tf.components, axis=0) for f in (np.exp(-dt * a), w))
 
 
+def _march(b: TimeField, lam, v: TimeField | None = None) -> TimeField:
+    """I_m = E' I_{m-1} + w' g_{m-1} from I_0 = 0 by `_step_factors`, node by
+    node: g_{m-1} = b . grad v + b at v's node m-1, taken from v or, when v
+    is None, from I itself, and b's node M - m + 1, the same physical time."""
+    decay, weight = _step_factors(b, lam)
+    out = np.zeros((b.nodes + 1,) + decay.shape, dtype=complex)
+    src = out if v is None else v.coeffs
+    for m in range(1, b.nodes + 1):
+        g = _integrand(b.node(b.nodes - m + 1), SpectralField(b.grid, src[m - 1]))
+        out[m] = decay * out[m - 1] + weight * g
+    return TimeField(b.grid, b.horizon, out)
+
+
 def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     """One application of the mild right-hand side on the shared time grid.
 
@@ -167,16 +183,12 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     taken with g = b . grad v + b frozen at t_l, the killing term -lam I at
     t_{l+1}, and the semigroup factor integrated exactly: the recurrence
     I_m = (E I_{m-1} + w g_{m-1}) / (1 + lam w) with E = exp(-dt a),
-    w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  g is formed
-    at every node in one product, which refuses a v off b's grid or nodes.
-    A drift b that is not real is refused before the recurrence.
+    w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  b is read at
+    T - t_l, the time of v's node l (`_march`).  A v off b's grid, horizon,
+    nodes or components is refused, and so is a drift b that is not real.
     """
-    decay, weight = _step_factors(b, lam)
-    g = _integrand(b, v)
-    out = np.zeros_like(b.coeffs)
-    for m in range(1, b.nodes + 1):
-        out[m] = decay * out[m - 1] + weight * g[m - 1]
-    return TimeField(v.grid, v.horizon, out)
+    _check_compatible(v, b)
+    return _march(b, lam, v)
 
 
 def weighted_norm(tf: TimeField, rho: float, idx: SobolevIndex) -> float:
@@ -205,14 +217,9 @@ def solve_fwd(b: TimeField, lam) -> tuple:
     report reads one pass, with no sweep differences and weight rate 0, and
     lam (a stack as a tuple).  A drift that is not real is refused first.
     """
-    decay, weight = _step_factors(b, lam)
-    v = np.zeros((b.nodes + 1,) + decay.shape, dtype=complex)
-    for m in range(1, b.nodes + 1):
-        vm = SpectralField(b.grid, v[m - 1])
-        v[m] = decay * v[m - 1] + weight * _integrand(b.node(m - 1), vm)
-    report = SolveReport(iterations=1, rho=0.0, sup_diffs=(), ratios=(), method="march",
-                         lam=float(lam) if np.ndim(lam) == 0 else tuple(map(float, lam)))
-    return TimeField(b.grid, b.horizon, v), report
+    return _march(b, lam), SolveReport(
+        iterations=1, rho=0.0, sup_diffs=(), ratios=(), method="march",
+        lam=float(lam) if np.ndim(lam) == 0 else tuple(map(float, lam)))
 
 
 def mild_residual(v: TimeField, b: TimeField, lam: float, cfg: PdeConfig,

@@ -273,10 +273,11 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
 
     Returns a bundle with the drift b, PdeConfig, lambda, trace, backward u,
     TransformContext, the solver report, and ladder_agrees: whether the
-    reference ladder finds the solver's lattice product b . grad u at the
-    march's last node M-1, where v(t_{M-1}) = u(t_1).  The PdeConfig
-    always carries pick_kappa's canonical (delta, p) and the default tol,
-    the context the default inverse tolerance `zvonkin.INVERSE_TOL`.
+    reference ladder finds the solver's lattice product b . grad u on the
+    pair the march's last step multiplies: b(t_1) and v(t_{M-1}) = u(t_1),
+    the same physical time.  The PdeConfig always carries pick_kappa's
+    canonical (delta, p) and the default tol, the context the default inverse
+    tolerance `zvonkin.INVERSE_TOL`.
     """
     t0 = time.perf_counter()
     b = drift if drift is not None else generate(cfg.drift, cfg.grid(), cfg.horizon,
@@ -298,7 +299,7 @@ def prepare_transform(cfg: ExperimentConfig, drift: TimeField | None = None) -> 
         "u": ctx.u,
         "ctx": ctx,
         "solve_report": solve_report,
-        "ladder_agrees": ladder_agrees(b.node(b.nodes - 1), ctx.u.node(1), pde.product_index),
+        "ladder_agrees": ladder_agrees(b.node(1), ctx.u.node(1), pde.product_index),
         "prepare_seconds": time.perf_counter() - t0,
     }
 

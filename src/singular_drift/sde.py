@@ -230,6 +230,13 @@ def coefficients(ctx: TransformContext, lam: float, t: float, y, x) -> tuple:
 # --- simulators ----------------------------------------------------------------
 
 
+def _check_frame(cfg: SimConfig, tf: TimeField, what: str):
+    """Refuse a config whose dimension or horizon is not the field's."""
+    for name, want in (("dimension", tf.grid.dimension), ("horizon", tf.horizon)):
+        if getattr(cfg, name) != want:
+            raise ValueError(f"config {name} does not match the {what}")
+
+
 def _euler(cfg: SimConfig, state0: np.ndarray, step) -> np.ndarray:
     """Euler-Maruyama nodes (..., paths, steps+1, d) of state <- step(m, state, dW_m)
     from the states state0 (..., paths, d); each step advances every path at once."""
@@ -249,10 +256,7 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
     (y0, x0): a step takes mu and sigma at (Y_m, X_m), forms Y_{m+1} and solves
     psi once at t_{m+1}.  X is kept in the ensemble's `virtual` field.
     """
-    if cfg.dimension != ctx.u.grid.dimension:
-        raise ValueError("config dimension does not match the transform")
-    if cfg.horizon != ctx.horizon:
-        raise ValueError("config horizon does not match the transform")
+    _check_frame(cfg, ctx.u, "transform")
     x0 = np.asarray(cfg.x0)
     y0 = phi(ctx, 0.0, x0[None])[0]
     times = cfg.times
@@ -291,18 +295,17 @@ def simulate_classical(b: TimeField, cfg: SimConfig) -> PathEnsemble:
     Meant for smooth(ed) drifts; b is looked up at the latest drift node at or
     before t, matching piecewise-constant time dependence.  One field is built
     per drift node, and a node equal to the one before shares its field, so a
-    static drift finds its evaluation band once.
+    static drift finds its evaluation band once.  A config off the drift's
+    dimension or horizon is refused.
     """
-    if cfg.dimension != b.grid.dimension:
-        raise ValueError("config dimension does not match the drift")
+    _check_frame(cfg, b, "drift")
     dt, h = cfg.dt, b.horizon
     x0 = np.asarray(cfg.x0)
     fields = [SpectralField(b.grid, b.coeffs[0])]
     for prev, c in zip(b.coeffs, b.coeffs[1:]):
         fields.append(fields[-1] if np.array_equal(c, prev) else SpectralField(b.grid, c))
-    # the node at or before each step's time; sim and drift grids need not match
-    node = [min(int(np.floor(min(m * dt, h) / h * b.nodes)), b.nodes)
-            for m in range(cfg.steps)]
+    # the node at or before each step's time; the step counts need not match
+    node = [int(np.floor(m * dt / h * b.nodes)) for m in range(cfg.steps)]
     states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
                     lambda m, x, dw: x + evaluate(fields[node[m]], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}

@@ -22,7 +22,7 @@ from singular_drift.kolmogorov import (
     weighted_norm,
 )
 
-from conftest import record_solves, sine_time_field
+from conftest import random_time_field, record_solves, sine_time_field
 
 CFG = PdeConfig(beta=0.25, delta=0.5, p=2.5)
 
@@ -166,12 +166,52 @@ def test_march_is_exact_fixed_point(march_case):
     assert np.max(np.abs((integral_operator(v, b, 4.0) - v).coeffs)) == 0.0
 
 
-def rough_drift(dim, n, steps):
+def rough_drift(dim, n, steps, changes=0):
     """The rough drift of rough_drift64 (1-D) and march_case (2-D) on the
-    lattice (dim, n)."""
+    lattice (dim, n), switching `changes` times."""
     spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, eta=0.3,
-                     amplitude=0.25 if dim == 1 else 0.1)
+                     amplitude=0.25 if dim == 1 else 0.1, changes=changes)
     return generate(spec, GridSpec(dim, n), 1.0, steps)
+
+
+def all_nodes_operator(v, b, lam):
+    """The mild operator in another order of evaluation: the integrand at
+    every node in one `_integrand` call, with b in the march's time (b's node
+    M - l beside v's node l), then the recurrence over the nodes."""
+    decay, weight = kolmogorov._step_factors(b, lam)
+    g = kolmogorov._integrand(b.reversed_time(), v)
+    out = np.zeros_like(v.coeffs)
+    for m in range(1, b.nodes + 1):
+        out[m] = decay * out[m - 1] + weight * g[m - 1]
+    return out
+
+
+@pytest.mark.parametrize("changes", [0, 2], ids=["static", "time-dependent"])
+@pytest.mark.parametrize("dim, n, steps", [(1, 64, 32), (2, 16, 16)])
+def test_integral_operator_matches_the_all_nodes_order(dim, n, steps, changes):
+    # the node loop forms b . grad v + b one node at a time; forming it at
+    # every node at once gives the same bits.  v is not the fixed point, and
+    # a drift that switches shows which of its nodes each step reads
+    b = rough_drift(dim, n, steps, changes)
+    v = random_time_field(b.grid, steps, 0.3, seed=8)
+    out = integral_operator(v, b, 4.0)
+    assert np.array_equal(out.coeffs, all_nodes_operator(v, b, 4.0))
+    assert not np.array_equal(out.coeffs, v.coeffs)
+
+
+def test_the_march_reads_the_drift_still_to_come(grid64):
+    # b = 1.5 cos x on [0, T/2) and 0 from node M/2 on: the backward equation
+    # from u(T) = 0 sees only the drift after t, and the step ending at t_j
+    # reads b(t_{j+1}), so u(t_j) is exactly 0 for j >= M/2 - 1 and not before
+    steps = 16
+    coeffs = np.zeros((1, 64), dtype=complex)
+    coeffs[0, 1] = coeffs[0, -1] = 0.75
+    on, off = SpectralField(grid64, coeffs), SpectralField(grid64, 0.0 * coeffs)
+    b = TimeField.from_nodes([on] * (steps // 2) + [off] * (steps // 2 + 1), 1.0)
+    v, _ = solve_fwd(b, 2.0)
+    u = v.reversed_time().coeffs
+    assert not np.any(u[steps // 2 - 1:])
+    assert np.all(np.max(np.abs(u[:steps // 2 - 1]), axis=(1, 2)) > 0.0)
 
 
 @pytest.mark.parametrize("dim, n, steps, lams", [

@@ -8,7 +8,7 @@ import pytest
 import singular_drift.sde as sde
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate
-from singular_drift.kolmogorov import gradient_sup
+from singular_drift.kolmogorov import gradient_sup, solve_fwd
 from singular_drift.zvonkin import TransformContext, phi, psi, transform_jacobian
 from singular_drift.sde import (
     EllipticityError,
@@ -246,6 +246,16 @@ def test_simulate_y_validates_geometry(grid64):
         simulate_y(ctx, small_sim(horizon=2.0))
 
 
+def test_simulate_classical_validates_geometry(grid64):
+    # a horizon-2 config on a horizon-1 drift would hold the last drift node
+    # past T; simulate_classical refuses it as simulate_y does
+    b = sine_time_field(grid64, 0.5, 8)
+    with pytest.raises(ValueError, match="dimension"):
+        simulate_classical(b, small_sim(x0=(0.0, 0.0)))
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_classical(b, small_sim(horizon=2.0))
+
+
 def test_simulate_classical_constant_drift(grid64):
     c = 0.5
     coeffs = np.zeros((1, 64), dtype=complex)
@@ -283,6 +293,26 @@ def test_simulate_classical_takes_the_node_at_or_before_each_step(
     monkeypatch.setattr(sde, "SpectralField", lambda *a: built.append(a) or SpectralField(*a))
     assert np.array_equal(np.asarray(simulate_classical(b, cfg).states), ref)
     assert len(built) == fields
+
+
+def test_virtual_x_follows_a_drift_that_switches_on(grid64):
+    # b = 1.5 cos x from T/2 on and 0 before, so the classical X is x0 + W on
+    # [0, T/2].  The virtual X must meet it there on shared noise, up to the
+    # O(dt) of a switch the march sees one step early; a march that read the
+    # drift in reversed time stayed about 0.63 away at every step count
+    coeffs = np.zeros((1, 64), dtype=complex)
+    coeffs[0, 1] = coeffs[0, -1] = 0.75
+    on, off = SpectralField(grid64, coeffs), SpectralField(grid64, 0.0 * coeffs)
+    gaps = []
+    for steps in (32, 64):
+        b = TimeField.from_nodes([off] * (steps // 2) + [on] * (steps // 2 + 1), 1.0)
+        v, _ = solve_fwd(b, 2.0)
+        ctx = TransformContext(v.reversed_time())
+        cfg = SimConfig(x0=(0.0,), horizon=1.0, steps=steps, paths=4000, seed=3, lam=2.0)
+        x = virtual_x(ctx, simulate_y(ctx, cfg)).at_time(0.5)
+        gaps.append(float(np.mean(np.abs(x - simulate_classical(b, cfg).at_time(0.5)))))
+    assert gaps[1] < 0.05
+    assert 0.35 <= gaps[1] / gaps[0] <= 0.65
 
 
 def test_simulation_reproducible_across_runs(grid64):
