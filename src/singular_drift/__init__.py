@@ -22,7 +22,7 @@ from .spectral import (
     mollify,
     sobolev_norm,
 )
-from .paraproduct import NonConvergent, product, drift_gradient_product
+from .paraproduct import NonConvergent, product
 from .drifts import (
     AssumptionViolated,
     DriftSpec,

@@ -19,9 +19,11 @@ point is one march over the time nodes, which `solve_fwd` performs.  Picard
 iteration in an exponentially weighted sup-norm, the contraction argument of
 the theory, lives in `theory.picard_sweeps`.  u is `v.reversed_time()`.
 
-The product b . grad v is `paraproduct.drift_gradient_product`, the
-dealiased product on the whole lattice.  The solver and the operator step one
-node loop, `_march`, which forms it node by node.  Neither takes a PdeConfig,
+The product b . grad v is the dealiased product on the whole lattice,
+`spectral._dealiased_product` on coefficient arrays (`_integrand`); the
+reference ladder of `paraproduct` only checks it.  The solver and the
+operator step one node loop, `_march`, which forms it node by node on the
+arrays and builds one field, the one it returns.  Neither takes a PdeConfig,
 nor does the lambda calibration.
 """
 
@@ -32,17 +34,16 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .spectral import (
-    _F,
     GridSpec,
     SobolevIndex,
-    SpectralField,
     TimeField,
     _check_compatible,
+    _dealiased_product,
+    _gradient_coeffs,
     gradient,
     singular_values_sq,
     sobolev_norm,
 )
-from .paraproduct import drift_gradient_product
 
 __all__ = [
     "CalibrationFailed",
@@ -137,12 +138,17 @@ class SolveReport:
 # --- the mild integral operator -----------------------------------------------
 
 
-def _integrand(b: _F, v: _F) -> np.ndarray:
-    """g = b . grad v + b at one node or every node, as coefficients: b is
-    added once per block of its d components in v, one block per lambda."""
-    d = b.grid.dimension
-    return (drift_gradient_product(b, v).coeffs
-            + np.concatenate([b.coeffs] * (v.components // d), axis=-d - 1))
+def _integrand(grid: GridSpec, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g = b . grad v + b from coefficient arrays at one node or every node:
+    b has d components, v one block of d per lambda.  Each term b_j d_j v_i
+    is the dealiased product, b repeated once per component of v beside
+    grad v, both in (i, j) row-major order; the sum over j runs
+    (0 + t_i0) + t_i1, and b is added once per block."""
+    d, c = grid.dimension, v.shape[-grid.dimension - 1]
+    terms = _dealiased_product(np.concatenate([b] * c, axis=-d - 1), _gradient_coeffs(v, grid), d)
+    by_term = terms.reshape(v.shape[:-d] + (d,) + v.shape[-d:])    # lead + (c, d) + spatial
+    return (np.add.reduce(by_term, axis=-d - 1, initial=0.0)
+            + np.concatenate([b] * (c // d), axis=-d - 1))
 
 
 def _step_factors(tf: TimeField, lam) -> tuple:
@@ -151,10 +157,13 @@ def _step_factors(tf: TimeField, lam) -> tuple:
     with the killing term at the right node, in one block of tf's components
     per lambda of a stack.  For lam >= 0 both are positive and the first is
     below 1, so no step amplifies; an empty stack or any other lam is refused,
-    as is a drift tf that is not real (`values`), before anything is marched."""
+    as is a drift tf that is not real (`values`) or that has not one
+    component per axis, before anything is marched."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or not lams.size or not np.all((0.0 <= lams) & (lams < np.inf)):
         raise ValueError(f"lam must be one or more lambdas, finite and >= 0, got {lam}")
+    if tf.components != tf.grid.dimension:
+        raise ValueError(f"drift must have one component per axis, got {tf.components}")
     tf.values()
     dt = tf.horizon / tf.nodes
     a = tf.grid.bessel_symbol()
@@ -165,13 +174,14 @@ def _step_factors(tf: TimeField, lam) -> tuple:
 
 def _march(b: TimeField, lam, v: TimeField | None = None) -> TimeField:
     """I_m = E' I_{m-1} + w' g_{m-1} from I_0 = 0 by `_step_factors`, node by
-    node: g_{m-1} = b . grad v + b at v's node m-1, taken from v or, when v
-    is None, from I itself, and b's node M - m + 1, the same physical time."""
+    node on coefficient arrays: g_{m-1} = b . grad v + b at v's node m-1,
+    taken from v or, when v is None, from I itself, and b's node M - m + 1,
+    the same physical time."""
     decay, weight = _step_factors(b, lam)
     out = np.zeros((b.nodes + 1,) + decay.shape, dtype=complex)
     src = out if v is None else v.coeffs
     for m in range(1, b.nodes + 1):
-        g = _integrand(b.node(b.nodes - m + 1), SpectralField(b.grid, src[m - 1]))
+        g = _integrand(b.grid, b.coeffs[b.nodes - m + 1], src[m - 1])
         out[m] = decay * out[m - 1] + weight * g
     return TimeField(b.grid, b.horizon, out)
 
@@ -184,9 +194,13 @@ def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:
     t_{l+1}, and the semigroup factor integrated exactly: the recurrence
     I_m = (E I_{m-1} + w g_{m-1}) / (1 + lam w) with E = exp(-dt a),
     w = (1 - exp(-dt a))/a accumulates all steps.  I(t_0) = 0.  b is read at
-    T - t_l, the time of v's node l (`_march`).  A v off b's grid, horizon,
-    nodes or components is refused, and so is a drift b that is not real.
+    T - t_l, the time of v's node l (`_march`).  lam is one lambda: a stack
+    is refused, as the operator acts on one block v.  A v off b's grid,
+    horizon, nodes or components is refused, and so is a drift b that is not
+    real or has not one component per axis.
     """
+    if np.ndim(lam) != 0:
+        raise ValueError(f"integral_operator takes one lambda, got lam={lam}")
     _check_compatible(v, b)
     return _march(b, lam, v)
 
@@ -215,7 +229,8 @@ def solve_fwd(b: TimeField, lam) -> tuple:
     marches at once: v's i-th block of d components is bit for bit the
     solution at lam[i] alone, as every operation acts per component.  The
     report reads one pass, with no sweep differences and weight rate 0, and
-    lam (a stack as a tuple).  A drift that is not real is refused first.
+    lam (a stack as a tuple).  A drift that is not real or has not one
+    component per axis is refused first.
     """
     return _march(b, lam), SolveReport(
         iterations=1, rho=0.0, sup_diffs=(), ratios=(), method="march",

@@ -3,13 +3,15 @@
 The product of f and g is defined as the limit of S^j f * S^j g, where S^j is
 the smooth dyadic low-pass at radius 2^j.  On an N-point lattice the limit is
 reached once the low-pass covers the lattice, so it is the dealiased product
-of the pair, multiplied exactly on a 2x zero-padded grid (no aliasing).  The
-solver takes that product: `drift_gradient_product` forms every term of
-b . grad u, at every node of a field over time, in one multiply.  The
-reference `product` advances the stage index until the successive difference
-measured in a negative-order Bessel norm drops below a tolerance; if the
-lattice runs out of scales first the product does not stabilize at this
-resolution and NonConvergent is raised.
+of the pair, multiplied exactly on a 2x zero-padded grid (no aliasing).
+`dealiased_multiply` forms it for fields by `spectral._dealiased_product`,
+the product on coefficient arrays that the solver's march takes for
+b . grad u; the solver does not import this module.  The reference `product`
+advances the stage index until the successive difference measured in a
+negative-order Bessel norm drops below a tolerance; if the lattice runs out
+of scales first the product does not stabilize at this resolution and
+NonConvergent is raised.  `ladder_agrees` checks that the ladder finds the
+solver's product.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from .spectral import (
     SobolevIndex,
     SpectralField,
     _check_compatible,
-    _spatial_axes,
-    coarsen,
+    _dealiased_product,
     dyadic_cutoff,
     gradient,
-    refine,
     sobolev_norm,
 )
 
@@ -35,7 +35,6 @@ __all__ = [
     "NonConvergent",
     "dealiased_multiply",
     "product",
-    "drift_gradient_product",
     "ladder_agrees",
 ]
 
@@ -51,12 +50,7 @@ def dealiased_multiply(f: _F, g: _F) -> _F:
     multiply their samples there, coarsen the product back.  Component by
     component and at every leading index of two compatible fields."""
     _check_compatible(f, g)
-    fine, axes = refine(f), _spatial_axes(f)
-    # samples are the unscaled inverse transform ("forward" norm); the product
-    # is formed in place, as fine-lattice arrays over many nodes are large
-    prod = np.fft.ifftn(fine.coeffs, axes=axes, norm="forward")
-    prod *= np.fft.ifftn(refine(g).coeffs, axes=axes, norm="forward")
-    return coarsen(replace(fine, coeffs=np.fft.fftn(prod, axes=axes, norm="forward")))
+    return replace(f, coeffs=_dealiased_product(f.coeffs, g.coeffs, f.grid.dimension))
 
 
 def _stage(f: _F, g: _F, j: int) -> _F:
@@ -87,19 +81,6 @@ def product(f: SpectralField, g: SpectralField, tol: float, idx: SobolevIndex) -
                 f"(lattice covered; the product does not stabilize at this resolution)"
             )
         prev = cur
-
-
-def drift_gradient_product(b: _F, u: _F) -> _F:
-    """b . grad(u) on the whole lattice, each term the dealiased b_j * d_j u_i,
-    at every leading index.  One multiply takes b_j, repeated once per
-    component of u, with grad u, both in (i, j) row-major order, so a b
-    without one component per axis is refused as incompatible; the sum over
-    j runs (0 + t_i0) + t_i1."""
-    d = b.grid.dimension
-    b_rep = replace(b, coeffs=np.concatenate([b.coeffs] * u.components, axis=-d - 1))
-    terms = dealiased_multiply(b_rep, gradient(u)).coeffs
-    by_term = terms.reshape(u.coeffs.shape[:-d] + (d,) + u.grid.spatial_shape)
-    return replace(u, coeffs=np.add.reduce(by_term, axis=-d - 1, initial=0.0))
 
 
 def ladder_agrees(b: SpectralField, u: SpectralField, idx: SobolevIndex) -> bool:

@@ -299,13 +299,13 @@ def simulate_classical(b: TimeField, cfg: SimConfig) -> PathEnsemble:
     dimension or horizon is refused.
     """
     _check_frame(cfg, b, "drift")
-    dt, h = cfg.dt, b.horizon
+    dt = cfg.dt
     x0 = np.asarray(cfg.x0)
     fields = [SpectralField(b.grid, b.coeffs[0])]
     for prev, c in zip(b.coeffs, b.coeffs[1:]):
         fields.append(fields[-1] if np.array_equal(c, prev) else SpectralField(b.grid, c))
     # the node at or before each step's time; the step counts need not match
-    node = [int(np.floor(m * dt / h * b.nodes)) for m in range(cfg.steps)]
+    node = [m * b.nodes // cfg.steps for m in range(cfg.steps)]
     states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
                     lambda m, x, dw: x + evaluate(fields[node[m]], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}

@@ -194,8 +194,7 @@ class _Field:
         return v.real
 
     def component(self, i: int):
-        sel = (Ellipsis, slice(i, i + 1)) + (slice(None),) * self.grid.dimension
-        return replace(self, coeffs=self.coeffs[sel])
+        return replace(self, coeffs=self.coeffs[_on(-self.grid.dimension - 1, slice(i, i + 1))])
 
     # --- arithmetic (linear ops preserve Hermitian symmetry) ---------------
 
@@ -218,6 +217,11 @@ _F = TypeVar("_F", bound=_Field)
 
 def _spatial_axes(f: _Field) -> tuple:
     return tuple(range(-f.grid.dimension, 0))
+
+
+def _on(axis: int, index) -> tuple:
+    """An index that applies `index` to the trailing axis `axis` (negative)."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
 def _field_axes(f: _Field) -> tuple:
@@ -366,16 +370,55 @@ def dyadic_cutoff(f: _F, j: int) -> _F:
     return _apply_multiplier(f, cutoff_profile(np.sqrt(f.grid.kappa_sq()) / float(2 ** j)))
 
 
+def _gradient_coeffs(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """`gradient` on a coefficient array."""
+    d = grid.dimension
+    grad = np.expand_dims(c, -d - 1) * grid.gradient_symbol()
+    return grad.reshape(c.shape[:-d - 1] + (c.shape[-d - 1] * d,) + c.shape[-d:])
+
+
 def gradient(f: _F) -> _F:
     """Spectral gradient by the lattice's `gradient_symbol`, components
     ordered (comp0 d/dx_0, ..., comp0 d/dx_{d-1}, comp1 d/dx_0, ...)."""
-    g = f.grid
-    c = np.expand_dims(f.coeffs, -g.dimension - 1) * g.gradient_symbol()
-    lead = f.coeffs.shape[: -g.dimension - 1]
-    return replace(f, coeffs=c.reshape(lead + (f.components * g.dimension,) + g.spatial_shape))
+    return replace(f, coeffs=_gradient_coeffs(f.coeffs, f.grid))
 
 
 # --- lattice changes ----------------------------------------------------------
+
+
+def _refine_coeffs(c: np.ndarray, d: int) -> np.ndarray:
+    """`refine` on the d trailing axes of a coefficient array."""
+    for axis in range(-d, 0):
+        n, h = c.shape[axis], c.shape[axis] // 2
+        fine = np.zeros(c.shape[:axis] + (2 * n,) + c.shape[axis:][1:], dtype=complex)
+        fine[_on(axis, slice(h))] = c[_on(axis, slice(h))]           # k = 0 .. N/2-1
+        fine[_on(axis, slice(3 * h, None))] = c[_on(axis, slice(h, None))]  # k = -N/2 .. -1
+        fine[_on(axis, 3 * h)] *= 0.5
+        fine[_on(axis, h)] = fine[_on(axis, 3 * h)]                  # k = +N/2
+        c = fine
+    return c
+
+
+def _coarsen_coeffs(c: np.ndarray, d: int) -> np.ndarray:
+    """`coarsen` on the d trailing axes of a coefficient array."""
+    for axis in range(-d, 0):
+        h = c.shape[axis] // 4
+        coarse = np.concatenate([c[_on(axis, slice(h))], c[_on(axis, slice(3 * h, None))]], axis)
+        coarse[_on(axis, h)] += c[_on(axis, h)]
+        c = coarse
+    return c
+
+
+def _dealiased_product(f: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """The alias-free product of two coefficient arrays of one shape on an
+    N lattice in their d trailing axes: refine both to the 2N lattice,
+    multiply their samples there, coarsen the product back."""
+    axes = tuple(range(-d, 0))
+    # samples are the unscaled inverse transform ("forward" norm); the product
+    # is formed in place, as fine-lattice arrays over many nodes are large
+    prod = np.fft.ifftn(_refine_coeffs(f, d), axes=axes, norm="forward")
+    prod *= np.fft.ifftn(_refine_coeffs(g, d), axes=axes, norm="forward")
+    return _coarsen_coeffs(np.fft.fftn(prod, axes=axes, norm="forward"), d)
 
 
 def refine(f: _F) -> _F:
@@ -387,17 +430,8 @@ def refine(f: _F) -> _F:
     exactly.
     """
     g = f.grid
-    n, h = g.modes_per_axis, g.modes_per_axis // 2
-    c = f.coeffs
-    for axis in _spatial_axes(f):
-        src = np.moveaxis(c, axis, 0)
-        fine = np.zeros((2 * n,) + src.shape[1:], dtype=complex)
-        fine[:h] = src[:h]              # k = 0 .. N/2-1
-        fine[3 * h:] = src[h:]          # k = -N/2 .. -1
-        fine[3 * h] *= 0.5
-        fine[h] = fine[3 * h]           # k = +N/2
-        c = np.moveaxis(fine, 0, axis)
-    return replace(f, grid=GridSpec(g.dimension, 2 * n), coeffs=c)
+    return replace(f, grid=GridSpec(g.dimension, 2 * g.modes_per_axis),
+                   coeffs=_refine_coeffs(f.coeffs, g.dimension))
 
 
 def coarsen(f: _F) -> _F:
@@ -409,14 +443,8 @@ def coarsen(f: _F) -> _F:
     is f bit for bit.
     """
     g = f.grid
-    h = g.modes_per_axis // 4
-    c = f.coeffs
-    for axis in _spatial_axes(f):
-        src = np.moveaxis(c, axis, 0)
-        coarse = np.concatenate([src[:h], src[3 * h:]])
-        coarse[h] += src[h]
-        c = np.moveaxis(coarse, 0, axis)
-    return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2), coeffs=c)
+    return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2),
+                   coeffs=_coarsen_coeffs(f.coeffs, g.dimension))
 
 
 # --- norms ------------------------------------------------------------------
@@ -663,19 +691,18 @@ class TimeField(_Field):
 
     def at_time(self, t: float) -> SpectralField:
         """Field at time t, its coefficients interpolated linearly between the
-        nodes; at a node time it is `node`, bit for bit."""
+        nodes; at a node time it is `node`, bit for bit.  A time whose
+        position t M/T lies within rounding of an integer m, 4 eps m (`times`
+        and m T/steps come within 2 eps m), is node m's."""
         eps = 1e-12 * max(self.horizon, 1.0)
         if not -eps <= t <= self.horizon + eps:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         pos = np.clip(t, 0.0, self.horizon) / self.horizon * self.nodes
-        m = int(np.floor(pos))
-        if m >= self.nodes:
-            return self.node(self.nodes)
-        w = pos - m
-        if w == 0.0:
+        m = int(np.rint(pos))
+        if abs(pos - m) <= 4.0 * np.finfo(float).eps * m:
             return self.node(m)
-        c = (1.0 - w) * self.coeffs[m] + w * self.coeffs[m + 1]
-        return SpectralField(self.grid, c)
+        m, w = int(pos), pos - int(pos)
+        return SpectralField(self.grid, (1.0 - w) * self.coeffs[m] + w * self.coeffs[m + 1])
 
     def reversed_time(self) -> "TimeField":
         return replace(self, coeffs=self.coeffs[::-1])

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from singular_drift import kolmogorov
+from singular_drift import kolmogorov, spectral
+from singular_drift.paraproduct import dealiased_multiply
 from singular_drift.spectral import (
     GridSpec,
     SobolevIndex,
     SpectralField,
     TimeField,
+    gradient,
 )
 from singular_drift.drifts import DriftSpec, generate
 from singular_drift.kolmogorov import (
@@ -22,7 +24,7 @@ from singular_drift.kolmogorov import (
     weighted_norm,
 )
 
-from conftest import random_time_field, record_solves, sine_time_field
+from conftest import random_field, random_time_field, record_solves, sine_time_field
 
 CFG = PdeConfig(beta=0.25, delta=0.5, p=2.5)
 
@@ -55,6 +57,62 @@ def test_pde_config_rejects_bad_values(kwargs):
 def test_pde_config_indices():
     assert CFG.solution_index == SobolevIndex(1.5, 2.5)
     assert CFG.product_index == SobolevIndex(-0.25, 2.5)
+
+
+# --- the integrand b . grad v + b ------------------------------------------------------
+
+
+def test_integrand_trig_oracle(grid64):
+    # sin(x) * d/dx cos(2x) = -2 sin x sin 2x = cos 3x - cos x, plus b = sin x
+    x = grid64.axis_points()
+    b = SpectralField.from_grid(grid64, np.sin(x)[None])
+    v = SpectralField.from_grid(grid64, np.cos(2 * x)[None])
+    out = kolmogorov._integrand(grid64, b.coeffs, v.coeffs)
+    want = SpectralField.from_grid(grid64, (np.cos(3 * x) - np.cos(x) + np.sin(x))[None])
+    assert np.max(np.abs(out - want.coeffs)) < 1e-13
+
+
+def test_integrand_2d_oracle(grid64_2d):
+    # b = (sin y, 0) and v = (cos x, sin 2x): b . grad v = (-sin y sin x,
+    # 2 sin y cos 2x), and b is added once, to the block of d components
+    x = grid64_2d.axis_points()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    b = SpectralField.from_grid(grid64_2d, np.stack([np.sin(yy), np.zeros_like(yy)]))
+    v = SpectralField.from_grid(grid64_2d, np.stack([np.cos(xx), np.sin(2 * xx)]))
+    out = kolmogorov._integrand(grid64_2d, b.coeffs, v.coeffs)
+    want = SpectralField.from_grid(grid64_2d, np.stack([
+        -np.sin(yy) * np.sin(xx) + np.sin(yy), 2.0 * np.sin(yy) * np.cos(2 * xx)]))
+    assert np.max(np.abs(out - want.coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_integrand_is_the_lattice_product(dim):
+    # each term b_j * d_j v_i is the dealiased product on the whole lattice:
+    # rough factors fill the modes past |k| = 24 that a dyadic stage would
+    # drop.  The sum over j runs (0 + t_i0) + t_i1, then b_(i mod d) is added
+    grid = GridSpec(dim, 64)
+    b = SpectralField(grid, np.concatenate([random_field(grid, 0.3, 30 + j).coeffs
+                                            for j in range(dim)]))
+    v = SpectralField(grid, np.concatenate([random_field(grid, 1.2, 40 + i).coeffs
+                                            for i in range(2)]))
+    grad = gradient(v)
+    want = np.zeros_like(v.coeffs)
+    for i in range(2):
+        for j in range(dim):
+            want[i] += dealiased_multiply(b.component(j),
+                                          grad.component(i * dim + j)).coeffs[0]
+        want[i] += b.coeffs[i % dim]
+    assert np.array_equal(kolmogorov._integrand(grid, b.coeffs, v.coeffs), want)
+
+
+def test_solver_refuses_a_drift_without_one_component_per_axis(grid64):
+    # b . grad u pairs b_j with d_j u: a 1-D drift of two components has no
+    # axis for its second, so both entry points refuse it by name
+    b = TimeField(grid64, 1.0, np.zeros((9, 2, 64), dtype=complex))
+    with pytest.raises(ValueError, match="one component per axis"):
+        solve_fwd(b, 1.0)
+    with pytest.raises(ValueError, match="one component per axis"):
+        integral_operator(TimeField(grid64, 1.0, np.zeros((9, 2, 64), dtype=complex)), b, 1.0)
 
 
 # --- the integral operator -------------------------------------------------------------
@@ -128,6 +186,16 @@ def test_integral_operator_rejects_mismatched_grids(grid64):
         integral_operator(v, b, 1.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_integral_operator_refuses_a_lambda_stack(dim):
+    # the operator acts on one block v, so a stack of lambdas has no blocks to
+    # act on; it once returned two blocks in 1-D and failed to broadcast in 2-D
+    b = rough_drift(dim, 16, 4)
+    v = random_time_field(b.grid, 4, 0.3, seed=8)
+    with pytest.raises(ValueError, match="lam"):
+        integral_operator(v, b, [2.0, 4.0])
+
+
 # --- the fixed point ---------------------------------------------------------------------
 
 
@@ -179,7 +247,7 @@ def all_nodes_operator(v, b, lam):
     every node in one `_integrand` call, with b in the march's time (b's node
     M - l beside v's node l), then the recurrence over the nodes."""
     decay, weight = kolmogorov._step_factors(b, lam)
-    g = kolmogorov._integrand(b.reversed_time(), v)
+    g = kolmogorov._integrand(b.grid, b.coeffs[::-1], v.coeffs)
     out = np.zeros_like(v.coeffs)
     for m in range(1, b.nodes + 1):
         out[m] = decay * out[m - 1] + weight * g[m - 1]
@@ -228,6 +296,21 @@ def test_a_stack_matches_separate_solves(dim, n, steps, lams):
     for i, lam in enumerate(lams):
         alone, _ = solve_fwd(b, lam)
         assert np.array_equal(v.coeffs[:, i * dim:(i + 1) * dim], alone.coeffs)
+
+
+def test_the_march_builds_one_field_whatever_its_nodes(monkeypatch):
+    # the march steps coefficient arrays, so a solve builds the fields it
+    # returns and no field per node: the same count at M = 16 and M = 64
+    drifts = [rough_drift(1, 64, steps) for steps in (16, 64)]
+    built, init = [], spectral._Field.__post_init__
+    monkeypatch.setattr(spectral._Field, "__post_init__",
+                        lambda self: built.append(type(self)) or init(self))
+    counts = []
+    for b in drifts:
+        built.clear()
+        solve_fwd(b, 2.0)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_zero_drift_gives_zero_solution(grid64):

@@ -13,7 +13,6 @@ from singular_drift.spectral import (
 from singular_drift.paraproduct import (
     NonConvergent,
     dealiased_multiply,
-    drift_gradient_product,
     ladder_agrees,
     product,
 )
@@ -128,52 +127,6 @@ def test_product_full_lattice_raises_at_tiny_tol(grid64):
 def test_product_rejects_bad_tol(grid64, sine_field):
     with pytest.raises(ValueError):
         product(sine_field, sine_field, 0.0, IDX)
-
-
-def test_drift_gradient_product_trig_oracle(grid64):
-    # sin(x) * d/dx cos(2x) = -2 sin x sin 2x = cos 3x - cos x
-    x = grid64.axis_points()
-    b = SpectralField.from_grid(grid64, np.sin(x)[None])
-    u = SpectralField.from_grid(grid64, np.cos(2 * x)[None])
-    out = drift_gradient_product(b, u)
-    want = SpectralField.from_grid(grid64, (np.cos(3 * x) - np.cos(x))[None])
-    assert np.max(np.abs(out.coeffs - want.coeffs)) < 1e-13
-
-
-def test_drift_gradient_product_2d_oracle(grid64_2d):
-    # b = (sin y, 0), u = cos x: b . grad u = -sin y sin x
-    x = grid64_2d.axis_points()
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    bc = np.stack([np.sin(yy), np.zeros_like(yy)])
-    b = SpectralField.from_grid(grid64_2d, bc)
-    u = SpectralField.from_grid(grid64_2d, np.cos(xx)[None])
-    out = drift_gradient_product(b, u)
-    want = SpectralField.from_grid(grid64_2d, (-np.sin(yy) * np.sin(xx))[None])
-    assert np.max(np.abs(out.coeffs - want.coeffs)) < 1e-13
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_drift_gradient_product_is_the_lattice_product(dim):
-    # each term b_j * d_j u_i is the dealiased product on the whole lattice:
-    # rough factors fill the modes past |k| = 24 that a dyadic stage would drop
-    grid = GridSpec(dim, 64)
-    b = SpectralField(grid, np.concatenate([random_field(grid, 0.3, 30 + j).coeffs
-                                            for j in range(dim)]))
-    u = SpectralField(grid, np.concatenate([random_field(grid, 1.2, 40 + i).coeffs
-                                            for i in range(2)]))
-    grad = gradient(u)
-    want = np.zeros_like(u.coeffs)
-    for i in range(2):
-        for j in range(dim):
-            want[i] += dealiased_multiply(b.component(j),
-                                          grad.component(i * dim + j)).coeffs[0]
-    assert np.array_equal(drift_gradient_product(b, u).coeffs, want)
-
-
-def test_drift_gradient_product_checks_components(grid64, sine_field):
-    b2 = SpectralField(grid64, np.zeros((2, 64), dtype=complex))
-    with pytest.raises(ValueError):
-        drift_gradient_product(b2, sine_field)
 
 
 def test_ladder_disagrees_with_the_lattice_product_in_its_blind_spot():

@@ -276,8 +276,9 @@ def test_simulate_classical_constant_drift(grid64):
 def test_simulate_classical_takes_the_node_at_or_before_each_step(
         grid64, monkeypatch, changes, steps, fields):
     # a drift on 4 nodes, at a step count that is a multiple of the nodes and
-    # at one that is not: step m reads node floor(t_m / T * M), and one field
-    # is built per distinct node, so a static drift finds its band once
+    # at one that is not: step m reads node floor(m M / steps), the node at or
+    # before t_m, and one field is built per distinct node, so a static drift
+    # finds its band once
     spec = DriftSpec(family="random-fourier", seed=3, beta=0.25, eta=0.3, amplitude=0.25,
                      changes=changes)
     b = generate(spec, grid64, 1.0, 4)
@@ -286,13 +287,27 @@ def test_simulate_classical_takes_the_node_at_or_before_each_step(
     ref = np.empty((16, steps + 1, 1))
     ref[:, 0] = 0.3
     for m in range(steps):
-        node = int(np.floor(m * cfg.dt / b.horizon * b.nodes))
-        drift = evaluate(SpectralField(grid64, b.coeffs[node]), ref[:, m])
+        drift = evaluate(SpectralField(grid64, b.coeffs[m * b.nodes // steps]), ref[:, m])
         ref[:, m + 1] = ref[:, m] + drift * cfg.dt + dw[:, m]
     built = []
     monkeypatch.setattr(sde, "SpectralField", lambda *a: built.append(a) or SpectralField(*a))
     assert np.array_equal(np.asarray(simulate_classical(b, cfg).states), ref)
     assert len(built) == fields
+
+
+@pytest.mark.parametrize("steps, horizon", [(96, 1.0), (48, 0.7)])
+def test_simulate_classical_reads_node_m_at_step_m(grid64, steps, horizon):
+    # as many steps as drift nodes: step m starts at node m's time, which
+    # m dt / T * M once rounded below m (m = 7, 14, 25, ... at 96 steps);
+    # every node differs, so a step that reads node m - 1 shows
+    b = random_time_field(grid64, steps, 0.3, seed=4, horizon=horizon)
+    cfg = small_sim(steps=steps, paths=8, horizon=horizon)
+    dw = brownian_increments(cfg)
+    ref = np.empty((8, steps + 1, 1))
+    ref[:, 0] = 0.3
+    for m in range(steps):
+        ref[:, m + 1] = ref[:, m] + evaluate(b.node(m), ref[:, m]) * cfg.dt + dw[:, m]
+    assert np.array_equal(np.asarray(simulate_classical(b, cfg).states), ref)
 
 
 def test_virtual_x_follows_a_drift_that_switches_on(grid64):

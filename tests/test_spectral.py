@@ -30,7 +30,8 @@ from singular_drift.spectral import (
 )
 
 from singular_drift.drifts import DriftSpec, generate
-from singular_drift.paraproduct import dealiased_multiply, drift_gradient_product
+from singular_drift.kolmogorov import _integrand
+from singular_drift.paraproduct import dealiased_multiply
 
 from conftest import random_field, random_time_field, single_mode
 
@@ -613,6 +614,16 @@ def test_time_field_interpolation(grid64):
         assert np.array_equal(tf.node(m).coeffs, 1.0 * tf.coeffs[m] + 0.0 * nxt)
 
 
+@pytest.mark.parametrize("steps, horizon", [(96, 1.0), (100, 0.3)])
+def test_at_time_reads_the_node_at_each_node_time(grid64, steps, horizon):
+    # times[m] / T * M can round below m (m = 7 at M = 96, T = 1), where a
+    # floor would interpolate nodes m - 1 and m with a weight of 1 - 1e-15;
+    # every node differs, so only node m itself passes
+    tf = random_time_field(grid64, steps, 0.1, seed=5, horizon=horizon)
+    for m, t in enumerate(tf.times):
+        assert np.array_equal(tf.at_time(t).coeffs, tf.node(m).coeffs), m
+
+
 def test_time_field_reversal(grid64):
     nodes = [SpectralField.constant(grid64, float(m)) for m in range(4)]
     tf = TimeField.from_nodes(nodes, 1.0)
@@ -639,7 +650,6 @@ _OPERATORS = {
     "refine": refine,
     "coarsen": coarsen,
     "dealiased_multiply": lambda f: dealiased_multiply(f, f),
-    "drift_gradient_product": lambda f: drift_gradient_product(f, f),
 }
 
 
@@ -660,6 +670,16 @@ def test_operators_act_on_every_node_at_once(name, dim, modes):
     assert whole.grid == per_node[0].grid
     assert np.array_equal(whole.coeffs, np.stack([f.coeffs for f in per_node]))
     assert np.array_equal(whole.values(), np.stack([f.values() for f in per_node]))
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 64), (2, 16)])
+def test_integrand_acts_on_every_node_at_once(dim, modes):
+    # the solver's b . grad v + b on coefficient arrays: at every node in one
+    # call it is each node's own, bit for bit
+    b = _changing_drift(dim, modes)
+    whole = _integrand(b.grid, b.coeffs, b.coeffs)
+    per_node = [_integrand(b.grid, c, c) for c in b.coeffs]
+    assert np.array_equal(whole, np.stack(per_node))
 
 
 @pytest.mark.parametrize("dim, modes", [(1, 64), (2, 16)])
