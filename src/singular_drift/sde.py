@@ -7,9 +7,13 @@ The process Y solves dY = mu(t, Y) dt + sigma(t, Y) dW with
 
 started from y0 = phi(0, x0); X = psi(t, Y) is the virtual solution of the
 rough-drift equation.  The Euler loop advances the pair (Y_m, X_m) from
-(y0, x0): each step takes mu from the identity Y = X + u(t, X), evaluates sigma
-at X_m and solves X_{m+1} = psi(t_{m+1}, Y_{m+1}), so psi is solved once per
-step, and `virtual_x` hands back the X the steps used.
+(y0, x0): each step takes mu from the identity Y = X + u(t, X), sigma at X_m,
+and solves X_{m+1} = psi(t_{m+1}, Y_{m+1}) once, and `virtual_x` hands back
+the X the steps used.  In 1-D that solve is safeguarded Newton started from
+the linearisation X_m + (Y_{m+1} - Y_m)/sigma_m; it keeps its last read point
+as X_{m+1} and takes sigma_{m+1} = 1 + u'(t_{m+1}, X_{m+1}) from that read's
+slope, so a step reads one field and no gradient field.  In 2-D sigma is
+`transform_jacobian` at X_m and the solve is `psi`.
 
 Brownian increments come from counter-based streams so two simulations
 sharing a seed see identical noise regardless of path count, mollification
@@ -31,10 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import (SpectralField, TimeField, _is_count, _read_only, _read_snapshot,
-                       _write_snapshot, evaluate, singular_values_sq)
+from .spectral import (SpectralField, TimeField, _is_count, _nyquist_slope, _read_only,
+                       _read_snapshot, _value_and_slope, _write_snapshot, evaluate,
+                       singular_values_sq)
 from .kolmogorov import GRADIENT_TARGET
-from .zvonkin import TransformContext, phi, psi, transform_jacobian
+from .zvonkin import TransformContext, _newton_1d, phi, psi, transform_jacobian
 
 __all__ = [
     "EllipticityError",
@@ -217,14 +222,28 @@ def coefficients(ctx: TransformContext, lam: float, t: float, y, x) -> tuple:
     d = ctx.u.grid.dimension
     mu = (lam + 1.0) * np.subtract(y, x)
     sigma = transform_jacobian(ctx, t, x) + np.eye(d)[None]
-    smin_sq, _ = singular_values_sq(sigma)
-    floor = (1.0 - GRADIENT_TARGET) ** 2 * (1.0 - 1e-6)
-    if not np.all(smin_sq >= floor):      # NaN fails too
+    _check_floor(singular_values_sq(sigma)[0])
+    return mu, sigma
+
+
+def _check_floor(smin_sq: np.ndarray):
+    """Raise EllipticityError unless every squared lower singular value of
+    sigma is at or above (1 - GRADIENT_TARGET)^2; a NaN fails too."""
+    if not np.all(smin_sq >= (1.0 - GRADIENT_TARGET) ** 2 * (1.0 - 1e-6)):
         raise EllipticityError(
             f"min singular value {np.sqrt(smin_sq.min()):.6f} fell below "
             f"{1.0 - GRADIENT_TARGET:g}"
         )
-    return mu, sigma
+
+
+def _sigma_1d(u_t: SpectralField, x: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """sigma = 1 + u'(x) from the slope du of a `_value_and_slope` read at x,
+    less the N/2 mode's slope, which `transform_jacobian` does not read
+    (`_nyquist_slope`); the ellipticity floor is asserted as in
+    `coefficients`."""
+    sigma = 1.0 + du - _nyquist_slope(u_t, x)
+    _check_floor(sigma * sigma)
+    return sigma
 
 
 # --- simulators ----------------------------------------------------------------
@@ -253,8 +272,12 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
     """Explicit Euler-Maruyama for Y from y0 = phi(0, x0), carrying X.
 
     The state is the pair (Y_m, X_m) with X_m = psi(t_m, Y_m), started from
-    (y0, x0): a step takes mu and sigma at (Y_m, X_m), forms Y_{m+1} and solves
-    psi once at t_{m+1}.  X is kept in the ensemble's `virtual` field.
+    (y0, x0): a step takes mu and sigma at (Y_m, X_m), forms Y_{m+1} and
+    inverts phi once at t_{m+1}.  In 1-D the inverse is `_newton_1d` from the
+    warm start X_m + (Y_{m+1} - Y_m)/sigma_m, X_{m+1} is its last read point,
+    within q/(1-q) tol of psi(t_{m+1}, Y_{m+1}) (q the gradient bound, tol
+    the inverse tolerance), and sigma_{m+1} comes from that read's slope.
+    X is kept in the ensemble's `virtual` field.
     """
     _check_frame(cfg, ctx.u, "transform")
     x0 = np.asarray(cfg.x0)
@@ -262,10 +285,23 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
     times = cfg.times
     dt = cfg.dt
 
-    def step(m, yx, dw):
-        mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[0], yx[1])
-        y = yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw)
-        return np.stack([y, psi(ctx, times[m + 1], y)])
+    if cfg.dimension == 1:
+        u_0 = ctx.u.at_time(0.0)
+        sigma = _sigma_1d(u_0, x0, _value_and_slope(u_0, x0)[1])
+
+        def step(m, yx, dw):
+            nonlocal sigma
+            y, x = yx[..., 0]
+            y_next = y + (cfg.lam + 1.0) * (y - x) * dt + sigma * dw[:, 0]
+            u_t = ctx.u.at_time(times[m + 1])
+            x_next, _, du = _newton_1d(ctx, u_t, y_next, x + (y_next - y) / sigma)
+            sigma = _sigma_1d(u_t, x_next, du)
+            return np.stack([y_next, x_next])[..., None]
+    else:
+        def step(m, yx, dw):
+            mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[0], yx[1])
+            y = yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw)
+            return np.stack([y, psi(ctx, times[m + 1], y)])
 
     y, x = _euler(cfg, np.stack([np.tile(v, (cfg.paths, 1)) for v in (y0, x0)]), step)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps,

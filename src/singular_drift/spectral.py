@@ -536,6 +536,30 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     return out
 
 
+def _value_and_slope(f: SpectralField, x: np.ndarray) -> tuple:
+    """(u(x), u'(x)) of a one-component 1-D field at the finite points x, shape
+    (m,), from one read of the kernel `evaluate` takes for the field: u(x) is
+    `evaluate`'s bit for bit, and u' is its derivative, the N/2 mode's slope
+    included (`_nyquist_slope`).  One point runs as a two-row batch, as in
+    `evaluate`."""
+    a, table = f._eval_bands[0], f._eval_tables[0]
+    rows = np.repeat(x, 2) if len(x) == 1 else x
+    u, du = _horner_eval(a, rows, True) if table is None else _table_eval(table, a, rows, True)
+    return u[:len(x)], du[:len(x)]
+
+
+def _nyquist_slope(f: SpectralField, x: np.ndarray) -> np.ndarray:
+    """Re(i N/2 a_{N/2} e^{i N/2 x}) at the points x, shape (m,): the slope of
+    the N/2 mode that 1-D `evaluate` reads as Re(a_{N/2} e^{i N/2 x}) and that
+    `gradient` zeroes (`GridSpec.gradient_symbol`); 0 where the field's band
+    stops short of N/2.  So `_value_and_slope`'s u' minus this is `gradient`'s
+    reading of u'."""
+    half, a = f.grid.modes_per_axis // 2, f._eval_bands[0]
+    if len(a) <= half:
+        return np.zeros_like(x)
+    return -half * abs(a[half]) * np.sin(half * x + np.angle(a[half]))
+
+
 def _points(x, d: int) -> np.ndarray:
     """x as a float (m, d) batch; any other shape is refused."""
     pts = np.asarray(x, dtype=float)
@@ -557,18 +581,25 @@ def _bands(mag: np.ndarray) -> np.ndarray:
     return np.where(ok.any(axis=1), ok.argmax(axis=1), half)
 
 
-def _horner_eval(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _horner_eval(a: np.ndarray, x: np.ndarray, slope: bool = False):
     """Re sum_{k=0}^{K} a_k z^k, z = exp(i x), by Horner's rule on a folded band
     (`SpectralField._eval_bands`): on |z| = 1 it equals Re sum_{|k|<=K} c_k z^k
     for any coefficients.  The error is the dropped tail, at most u sum |c_k|,
     plus Horner's rounding, about 2(K+1) u sum |c_k|: the recurrence is
-    backward-stable on the unit circle and needs no (points, modes) matrix."""
+    backward-stable on the unit circle and needs no (points, modes) matrix.
+    With slope, returns (value, d/dx value): a second accumulator carries
+    p'(z) for p(z) = sum a_k z^k, and d/dx Re p(z) = Re(i z p'(z)); the value
+    is the same bit for bit."""
     z = np.exp(1j * x)
     acc = np.full(x.shape, a[-1], dtype=complex)
+    der = np.zeros_like(acc) if slope else None
     for ak in a[-2::-1]:
+        if slope:
+            der *= z
+            der += acc
         acc *= z
         acc += ak
-    return acc.real
+    return (acc.real, -(z * der).imag) if slope else acc.real
 
 
 def _taylor_depth(k_max: int, rows: int) -> int:
@@ -597,7 +628,7 @@ def _taylor_table(a: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spec, n=rows, axis=1, norm="forward").T.copy()
 
 
-def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray, slope: bool = False):
     """Re sum_{k=0}^{K} a_k e^{ikx} from the Taylor table of the band a
     (`_taylor_table`): each point reads the row i = rint(x F/2 pi) and sums its
     Taylor series in dx = x - 2 pi i/F, |dx| <= pi/F, by Horner's rule.  The
@@ -605,7 +636,9 @@ def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     (`_TWO_PI_HI`): the first difference is exact, so dx carries no multiple
     of 2 pi's rounding.  The points are finite (`evaluate`); those
     _TABLE_REACH rows or more from 0 take `_horner_eval` on the band instead,
-    as a batch of two rows at least."""
+    as a batch of two rows at least.  With slope, returns (value, d/dx value)
+    from the same gathered rows: a second Horner accumulator carries the
+    series' derivative in dx, and the value is the same bit for bit."""
     rows, depth = table.shape
     near = np.abs(x) < _TABLE_REACH * (2.0 * np.pi / rows)
     xn = np.where(near, x, 0.0)
@@ -613,13 +646,19 @@ def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     dx = (xn - i * (_TWO_PI_HI / rows)) - i * (_TWO_PI_LO / rows)
     terms = table[i.astype(np.intp) & (rows - 1)]
     acc = terms[:, -1].copy()
+    der = np.zeros_like(acc) if slope else None
     for j in range(depth - 2, -1, -1):
+        if slope:
+            der *= dx
+            der += acc
         acc *= dx
         acc += terms[:, j]
     far = np.flatnonzero(~near)
     if far.size:
-        acc[far] = _horner_eval(a, np.resize(x[far], max(far.size, 2)))[:far.size]
-    return acc
+        hx = _horner_eval(a, np.resize(x[far], max(far.size, 2)), slope)
+        for out, h in zip((acc, der), hx if slope else (hx,)):
+            out[far] = h[:far.size]
+    return (acc, der) if slope else acc
 
 
 def _phase_matrix(grid: GridSpec, x: np.ndarray) -> np.ndarray:

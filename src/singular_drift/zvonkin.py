@@ -3,10 +3,13 @@
 Once the backward solution u carries the certificate sup |grad u| <= 1/2 the
 map x -> phi(t, x) is a diffeomorphism for every t: the inverse psi solves the
 fixed point x = y - u(t, x), a contraction at rate <= 1/2 from the initial
-guess x = y, which psi accelerates by a safeguarded Anderson(1) step (the
-secant method in 1-D) at no extra evaluation of u.  Between time nodes u is
-interpolated linearly in its coefficients, and the Jacobian of the transform
-is the gradient of that interpolated u.
+guess x = y.  In 1-D psi takes safeguarded Newton steps instead, each on one
+read of u and u' from u's evaluation kernel; in 2-D it accelerates the
+contraction by a safeguarded Anderson(1) step at no extra evaluation of u.
+Between time nodes u is interpolated linearly in its coefficients, and the
+Jacobian of the transform is the gradient of that interpolated u, up to the
+N/2 mode: `gradient` zeroes its slope, while `evaluate` reads the mode as
+Re(a_{N/2} e^{i N/2 x}), whose slope vanishes only at the grid nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TimeField, _points, evaluate, gradient
+from .spectral import TimeField, _points, _value_and_slope, evaluate, gradient
 from .kolmogorov import GRADIENT_TARGET, gradient_sup
 
 __all__ = [
@@ -32,9 +35,10 @@ class InverseDiverged(Exception):
     """Fixed-point iteration for psi ran out of iterations."""
 
 
-# sweeps psi may spend: at contraction rate 1/2 about 40 reach 1e-12, and each
-# dropped Anderson step costs one sweep before a contraction step, so 80 cover
-# the contraction even if every other step is dropped
+# reads of u psi may spend per point: at contraction rate 1/2 about 40
+# contraction steps reach 1e-12, and each dropped Newton or Anderson iterate
+# costs one read before a contraction step, so 80 cover the contraction even
+# if every other iterate is dropped
 INVERSE_MAX_ITER = 80
 # psi's default tolerance on the residual |y - phi(x)|, the one every simulation uses
 INVERSE_TOL = 1e-9
@@ -80,15 +84,21 @@ def phi(ctx: TransformContext, t: float, x) -> np.ndarray:
 
 def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     """Inverse transform: the fixed point x = y - u(t, x) from x_0 = y, on an
-    (m, d) batch of points, by a safeguarded Anderson(1) iteration (Walker &
-    Ni, SIAM J. Numer. Anal. 2011).
+    (m, d) batch of points.
+
+    In 1-D by safeguarded Newton (`_newton_1d`, Kelley, Solving Nonlinear
+    Equations with Newton's Method, SIAM 2003), which stops at the first read
+    with |x + u(t, x) - y| < inverse_tol and returns the plain step y - u(t, x)
+    from that read: its error is at most q/(1-q) inverse_tol, q the gradient
+    bound, as for the contraction.  In 2-D by a safeguarded Anderson(1)
+    iteration (Walker & Ni, SIAM J. Numer. Anal. 2011), as follows.
 
     Sweep k evaluates u once per point: g_k = y - u(t, x_k) and the residual
     f_k = g_k - x_k.  A point with |f_k| < inverse_tol is frozen at the plain
     step g_k, so the contraction's a posteriori bound holds, the error is at
     most q/(1-q) inverse_tol with q the gradient bound.  Any other point steps
     to x_{k+1} = g_k - gamma_k (g_k - g_{k-1}), where gamma_k = f_k.df/|df|^2
-    and df = f_k - f_{k-1} (the secant method in 1-D).  The first sweep takes
+    and df = f_k - f_{k-1}.  The first sweep takes
     the plain step g_0 (gamma = 0).  So does a point whose accelerated iterate
     shrank the residual by less than the factor q that a contraction step
     guarantees: that iterate is dropped, and the point takes the plain step
@@ -99,13 +109,16 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     Each point's iterates depend on that point alone, so a batch's rows do
     not depend on the batch.  Raises ValueError on a non-finite point (its
     NaN residual compares false against the tolerance, so it would be
-    dropped as converged) and InverseDiverged if INVERSE_MAX_ITER sweeps are
-    spent first.
+    dropped as converged) and InverseDiverged if INVERSE_MAX_ITER reads or
+    sweeps are spent first.
     """
     pts = _points(y, ctx.u.grid.dimension)
     if not np.all(np.isfinite(pts)):
         raise ValueError("psi is defined on finite points; got NaN or infinity")
     u_t = ctx.u.at_time(t)
+    if pts.shape[1] == 1:
+        _, u, _ = _newton_1d(ctx, u_t, pts[:, 0], pts[:, 0])
+        return (pts[:, 0] - u)[:, None]
     tol_sq, q_sq = ctx.inverse_tol ** 2, ctx.gradient_bound ** 2
     out = np.empty_like(pts)
     # per moving point: its row, y, the iterate x, the last kept sweep (g, f),
@@ -140,8 +153,51 @@ def psi(ctx: TransformContext, t: float, y) -> np.ndarray:
     )
 
 
+def _newton_1d(ctx: TransformContext, u_t, y: np.ndarray, x: np.ndarray) -> tuple:
+    """Safeguarded Newton for x + u_t(x) = y at the 1-D points y, shape (m,),
+    from the starts x; returns each point's last read (x, u_t(x), u_t'(x)), the
+    first with residual |x + u_t(x) - y| < inverse_tol, so that x lies within
+    inverse_tol/(1-q) of the root, q the gradient bound.
+
+    Read k takes u and u' at x_k from one gather (`_value_and_slope`) and the
+    residual r_k.  A point moves to the Newton iterate x_k - r_k/(1 + u'), or
+    to the plain step y - u(x_k) where 1 + u' is below the ellipticity floor
+    1 - GRADIENT_TARGET.  A Newton iterate whose residual shrank by less than
+    the factor q that a plain step guarantees is dropped for the plain step
+    from the iterate before it, so every kept iterate gains a factor q or is
+    a plain step, a dropped one costs one read, and the iteration converges
+    wherever the contraction does.  Each point's reads depend on that point
+    alone, so a row does not depend on its batch.  Raises InverseDiverged if
+    INVERSE_MAX_ITER reads are spent first.
+    """
+    q, tol, floor = ctx.gradient_bound, ctx.inverse_tol, 1.0 - GRADIENT_TARGET
+    out = np.empty((3, y.size))
+    # per moving point: its row, y, the iterate x, the last kept read's
+    # |residual| and plain step, and whether x is a Newton iterate
+    row, a_kept, g_kept = np.arange(y.size), np.zeros_like(y), np.zeros_like(y)
+    newton = np.zeros(y.shape, dtype=bool)
+    for _ in range(INVERSE_MAX_ITER):
+        u, du = _value_and_slope(u_t, x)
+        r = x + u - y
+        a = np.abs(r)
+        done = a < tol
+        out[:, row[done]] = x[done], u[done], du[done]
+        drop = newton & (a > q * a_kept)
+        a_kept, g_kept = np.where(drop, a_kept, a), np.where(drop, g_kept, y - u)
+        slope = 1.0 + du
+        newton = ~drop & (slope >= floor)
+        nxt = np.where(newton, x - r / np.maximum(slope, floor), g_kept)
+        moving = np.flatnonzero(~done)
+        if moving.size == 0:
+            return out[0], out[1], out[2]
+        row, y, x = row[moving], y[moving], nxt[moving]
+        a_kept, g_kept, newton = a_kept[moving], g_kept[moving], newton[moving]
+    raise InverseDiverged(f"{row.size} point(s) still moving after {INVERSE_MAX_ITER} reads")
+
+
 def transform_jacobian(ctx: TransformContext, t: float, x) -> np.ndarray:
     """grad u(t, x) as (m, d, d) matrices, J[i, j] = d_j u_i, on an (m, d)
-    batch of points: the gradient of the u(t) that `phi` and `psi` read."""
+    batch of points: the gradient of the u(t) that `phi` and `psi` read, but
+    for the N/2 mode's slope, which it does not read (module docstring)."""
     d = ctx.u.grid.dimension
     return evaluate(gradient(ctx.u.at_time(t)), x).reshape(-1, d, d)

@@ -23,7 +23,7 @@ from singular_drift.sde import (
     virtual_x,
 )
 
-from conftest import random_time_field, sine_time_field
+from conftest import random_field, random_time_field, sine_time_field
 
 
 def zero_ctx(grid, steps=8):
@@ -356,19 +356,21 @@ def test_virtual_x_inverts_transform(grid64):
 
 
 def test_psi_solved_once_per_node(grid64, monkeypatch):
-    ctx = TransformContext(sine_time_field(grid64, 0.3, 8))
+    # 1-D steps invert phi by sde._newton_1d, 2-D steps by sde.psi: one
+    # inverse solve per step in either case, none at node 0, where X_0 = x0,
+    # and none in virtual_x
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return psi(*args)
-
-    monkeypatch.setattr(sde, "psi", counted)
-    cfg = small_sim(paths=3000, steps=4)       # one batch of every path per node
-    ys = simulate_y(ctx, cfg)
-    assert len(calls) == cfg.steps      # none at node 0, where X_0 = x0
-    virtual_x(ctx, ys)
-    assert len(calls) == cfg.steps
+    for name in ("psi", "_newton_1d"):
+        solve = getattr(sde, name)
+        monkeypatch.setattr(sde, name, lambda *a, _n=name, _f=solve: calls.append(_n) or _f(*a))
+    for ctx, over, solver in ((TransformContext(sine_time_field(grid64, 0.3, 8)), {}, "_newton_1d"),
+                              (ctx_2d(), dict(x0=(0.3, -0.2)), "psi")):
+        calls.clear()
+        cfg = small_sim(paths=3000, steps=4, **over)    # one batch of every path per node
+        ys = simulate_y(ctx, cfg)
+        assert calls == [solver] * cfg.steps
+        virtual_x(ctx, ys)
+        assert calls == [solver] * cfg.steps
 
 
 @pytest.mark.parametrize("case", ["1d", "2d"])
@@ -387,13 +389,54 @@ def test_virtual_x_is_the_x_the_steps_used(grid64, case):
     q = ctx.gradient_bound
     assert np.max(np.abs(psi(ctx, 0.0, y[:, 0]) - x0)) <= q / (1.0 - q) * ctx.inverse_tol
     for m, t in enumerate(cfg.times):
-        if m > 0:
+        if m > 0 and case == "1d":
+            # X is Newton's last read point, whose residual is below tol
+            assert np.max(np.abs(phi(ctx, t, x[:, m]) - y[:, m])) < ctx.inverse_tol
+        elif m > 0:
             assert np.max(np.abs(x[:, m] - psi(ctx, t, y[:, m]))) <= 1e-14
         if m == cfg.steps:
             break
         mu, sigma = coefficients(ctx, cfg.lam, t, y[:, m], x[:, m])
         rebuilt = y[:, m] + mu * cfg.dt + np.einsum("pij,pj->pi", sigma, dw[:, m])
-        assert np.array_equal(rebuilt, y[:, m + 1])
+        if case == "1d":
+            # 1-D sigma comes from the inverse's last read, not from
+            # transform_jacobian, and the two differ by rounding
+            assert np.max(np.abs(rebuilt - y[:, m + 1])) <= 1e-14
+        else:
+            assert np.array_equal(rebuilt, y[:, m + 1])
+
+
+def test_sigma_from_the_last_read_is_the_jacobian(grid64, monkeypatch):
+    # u carries an N/2 mode, whose slope the read sees and transform_jacobian
+    # does not: sigma subtracts it and matches transform_jacobian at X_m
+    nodes = [random_field(grid64, 0.3, seed) for seed in (21, 22, 23)]
+    u = TimeField.from_nodes(nodes, 1.0)
+    ctx = TransformContext(u * (0.45 / gradient_sup(u)))
+    assert nodes[0]._eval_tables[0] is not None
+    seen = []
+    sigma_1d = sde._sigma_1d
+    monkeypatch.setattr(sde, "_sigma_1d", lambda u_t, x, du: seen.append(
+        (u_t, x, du)) or sigma_1d(u_t, x, du))
+    cfg = small_sim(paths=500, steps=8)
+    ens = simulate_y(ctx, cfg)
+    assert len(seen) == cfg.steps + 1
+    nyquist = 0.0
+    for m, (u_t, x, du) in enumerate(seen):
+        want = 1.0 + transform_jacobian(ctx, cfg.times[m], x[:, None])[:, 0, 0]
+        assert np.array_equal(x, ens.virtual[:, m, 0] if m else cfg.x0)
+        assert np.max(np.abs(sigma_1d(u_t, x, du) - want)) <= 1e-14
+        nyquist = max(nyquist, float(np.max(np.abs(1.0 + du - want))))
+    assert nyquist > 1e-4
+
+
+def test_simulate_y_asserts_the_ellipticity_floor(grid64):
+    # the field of test_coefficients_ellipticity_floor: a 1-D run started at
+    # the point where sigma = 0.4994 stops at its first step
+    node = SpectralField.from_grid(grid64, np.sin(31 * grid64.axis_points() + np.pi / 64)[None])
+    u = TimeField.from_nodes([node] * 3, 1.0)
+    ctx = TransformContext(u * (0.5 / gradient_sup(u)))
+    with pytest.raises(EllipticityError):
+        simulate_y(ctx, small_sim(x0=((np.pi - np.pi / 64) / 31,)))
 
 
 def test_virtual_x_needs_a_virtual_solution(tmp_path, grid64):

@@ -579,6 +579,45 @@ def test_evaluate_full_band_takes_the_table(monkeypatch):
         evaluate(narrow, np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("field", [
+    random_field(GridSpec(1, 64), 0.3, 9, band=5),
+    random_field(GridSpec(1, 64), 0.3, 9),
+], ids=["horner", "table"])
+def test_value_and_slope_read_evaluate_and_gradient(field):
+    # one read gives evaluate's value bit for bit and that value's slope:
+    # gradient's reading plus the N/2 mode's slope, which gradient zeroes; a
+    # row does not depend on its batch, one point included
+    x = np.random.default_rng(17).uniform(-10.0, 10.0, size=300)
+    u, du = spectral._value_and_slope(field, x)
+    assert np.array_equal(u, evaluate(field, x[:, None])[:, 0])
+    nyquist = spectral._nyquist_slope(field, x)
+    assert np.any(nyquist != 0.0) == (len(field._eval_bands[0]) == 33)
+    want = evaluate(gradient(field), x[:, None])[:, 0] + nyquist
+    scale = np.sum(np.abs(field.grid.kappa_axis() * field.coeffs))
+    assert np.max(np.abs(du - want)) <= 1e-14 * scale
+    for n in (1, 2, 137):
+        head = spectral._value_and_slope(field, x[:n])
+        assert np.array_equal(head[0], u[:n]) and np.array_equal(head[1], du[:n])
+        assert np.array_equal(spectral._nyquist_slope(field, x[:n]), nyquist[:n])
+
+
+def test_value_and_slope_take_horner_past_the_table_reach():
+    # a point 2^20 rows or more from 0 reads value and slope by Horner's rule
+    # on the band, in any batch, as evaluate does
+    f = random_field(GridSpec(1, 64), 0.3, 9)
+    far = spectral._TABLE_REACH * 2.0 * np.pi / (spectral._TABLE_OVERSAMPLE * 64) + 3.0
+    x = np.array([0.4, far, -far, 1.1])
+    u, du = spectral._value_and_slope(f, x)
+    horner = spectral._horner_eval(f._eval_bands[0], x[1:3], slope=True)
+    assert np.array_equal(u[1:3], horner[0]) and np.array_equal(du[1:3], horner[1])
+    assert np.array_equal(u, evaluate(f, x[:, None])[:, 0])
+    for i in range(4):
+        one = spectral._value_and_slope(f, x[i:i + 1])
+        assert one[0][0] == u[i] and one[1][0] == du[i]
+    want = evaluate(gradient(f), x[:, None])[:, 0] + spectral._nyquist_slope(f, x)
+    assert np.max(np.abs(du - want)) <= 1e-9 * np.sum(np.abs(f.grid.kappa_axis() * f.coeffs))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_evaluate_refuses_non_hermitian_coeffs(dim):
     f = single_mode(GridSpec(dim, 16), 3)

@@ -10,7 +10,8 @@ import singular_drift.zvonkin as zvonkin
 from singular_drift.drifts import DriftSpec
 from singular_drift.lab import ExperimentConfig, prepare_transform
 from singular_drift.kolmogorov import gradient_sup
-from singular_drift.spectral import GridSpec, SpectralField, TimeField, evaluate, gradient
+from singular_drift.spectral import (GridSpec, SpectralField, TimeField, _value_and_slope,
+                                     evaluate, gradient)
 from singular_drift.zvonkin import (
     INVERSE_TOL,
     InverseDiverged,
@@ -113,6 +114,20 @@ def counted_evaluate(monkeypatch):
     return calls
 
 
+def counted_reads(monkeypatch):
+    """Route 1-D psi's `_value_and_slope` through a recorder of (points,
+    values, slopes) per read."""
+    reads = []
+
+    def recording(f, x):
+        u, du = _value_and_slope(f, x)
+        reads.append((np.array(x), u, du))
+        return u, du
+
+    monkeypatch.setattr(zvonkin, "_value_and_slope", recording)
+    return reads
+
+
 def test_psi_matches_scalar_root_finder(sine_ctx):
     rng = np.random.default_rng(8)
     ys = rng.uniform(0.0, 2 * np.pi, size=12)
@@ -198,13 +213,32 @@ def test_psi_matches_the_contraction_in_2d():
 
 
 def test_psi_spends_fewer_sweeps_than_the_contraction(monkeypatch):
+    # 1-D psi reads u and u' from one table gather per Newton iterate, and
+    # calls `evaluate` never: count those reads
     ctx = steep_context(random_field(GridSpec(1, 256), eta=0.3, seed=7), tol=1e-9)
     y = np.random.default_rng(13).uniform(0.0, 2 * np.pi, size=(2000, 1))
     _, plain = contraction_reference(ctx, 0.5, y, 1e-9)
-    calls = counted_evaluate(monkeypatch)
+    assert ctx.u.at_time(0.5)._eval_tables[0] is not None
+    evaluations, reads = counted_evaluate(monkeypatch), counted_reads(monkeypatch)
     psi(ctx, 0.5, y)
-    accelerated = sum(len(x) for x, _ in calls)
-    assert accelerated <= 0.75 * plain
+    assert not evaluations
+    newton = sum(len(x) for x, _, _ in reads)
+    assert 0 < newton <= 0.75 * plain
+
+
+def test_newton_point_lies_within_its_bound_of_the_fixed_point():
+    # the kept read x has |x + u(x) - y| < tol, so |x - psi(y)| <= tol/(1-q);
+    # the contraction run to 1e-15 stands in for the fixed point
+    ctx = steep_context(random_field(GridSpec(1, 256), eta=0.3, seed=7), tol=1e-9)
+    y = np.random.default_rng(18).uniform(0.0, 2 * np.pi, size=(500, 1))
+    q, u_t = ctx.gradient_bound, ctx.u.at_time(0.3)
+    fixed, _ = contraction_reference(ctx, 0.3, y, 1e-15)
+    for start in (y[:, 0], fixed[:, 0] + 0.05):     # psi's cold start, and a warm one
+        x, u, du = zvonkin._newton_1d(ctx, u_t, y[:, 0], start)
+        assert np.array_equal(u, evaluate(u_t, x[:, None])[:, 0])
+        assert np.max(np.abs(x + u - y[:, 0])) < ctx.inverse_tol
+        assert np.max(np.abs(x - fixed[:, 0])) <= ctx.inverse_tol / (1.0 - q) + 1e-14
+    assert np.max(np.abs(psi(ctx, 0.3, y) - fixed)) <= q / (1.0 - q) * ctx.inverse_tol + 1e-14
 
 
 @pytest.mark.parametrize("node", [
@@ -220,27 +254,70 @@ def test_psi_rows_do_not_depend_on_the_batch(node):
     assert np.array_equal(whole[:137], psi(ctx, 0.5, y[:137]))
 
 
+def test_newton_rows_do_not_depend_on_the_batch():
+    ctx = steep_context(triangle_wave(GridSpec(1, 64)), tol=1e-9)
+    rng = np.random.default_rng(19)
+    y = rng.uniform(0.0, 2 * np.pi, size=200)
+    start = y + rng.uniform(-0.5, 0.5, size=200)
+    u_t = ctx.u.at_time(0.7)
+    whole = zvonkin._newton_1d(ctx, u_t, y, start)
+    for n in (1, 2, 137):
+        head = zvonkin._newton_1d(ctx, u_t, y[:n], start[:n])
+        assert all(np.array_equal(h, w[:n]) for h, w in zip(head, whole))
+    for i in range(0, 200, 23):
+        one = zvonkin._newton_1d(ctx, u_t, y[i:i + 1], start[i:i + 1])
+        assert all(o[0] == w[i] for o, w in zip(one, whole))
+
+
 def test_psi_falls_back_to_the_plain_step(monkeypatch):
-    # on the triangle wave some accelerated iterates shrink the residual by
-    # less than the certified factor q; each must be dropped for the plain
-    # step from the iterate before it, and every point still converges
+    # 1-D: on the triangle wave a Newton step through a kink overshoots, so
+    # its iterate shrinks the residual by less than the certified factor q;
+    # it must be dropped for the plain step y - u from the read before it,
+    # and every point still converges
     ctx = steep_context(triangle_wave(GridSpec(1, 64)))
+    q, floor = ctx.gradient_bound, 0.5
+    reads = counted_reads(monkeypatch)
+    fallbacks = 0
+    for y in np.random.default_rng(14).uniform(0.0, 2 * np.pi, size=60):
+        reads.clear()
+        x_hat = psi(ctx, 0.5, np.array([[y]]))[0, 0]
+        x, u, du = (np.array([read[i][0] for read in reads]) for i in range(3))
+        r = x + u - y
+        newton, r_kept, g_kept = False, None, None
+        for k in range(len(x) - 1):
+            if newton and abs(r[k]) > q * abs(r_kept):
+                fallbacks += 1
+                newton = False
+                assert x[k + 1] == g_kept
+                continue
+            r_kept, g_kept = r[k], y - u[k]
+            newton = 1.0 + du[k] >= floor
+            assert x[k + 1] == (x[k] - r[k] / (1.0 + du[k]) if newton else g_kept)
+        assert abs(r[-1]) < ctx.inverse_tol and x_hat == y - u[-1]
+        assert abs(x_hat + evaluate(ctx.u.at_time(0.5), [[x_hat]])[0, 0] - y) <= 1e-12
+    assert fallbacks > 0
+    # 2-D: on (tri(x1), tri(x2)) some Anderson iterates shrink the residual
+    # by less than q, and each is dropped for the plain step likewise
+    grid = GridSpec(2, 16)
+    x1, x2 = np.meshgrid(grid.axis_points(), grid.axis_points(), indexing="ij")
+    tri = triangle_wave(GridSpec(1, 16))
+    vals = np.stack([evaluate(tri, x1.reshape(-1, 1)), evaluate(tri, x2.reshape(-1, 1))])
+    ctx = steep_context(SpectralField.from_grid(grid, vals.reshape(2, 16, 16)))
     q_sq = ctx.gradient_bound ** 2
     calls = counted_evaluate(monkeypatch)
-    ys = np.random.default_rng(14).uniform(0.0, 2 * np.pi, size=60)
     fallbacks = 0
-    for y in ys:
+    for y in np.random.default_rng(14).uniform(0.0, 2 * np.pi, size=(60, 2)):
         calls.clear()
-        x_hat = psi(ctx, 0.5, np.array([[y]]))[0, 0]
-        x = np.array([c[0][0, 0] for c in calls])
-        g = y - np.array([c[1][0, 0] for c in calls])
-        r = (g - x) ** 2
+        x_hat = psi(ctx, 0.5, y[None])[0]
+        x = np.array([c[0][0] for c in calls])
+        g = y - np.array([c[1][0] for c in calls])
+        r = np.sum((g - x) ** 2, axis=1)
         for k in range(1, len(x) - 1):
-            plain = np.any(x[k] == g[:k])
+            plain = np.any(np.all(x[k] == g[:k], axis=1))
             if not plain and not r[k] <= q_sq * r[k - 1]:
                 fallbacks += 1
-                assert x[k + 1] == g[k - 1]
-        assert abs(x_hat + evaluate(ctx.u.at_time(0.5), [[x_hat]])[0, 0] - y) <= 1e-12
+                assert np.array_equal(x[k + 1], g[k - 1])
+        assert np.max(np.abs(x_hat + evaluate(ctx.u.at_time(0.5), x_hat[None])[0] - y)) <= 1e-12
     assert fallbacks > 0
 
 
