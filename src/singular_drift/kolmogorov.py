@@ -19,12 +19,14 @@ point is one march over the time nodes, which `solve_fwd` performs.  Picard
 iteration in an exponentially weighted sup-norm, the contraction argument of
 the theory, lives in `theory.picard_sweeps`.  u is `v.reversed_time()`.
 
-The product b . grad v is the dealiased product on the whole lattice,
-`spectral._dealiased_product` on coefficient arrays (`_integrand`); the
-reference ladder of `paraproduct` only checks it.  The solver and the
-operator step one node loop, `_march`, which forms it node by node on the
-arrays and builds one field, the one it returns.  Neither takes a PdeConfig,
-nor does the lambda calibration.
+The product b . grad v is the dealiased product on the whole lattice, the
+one `spectral._dealiased_product` forms, on real samples of the 2N lattice
+(`_integrand`): b's samples times grad v's, summed over the axes there and
+transformed back once per component of v.  The reference ladder of
+`paraproduct` only checks it.  The solver and the operator step one node
+loop, `_march`, which forms it node by node on the arrays, samples b once
+per run of equal drift nodes, and builds one field, the one it returns.
+Neither takes a PdeConfig, nor does the lambda calibration.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .spectral import (
     SobolevIndex,
     TimeField,
     _check_compatible,
-    _dealiased_product,
+    _from_samples,
     _gradient_coeffs,
+    _real_samples,
+    _run_starts,
     gradient,
     singular_values_sq,
     sobolev_norm,
@@ -138,16 +142,20 @@ class SolveReport:
 # --- the mild integral operator -----------------------------------------------
 
 
-def _integrand(grid: GridSpec, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _integrand(grid: GridSpec, b: np.ndarray, v: np.ndarray, fine_b=None) -> np.ndarray:
     """g = b . grad v + b from coefficient arrays at one node or every node:
-    b has d components, v one block of d per lambda.  Each term b_j d_j v_i
-    is the dealiased product, b repeated once per component of v beside
-    grad v, both in (i, j) row-major order; the sum over j runs
-    (0 + t_i0) + t_i1, and b is added once per block."""
-    d, c = grid.dimension, v.shape[-grid.dimension - 1]
-    terms = _dealiased_product(np.concatenate([b] * c, axis=-d - 1), _gradient_coeffs(v, grid), d)
-    by_term = terms.reshape(v.shape[:-d] + (d,) + v.shape[-d:])    # lead + (c, d) + spatial
-    return (np.add.reduce(by_term, axis=-d - 1, initial=0.0)
+    b has d components, fine_b their samples on the 2N lattice with an axis
+    of one for v's components before them (`spectral._real_samples`, made
+    here if not given), and v one block of d per lambda.  Each term
+    b_j d_j v_i is the dealiased product: grad v's samples, in (i, j)
+    row-major order, times b_j's, summed over j on the samples and taken
+    back to the N lattice once per component of v (`spectral._from_samples`);
+    b is added once per block."""
+    d, n, c = grid.dimension, grid.modes_per_axis, v.shape[-grid.dimension - 1]
+    fine_b = _real_samples(np.expand_dims(b, -d - 2), d) if fine_b is None else fine_b
+    terms = _real_samples(_gradient_coeffs(v, grid), d).reshape(v.shape[:-d] + (d,) + (2 * n,) * d)
+    terms *= fine_b                                 # lead + (c, d) + the 2N lattice
+    return (_from_samples(np.add.reduce(terms, axis=-d - 1), n, d)
             + np.concatenate([b] * (c // d), axis=-d - 1))
 
 
@@ -176,13 +184,17 @@ def _march(b: TimeField, lam, v: TimeField | None = None) -> TimeField:
     """I_m = E' I_{m-1} + w' g_{m-1} from I_0 = 0 by `_step_factors`, node by
     node on coefficient arrays: g_{m-1} = b . grad v + b at v's node m-1,
     taken from v or, when v is None, from I itself, and b's node M - m + 1,
-    the same physical time."""
+    the same physical time.  b's samples on the 2N lattice are made once per
+    run of equal drift nodes (`spectral._run_starts`): once per march for a
+    static drift."""
     decay, weight = _step_factors(b, lam)
     out = np.zeros((b.nodes + 1,) + decay.shape, dtype=complex)
     src = out if v is None else v.coeffs
-    for m in range(1, b.nodes + 1):
-        g = _integrand(b.grid, b.coeffs[b.nodes - m + 1], src[m - 1])
-        out[m] = decay * out[m - 1] + weight * g
+    starts = _run_starts(b.coeffs)
+    for m, k in enumerate(range(b.nodes, 0, -1), 1):
+        if m == 1 or starts[k] != starts[k + 1]:
+            fine_b = _real_samples(b.coeffs[k:k + 1], b.grid.dimension)
+        out[m] = decay * out[m - 1] + weight * _integrand(b.grid, b.coeffs[k], src[m - 1], fine_b)
     return TimeField(b.grid, b.horizon, out)
 
 

@@ -5,8 +5,9 @@ the smooth dyadic low-pass at radius 2^j.  On an N-point lattice the limit is
 reached once the low-pass covers the lattice, so it is the dealiased product
 of the pair, multiplied exactly on a 2x zero-padded grid (no aliasing).
 `dealiased_multiply` forms it for fields by `spectral._dealiased_product`,
-the product on coefficient arrays that the solver's march takes for
-b . grad u; the solver does not import this module.  The reference `product`
+the product on coefficient arrays whose two halves (`_real_samples`,
+`_from_samples`) the solver's march takes for b . grad u; the solver does
+not import this module.  The reference `product`
 advances the stage index until the successive difference measured in a
 negative-order Bessel norm drops below a tolerance; if the lattice runs out
 of scales first the product does not stabilize at this resolution and

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .spectral import (SpectralField, TimeField, _is_count, _nyquist_slope, _read_only,
-                       _read_snapshot, _value_and_slope, _write_snapshot, evaluate,
+                       _read_snapshot, _run_starts, _value_and_slope, _write_snapshot, evaluate,
                        singular_values_sq)
 from .kolmogorov import GRADIENT_TARGET
 from .zvonkin import TransformContext, _newton_1d, phi, psi, transform_jacobian
@@ -330,20 +330,19 @@ def simulate_classical(b: TimeField, cfg: SimConfig) -> PathEnsemble:
 
     Meant for smooth(ed) drifts; b is looked up at the latest drift node at or
     before t, matching piecewise-constant time dependence.  One field is built
-    per drift node, and a node equal to the one before shares its field, so a
-    static drift finds its evaluation band once.  A config off the drift's
-    dimension or horizon is refused.
+    per run of equal drift nodes (`spectral._run_starts`), so a static drift
+    finds its evaluation band once.  A config off the drift's dimension or
+    horizon is refused.
     """
     _check_frame(cfg, b, "drift")
     dt = cfg.dt
     x0 = np.asarray(cfg.x0)
-    fields = [SpectralField(b.grid, b.coeffs[0])]
-    for prev, c in zip(b.coeffs, b.coeffs[1:]):
-        fields.append(fields[-1] if np.array_equal(c, prev) else SpectralField(b.grid, c))
-    # the node at or before each step's time; the step counts need not match
-    node = [m * b.nodes // cfg.steps for m in range(cfg.steps)]
+    starts = _run_starts(b.coeffs).tolist()
+    fields = {s: SpectralField(b.grid, b.coeffs[s]) for s in set(starts)}
+    # the field of the node at or before each step's time; the step counts need not match
+    field = [fields[starts[m * b.nodes // cfg.steps]] for m in range(cfg.steps)]
     states = _euler(cfg, np.tile(x0, (cfg.paths, 1)),
-                    lambda m, x, dw: x + evaluate(fields[node[m]], x) * dt + dw)
+                    lambda m, x, dw: x + evaluate(field[m], x) * dt + dw)
     prov = {"stream": STREAM_RULE, "base_steps": cfg.base_steps or cfg.steps}
     return PathEnsemble(states=states, config=cfg, label="classical", provenance=prov)
 

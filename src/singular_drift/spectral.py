@@ -224,6 +224,15 @@ def _on(axis: int, index) -> tuple:
     return (Ellipsis, index) + (slice(None),) * (-1 - axis)
 
 
+def _run_starts(stack: np.ndarray) -> np.ndarray:
+    """For each entry of a stack along its first axis, the first entry of its
+    run of equal entries: entry m compares equal to entry _run_starts(stack)[m]
+    in every element, so what is computed from one entry serves the whole
+    run.  An entry holding a NaN starts a run of its own."""
+    changed = np.any(stack[1:] != stack[:-1], axis=tuple(range(1, stack.ndim)))
+    return np.maximum.accumulate(np.arange(len(stack)) * np.append(True, changed))
+
+
 def _field_axes(f: _Field) -> tuple:
     """The component and spatial axes: everything one field holds."""
     return tuple(range(-f.grid.dimension - 1, 0))
@@ -373,7 +382,7 @@ def dyadic_cutoff(f: _F, j: int) -> _F:
 def _gradient_coeffs(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """`gradient` on a coefficient array."""
     d = grid.dimension
-    grad = np.expand_dims(c, -d - 1) * grid.gradient_symbol()
+    grad = c[_on(-d - 1, None)] * grid.gradient_symbol()
     return grad.reshape(c.shape[:-d - 1] + (c.shape[-d - 1] * d,) + c.shape[-d:])
 
 
@@ -386,9 +395,9 @@ def gradient(f: _F) -> _F:
 # --- lattice changes ----------------------------------------------------------
 
 
-def _refine_coeffs(c: np.ndarray, d: int) -> np.ndarray:
-    """`refine` on the d trailing axes of a coefficient array."""
-    for axis in range(-d, 0):
+def _refine_coeffs(c: np.ndarray, axes) -> np.ndarray:
+    """`refine` on the given trailing axes (negative) of a coefficient array."""
+    for axis in axes:
         n, h = c.shape[axis], c.shape[axis] // 2
         fine = np.zeros(c.shape[:axis] + (2 * n,) + c.shape[axis:][1:], dtype=complex)
         fine[_on(axis, slice(h))] = c[_on(axis, slice(h))]           # k = 0 .. N/2-1
@@ -399,9 +408,9 @@ def _refine_coeffs(c: np.ndarray, d: int) -> np.ndarray:
     return c
 
 
-def _coarsen_coeffs(c: np.ndarray, d: int) -> np.ndarray:
-    """`coarsen` on the d trailing axes of a coefficient array."""
-    for axis in range(-d, 0):
+def _coarsen_coeffs(c: np.ndarray, axes) -> np.ndarray:
+    """`coarsen` on the given trailing axes (negative) of a coefficient array."""
+    for axis in axes:
         h = c.shape[axis] // 4
         coarse = np.concatenate([c[_on(axis, slice(h))], c[_on(axis, slice(3 * h, None))]], axis)
         coarse[_on(axis, h)] += c[_on(axis, h)]
@@ -409,16 +418,46 @@ def _coarsen_coeffs(c: np.ndarray, d: int) -> np.ndarray:
     return c
 
 
+def _real_samples(c: np.ndarray, d: int) -> np.ndarray:
+    """The unscaled samples on the 2N lattice of the real fields whose N-lattice
+    coefficients fill the d trailing axes of c: the last axis's modes
+    k = 0 .. N/2, the +N/2 plane half the coarse -N/2 plane as `refine`
+    splits it, are refined and inverse transformed on every other axis, then
+    taken to the samples by one irfft, which pads the rest of the half
+    spectrum with zeros."""
+    h = c.shape[-1] // 2
+    half = np.concatenate([c[..., :h], 0.5 * c[..., h:h + 1]], axis=-1)
+    for axis in range(-d, -1):
+        half = np.fft.ifft(_refine_coeffs(half, [axis]), axis=axis, norm="forward")
+    return np.fft.irfft(half, 4 * h, axis=-1, norm="forward")
+
+
+def _from_samples(p: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The N-lattice coefficients of the real samples p on the 2N lattice in
+    their d trailing axes, as `coarsen` takes them from the full spectrum:
+    an rfft of the last axis, kept to k = 0 .. N/2, an fft and `coarsen` on
+    every other axis, and on the last the fine +N/2 and -N/2 planes folded
+    onto -N/2.  The negative half is rebuilt by Hermitian symmetry,
+    c(-k) = conj(c(k)) with the leading axes mirrored."""
+    h = n // 2
+    f = np.fft.rfft(p, axis=-1, norm="forward")[..., :h + 1]
+    for axis in range(-d, -1):
+        f = _coarsen_coeffs(np.fft.fft(f, axis=axis, norm="forward"), [axis])
+    neg = np.conj(f[..., h:0:-1])                   # k = N/2, ..., 1 at -k0
+    for axis in range(-d, -1):
+        neg = np.take(neg, -np.arange(n) % n, axis=axis)
+    neg[..., 0] += f[..., h]                        # the fold: fine -N/2 + fine +N/2
+    return np.concatenate([f[..., :h], neg], axis=-1)
+
+
 def _dealiased_product(f: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """The alias-free product of two coefficient arrays of one shape on an
-    N lattice in their d trailing axes: refine both to the 2N lattice,
-    multiply their samples there, coarsen the product back."""
-    axes = tuple(range(-d, 0))
-    # samples are the unscaled inverse transform ("forward" norm); the product
-    # is formed in place, as fine-lattice arrays over many nodes are large
-    prod = np.fft.ifftn(_refine_coeffs(f, d), axes=axes, norm="forward")
-    prod *= np.fft.ifftn(_refine_coeffs(g, d), axes=axes, norm="forward")
-    return _coarsen_coeffs(np.fft.fftn(prod, axes=axes, norm="forward"), d)
+    """The alias-free product of two coefficient arrays of one shape, real
+    fields on an N lattice in their d trailing axes: `refine` both to the 2N
+    lattice, multiply their samples there, `coarsen` the product back, on
+    real-to-complex transforms (`_real_samples`, `_from_samples`)."""
+    prod = _real_samples(f, d)
+    prod *= _real_samples(g, d)
+    return _from_samples(prod, f.shape[-1], d)
 
 
 def refine(f: _F) -> _F:
@@ -431,7 +470,7 @@ def refine(f: _F) -> _F:
     """
     g = f.grid
     return replace(f, grid=GridSpec(g.dimension, 2 * g.modes_per_axis),
-                   coeffs=_refine_coeffs(f.coeffs, g.dimension))
+                   coeffs=_refine_coeffs(f.coeffs, range(-g.dimension, 0)))
 
 
 def coarsen(f: _F) -> _F:
@@ -444,7 +483,7 @@ def coarsen(f: _F) -> _F:
     """
     g = f.grid
     return replace(f, grid=GridSpec(g.dimension, g.modes_per_axis // 2),
-                   coeffs=_coarsen_coeffs(f.coeffs, g.dimension))
+                   coeffs=_coarsen_coeffs(f.coeffs, range(-g.dimension, 0)))
 
 
 # --- norms ------------------------------------------------------------------
@@ -644,7 +683,7 @@ def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray, slope: bool = F
     xn = np.where(near, x, 0.0)
     i = np.rint(xn * (rows / (2.0 * np.pi)))
     dx = (xn - i * (_TWO_PI_HI / rows)) - i * (_TWO_PI_LO / rows)
-    terms = table[i.astype(np.intp) & (rows - 1)]
+    terms = np.take(table, i.astype(np.intp) & (rows - 1), axis=0)
     acc = terms[:, -1].copy()
     der = np.zeros_like(acc) if slope else None
     for j in range(depth - 2, -1, -1):

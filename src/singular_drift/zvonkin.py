@@ -173,25 +173,31 @@ def _newton_1d(ctx: TransformContext, u_t, y: np.ndarray, x: np.ndarray) -> tupl
     q, tol, floor = ctx.gradient_bound, ctx.inverse_tol, 1.0 - GRADIENT_TARGET
     out = np.empty((3, y.size))
     # per moving point: its row, y, the iterate x, the last kept read's
-    # |residual| and plain step, and whether x is a Newton iterate
-    row, a_kept, g_kept = np.arange(y.size), np.zeros_like(y), np.zeros_like(y)
-    newton = np.zeros(y.shape, dtype=bool)
-    for _ in range(INVERSE_MAX_ITER):
+    # |residual| and plain step, and whether x is a Newton iterate; the first
+    # read has no Newton iterate to judge, and only a read where some point
+    # stops writes out and gathers the moving points
+    row = np.arange(y.size)
+    for k in range(INVERSE_MAX_ITER):
         u, du = _value_and_slope(u_t, x)
         r = x + u - y
         a = np.abs(r)
-        done = a < tol
-        out[:, row[done]] = x[done], u[done], du[done]
-        drop = newton & (a > q * a_kept)
-        a_kept, g_kept = np.where(drop, a_kept, a), np.where(drop, g_kept, y - u)
         slope = 1.0 + du
-        newton = ~drop & (slope >= floor)
+        if k:
+            drop = newton & (a > q * a_kept)
+            a_kept, g_kept = np.where(drop, a_kept, a), np.where(drop, g_kept, y - u)
+            newton = ~drop & (slope >= floor)
+        else:
+            a_kept, g_kept, newton = a, y - u, slope >= floor
         nxt = np.where(newton, x - r / np.maximum(slope, floor), g_kept)
-        moving = np.flatnonzero(~done)
-        if moving.size == 0:
-            return out[0], out[1], out[2]
-        row, y, x = row[moving], y[moving], nxt[moving]
-        a_kept, g_kept, newton = a_kept[moving], g_kept[moving], newton[moving]
+        done = a < tol
+        if done.any():
+            out[:, row[done]] = x[done], u[done], du[done]
+            moving = np.flatnonzero(~done)
+            if moving.size == 0:
+                return out[0], out[1], out[2]
+            row, y, nxt = row[moving], y[moving], nxt[moving]
+            a_kept, g_kept, newton = a_kept[moving], g_kept[moving], newton[moving]
+        x = nxt
     raise InverseDiverged(f"{row.size} point(s) still moving after {INVERSE_MAX_ITER} reads")
 
 

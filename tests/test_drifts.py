@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from singular_drift.spectral import SobolevIndex, sobolev_norm
+from singular_drift.spectral import GridSpec, SobolevIndex, refine, sobolev_norm
 from singular_drift.drifts import (
     AssumptionViolated,
     DriftSpec,
@@ -149,6 +149,22 @@ def test_assumption_check_rejects_bad_window(rough_drift64):
         assumption_check(rough_drift64, 0.25, 1.2)   # below d/(1-beta)
     with pytest.raises(AssumptionViolated):
         assumption_check(rough_drift64, 0.25, 5.0)   # above d/beta
+
+
+@pytest.mark.parametrize("changes", [0, 3, 16], ids=["static", "changes-3", "every-node"])
+@pytest.mark.parametrize("dim, n, q", [(1, 64, 3.0), (2, 16, 5.0)])
+def test_assumption_check_measures_each_run_of_nodes_once_exactly(dim, n, q, changes):
+    # each run of equal nodes is measured once and read back per node: the
+    # report equals, bit for bit, one that measures every node
+    spec = DriftSpec(family="random-fourier", seed=42, beta=0.25, changes=changes)
+    b = generate(spec, GridSpec(dim, n), 1.0, 16)
+    rep = assumption_check(b, 0.25, q)
+    idx = [SobolevIndex(-0.25, p) for p in (q, rep.q_tilde)]
+    norms_q, norms_qt = (sobolev_norm(b, i) for i in idx)
+    refined = np.maximum(*(sobolev_norm(refine(b), i) for i in idx))
+    assert np.array_equal(rep.node_norms, np.maximum(norms_q, norms_qt))
+    assert rep.sup_norm_q == np.max(norms_q) and rep.sup_norm_q_tilde == np.max(norms_qt)
+    assert rep.refined_sup_norm == np.max(refined)
 
 
 # --- exponent selection ---------------------------------------------------------------

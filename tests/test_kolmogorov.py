@@ -89,7 +89,10 @@ def test_integrand_2d_oracle(grid64_2d):
 def test_integrand_is_the_lattice_product(dim):
     # each term b_j * d_j v_i is the dealiased product on the whole lattice:
     # rough factors fill the modes past |k| = 24 that a dyadic stage would
-    # drop.  The sum over j runs (0 + t_i0) + t_i1, then b_(i mod d) is added
+    # drop.  The integrand sums over j on the 2N-lattice samples and takes the
+    # sum back once, so in 2-D it matches the sum of the per-term products,
+    # (0 + t_i0) + t_i1, to rounding rather than bit for bit; in 1-D there is
+    # one term and the two agree exactly.  Then b_(i mod d) is added
     grid = GridSpec(dim, 64)
     b = SpectralField(grid, np.concatenate([random_field(grid, 0.3, 30 + j).coeffs
                                             for j in range(dim)]))
@@ -102,7 +105,11 @@ def test_integrand_is_the_lattice_product(dim):
             want[i] += dealiased_multiply(b.component(j),
                                           grad.component(i * dim + j)).coeffs[0]
         want[i] += b.coeffs[i % dim]
-    assert np.array_equal(kolmogorov._integrand(grid, b.coeffs, v.coeffs), want)
+    got = kolmogorov._integrand(grid, b.coeffs, v.coeffs)
+    if dim == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_solver_refuses_a_drift_without_one_component_per_axis(grid64):
@@ -265,6 +272,28 @@ def test_integral_operator_matches_the_all_nodes_order(dim, n, steps, changes):
     out = integral_operator(v, b, 4.0)
     assert np.array_equal(out.coeffs, all_nodes_operator(v, b, 4.0))
     assert not np.array_equal(out.coeffs, v.coeffs)
+
+
+def march_every_node(b, lam):
+    """The march with b's 2N-lattice samples made again at every node."""
+    decay, weight = kolmogorov._step_factors(b, lam)
+    out = np.zeros((b.nodes + 1,) + decay.shape, dtype=complex)
+    for m in range(1, b.nodes + 1):
+        g = kolmogorov._integrand(b.grid, b.coeffs[b.nodes - m + 1], out[m - 1])
+        out[m] = decay * out[m - 1] + weight * g
+    return out
+
+
+@pytest.mark.parametrize("changes, runs", [(0, 1), (3, 4), (16, 17)],
+                         ids=["static", "changes-3", "every-node"])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_the_march_samples_each_run_of_drift_nodes_once_exactly(dim, n, changes, runs):
+    # the march makes b's samples once per run of equal nodes; one that makes
+    # them at every node gives the same bits, on a stack of two lambdas
+    b = rough_drift(dim, n, 16, changes)
+    assert np.unique(spectral._run_starts(b.coeffs)).size == runs
+    v, _ = solve_fwd(b, [2.0, 4.0])
+    assert np.array_equal(v.coeffs, march_every_node(b, [2.0, 4.0]))
 
 
 def test_the_march_reads_the_drift_still_to_come(grid64):

@@ -711,6 +711,41 @@ def test_operators_act_on_every_node_at_once(name, dim, modes):
     assert np.array_equal(whole.values(), np.stack([f.values() for f in per_node]))
 
 
+def complex_product(f, g, d):
+    """The dealiased product on complex FFTs of the refined arrays: refine
+    both to the 2N lattice, multiply their samples, coarsen back."""
+    axes, every = tuple(range(-d, 0)), range(-d, 0)
+    prod = np.fft.ifftn(spectral._refine_coeffs(f, every), axes=axes, norm="forward")
+    prod *= np.fft.ifftn(spectral._refine_coeffs(g, every), axes=axes, norm="forward")
+    return spectral._coarsen_coeffs(np.fft.fftn(prod, axes=axes, norm="forward"), every)
+
+
+@pytest.mark.parametrize("dim, n, lead", [(1, 16, (3,)), (1, 256, (2, 3)),
+                                          (2, 16, (2,)), (2, 32, (3, 2))])
+def test_dealiased_product_on_real_samples_is_the_complex_product(dim, n, lead):
+    # the product on real-to-complex transforms is the complex one to rounding,
+    # on stacked leading axes: the fine +N/2 plane is half the coarse -N/2
+    # one, and the fold and the Hermitian rebuild take the -N/2 planes and
+    # the 2-D corner where coarsen does.  The N/2 planes are weighted 10x
+    # (the corner 100x); scaling a whole N/2 plane keeps the fields real
+    rng = np.random.default_rng(10 * n + dim)
+    axes = tuple(range(-dim, 0))
+    f, g = (np.fft.fftn(rng.standard_normal(lead + (n,) * dim), axes=axes, norm="forward")
+            for _ in range(2))
+    for c in (f, g):
+        for axis in axes:
+            c[spectral._on(axis, n // 2)] *= 10.0
+    want = complex_product(f, g, dim)
+    got = spectral._dealiased_product(f, g, dim)
+    assert got.shape == want.shape
+    assert np.abs(want[spectral._on(-1, n // 2)]).min() > 0
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    if dim == 1:
+        # c(-k) = conj(c(k)) bit for bit, so c(0) and c(-N/2) are real
+        k = np.arange(n)
+        assert np.array_equal(got[..., -k % n], np.conj(got))
+
+
 @pytest.mark.parametrize("dim, modes", [(1, 64), (2, 16)])
 def test_integrand_acts_on_every_node_at_once(dim, modes):
     # the solver's b . grad v + b on coefficient arrays: at every node in one
