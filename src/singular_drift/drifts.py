@@ -9,7 +9,7 @@ once more on the doubled grid so quadrature artifacts are visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .spectral import (
     SpectralField,
     TimeField,
     _is_count,
-    _run_starts,
+    _runs,
     gradient,
     mollify,
     refine,
@@ -185,17 +185,15 @@ def assumption_check(b: TimeField, beta: float, q: float) -> AssumptionReport:
 
     Requires beta in (0, 1/2) and q in (d/(1-beta), d/beta); the drift norm is
     sup_t max(||b(t)||_{H^{-beta}_{q~}}, ||b(t)||_{H^{-beta}_q}).  Each run of
-    equal nodes (`spectral._run_starts`) is measured once, on the grid and on
-    the doubled grid, in one batch of two nodes at least (as a TimeField
-    holds), and its norms are read back per node.  Raises AssumptionViolated when the window or
-    finiteness fails.
+    equal nodes is measured once (`spectral._runs`), on the grid and on the
+    doubled grid, and its norms are read back per node.  Raises
+    AssumptionViolated when the window or finiteness fails.
     """
     q_tilde = _check_window(beta, q, b.grid.dimension)
     idx_q = SobolevIndex(-beta, q)
     idx_qt = SobolevIndex(-beta, q_tilde)
 
-    firsts, run = np.unique(_run_starts(b.coeffs), return_inverse=True)
-    runs = replace(b, coeffs=b.coeffs[np.resize(firsts, max(firsts.size, 2))])
+    runs, run = _runs(b)
     norms_q, norms_qt = sobolev_norm(runs, idx_q)[run], sobolev_norm(runs, idx_qt)[run]
     node_norms = np.maximum(norms_q, norms_qt)
     fine = refine(runs)

@@ -43,7 +43,9 @@ from .spectral import (
     _from_samples,
     _gradient_coeffs,
     _real_samples,
+    _read_only,
     _run_starts,
+    _runs,
     gradient,
     singular_values_sq,
     sobolev_norm,
@@ -165,14 +167,15 @@ def _step_factors(tf: TimeField, lam) -> tuple:
     with the killing term at the right node, in one block of tf's components
     per lambda of a stack.  For lam >= 0 both are positive and the first is
     below 1, so no step amplifies; an empty stack or any other lam is refused,
-    as is a drift tf that is not real (`values`) or that has not one
-    component per axis, before anything is marched."""
+    as is a drift tf that is not real (`values`, on one node per run of equal
+    nodes, `spectral._runs`) or that has not one component per axis, before
+    anything is marched."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1 or not lams.size or not np.all((0.0 <= lams) & (lams < np.inf)):
         raise ValueError(f"lam must be one or more lambdas, finite and >= 0, got {lam}")
     if tf.components != tf.grid.dimension:
         raise ValueError(f"drift must have one component per axis, got {tf.components}")
-    tf.values()
+    _runs(tf)[0].values()
     dt = tf.horizon / tf.nodes
     a = tf.grid.bessel_symbol()
     w = -np.expm1(-dt * a) / a
@@ -195,7 +198,7 @@ def _march(b: TimeField, lam, v: TimeField | None = None) -> TimeField:
         if m == 1 or starts[k] != starts[k + 1]:
             fine_b = _real_samples(b.coeffs[k:k + 1], b.grid.dimension)
         out[m] = decay * out[m - 1] + weight * _integrand(b.grid, b.coeffs[k], src[m - 1], fine_b)
-    return TimeField(b.grid, b.horizon, out)
+    return TimeField(b.grid, b.horizon, _read_only(out))      # taken without a copy
 
 
 def integral_operator(v: TimeField, b: TimeField, lam: float) -> TimeField:

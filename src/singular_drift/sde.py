@@ -183,11 +183,14 @@ def _block_normals(seed: int, lo: int, hi: int, steps: int, d: int) -> np.ndarra
 def brownian_increments(cfg: SimConfig) -> np.ndarray:
     """All increments (paths, steps, d), summed from base_steps draws; read-only.
 
-    The base draw is a pure function of the key below, so the last one is kept
-    for an equal key (the runs of a study on one seed share it, at every step
-    count that nests in it) and dropped before any other draw.  Box-Muller runs
-    over a fixed partition of the path axis and writes each block in place
-    into the draw, so its temporaries stay bounded at any path count.
+    The increments are held time-major, (steps, paths, d), so that each
+    Euler step reads its own as one contiguous block (`_euler`); the array
+    returned is a (paths, steps, d) view of them.  The base draw is a pure
+    function of the key below, so the last one is kept for an equal key (the
+    runs of a study on one seed share it, at every step count that nests in
+    it) and dropped before any other draw.  Box-Muller runs over a fixed
+    partition of the path axis and writes each block in place into the draw,
+    so its temporaries stay bounded at any path count.
     """
     base = cfg.base_steps or cfg.steps
     d = cfg.dimension
@@ -195,15 +198,15 @@ def brownian_increments(cfg: SimConfig) -> np.ndarray:
     z = _last_noise.get(key)
     if z is None:
         _last_noise.clear()
-        z = np.empty((cfg.paths, base, d))
+        z = np.empty((base, cfg.paths, d))
         for lo in range(0, cfg.paths, _PATH_BLOCK):
             hi = min(lo + _PATH_BLOCK, cfg.paths)
             np.multiply(_block_normals(cfg.seed, lo, hi, base, d),
-                        np.sqrt(cfg.horizon / base), out=z[lo:hi])
+                        np.sqrt(cfg.horizon / base), out=z[:, lo:hi].transpose(1, 0, 2))
         _last_noise[key] = z = _read_only(z)
-    if base == cfg.steps:
-        return z
-    return _read_only(np.sum(z.reshape(cfg.paths, cfg.steps, base // cfg.steps, d), axis=2))
+    if base != cfg.steps:
+        z = _read_only(np.sum(z.reshape(cfg.steps, base // cfg.steps, cfg.paths, d), axis=1))
+    return z.transpose(1, 0, 2)
 
 
 # --- coefficients of the transformed equation --------------------------------
@@ -258,14 +261,17 @@ def _check_frame(cfg: SimConfig, tf: TimeField, what: str):
 
 def _euler(cfg: SimConfig, state0: np.ndarray, step) -> np.ndarray:
     """Euler-Maruyama nodes (..., paths, steps+1, d) of state <- step(m, state, dW_m)
-    from the states state0 (..., paths, d); each step advances every path at once."""
-    dw = brownian_increments(cfg)
-    out = np.empty(state0.shape[:-1] + (cfg.steps + 1, cfg.dimension))
-    out[..., 0, :] = state = state0
+    from the states state0 (..., paths, d); each step advances every path at once.
+    The steps run on time-major buffers: dW_m is one contiguous (paths, d)
+    block of `brownian_increments`' own array, and each step's state is
+    written as one contiguous block of a (steps+1, ..., paths, d) array, of
+    which the nodes returned are a view."""
+    dw = brownian_increments(cfg).transpose(1, 0, 2)
+    out = np.empty((cfg.steps + 1,) + state0.shape)
+    out[0] = state = state0
     for m in range(cfg.steps):
-        state = step(m, state, dw[:, m])
-        out[..., m + 1, :] = state
-    return out
+        out[m + 1] = state = step(m, state, dw[m])
+    return np.moveaxis(out, 0, -2)
 
 
 def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
@@ -281,13 +287,15 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
     """
     _check_frame(cfg, ctx.u, "transform")
     x0 = np.asarray(cfg.x0)
-    y0 = phi(ctx, 0.0, x0[None])[0]
     times = cfg.times
     dt = cfg.dt
 
     if cfg.dimension == 1:
+        # y0 = phi(0, x0) from the read that gives sigma_0: its value is
+        # `evaluate`'s bit for bit
         u_0 = ctx.u.at_time(0.0)
-        sigma = _sigma_1d(u_0, x0, _value_and_slope(u_0, x0)[1])
+        u, du = _value_and_slope(u_0, x0)
+        y0, sigma = x0 + u, _sigma_1d(u_0, x0, du)
 
         def step(m, yx, dw):
             nonlocal sigma
@@ -298,6 +306,8 @@ def simulate_y(ctx: TransformContext, cfg: SimConfig) -> PathEnsemble:
             sigma = _sigma_1d(u_t, x_next, du)
             return np.stack([y_next, x_next])[..., None]
     else:
+        y0 = phi(ctx, 0.0, x0[None])[0]
+
         def step(m, yx, dw):
             mu, sigma = coefficients(ctx, cfg.lam, times[m], yx[0], yx[1])
             y = yx[0] + mu * dt + np.einsum("pij,pj->pi", sigma, dw)

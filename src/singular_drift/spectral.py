@@ -40,15 +40,11 @@ __all__ = [
 
 _REAL_TOL = 1e-10  # relative imaginary residue allowed in grid values
 _BAND_TOL = 2.0 ** -53  # unit roundoff: the relative tail a 1-D evaluation drops
-# 1-D bands of more than this many folded modes are evaluated from a Taylor
-# table, narrower ones by Horner's rule.  Measured with psi on 2048 points at
-# N = 256, 64 calls, a fresh table per call (2 cores): the two tie within 2%
-# at 12 to 16 modes, and the table is faster from 17 on (73 against 80 ms at
-# 18, 86 against 128 ms at 64); the drifts of smooth-1d-mollify have at most
-# 12 modes, the rough u and grad u of rough-1d 129
-_TABLE_MIN_MODES = 16
-# a table has 8N rows, so |k dx| <= pi/16 for every |k| <= N/2 and 12 Taylor
-# terms reach the unit roundoff at any N
+# every 1-D band is read from a Taylor table of 8N rows, so |k dx| <= pi/16
+# for every |k| <= N/2 and 12 Taylor terms reach the unit roundoff at any N.
+# A table beats Horner's rule at every band: 2048 points at N = 256 (2-core
+# Xeon) take 49 against 100 us at 2 folded modes, and 72 against 190 us at
+# 11 with the slope
 _TABLE_OVERSAMPLE = 8
 # 2 pi = hi + lo to about 2^-88 relative (fdlibm's pio2_1 and pio2_1t, times 4):
 # hi has 31 significant bits, so i hi is exact for every row index |i| <= 2^20
@@ -160,9 +156,11 @@ class _Field:
     """What a field and a field over time share: a grid and read-only
     coefficients of shape lead + (components,) + grid.spatial_shape, with
     `_lead` leading axes (none for a field, the node axis for a field over
-    time).  The operators of this module act on the trailing component and
-    spatial axes, so they apply to every leading index at once and return
-    the input's own type.
+    time).  The coefficients are a copy of the array given, unless that
+    array owns its data and is read-only already: so the solver's march
+    hands its array over without holding it twice.  The operators of this
+    module act on the trailing component and spatial axes, so they apply to
+    every leading index at once and return the input's own type.
     """
 
     _lead = 0
@@ -173,7 +171,8 @@ class _Field:
         if c.ndim != self._lead + 1 + d or c.shape[-d:] != self.grid.spatial_shape:
             lead = "(M+1, components)" if self._lead else "(components,)"
             raise ValueError(f"coeffs must have shape {lead}+{self.grid.spatial_shape}")
-        object.__setattr__(self, "coeffs", _read_only(c.copy()))
+        owned = c.base is None and not c.flags.writeable
+        object.__setattr__(self, "coeffs", c if owned else _read_only(c.copy()))
 
     @property
     def components(self) -> int:
@@ -312,12 +311,9 @@ class SpectralField(_Field):
 
     @cached_property
     def _eval_tables(self):
-        """1-D `evaluate`'s Taylor table per component (`_taylor_table`), or
-        None for a band of at most _TABLE_MIN_MODES folded modes, which Horner's
-        rule evaluates; built on first use and kept with the bands."""
-        n = self.grid.modes_per_axis
-        return [_taylor_table(a, n) if len(a) > _TABLE_MIN_MODES else None
-                for a in self._eval_bands]
+        """1-D `evaluate`'s Taylor table per component (`_taylor_table`), built
+        on first use and kept with the bands."""
+        return [_taylor_table(a, self.grid.modes_per_axis) for a in self._eval_bands]
 
 
 def _apply_multiplier(f: _F, mult: np.ndarray) -> _F:
@@ -535,18 +531,16 @@ def sobolev_norm(f: _Field, idx: SobolevIndex):
 def evaluate(f: SpectralField, x) -> np.ndarray:
     """Fourier summation at arbitrary points, one kernel per dimension.
 
-    d = 1: each component's band |k| <= K, folded onto k = 0..K, is summed by
-    Horner's rule (`_horner_eval`) when it has at most _TABLE_MIN_MODES modes,
-    and read from its Taylor table on the 8N lattice (`_table_eval`) when it
-    is wider.  The error is the dropped tail, at most u sum |c_k|, plus for
-    Horner its rounding, about 2(K+1) u sum |c_k|, and for the table its
-    Taylor remainder, at most u sum |c_k|, plus the rounding of its irfft,
-    about u sum |c_k| log2(8N).  d = 2: per component one matrix product
-    (zgemm) of the axis-0 phase matrix with the coefficient plane, summed
-    row-wise against the axis-1 phase matrix.  The band and the
-    kernel depend on the coefficients alone and each point gets the same
-    operations whatever the batch size, so the first n rows of a batch equal
-    an n-point call bit for bit.
+    d = 1: one kernel for every band.  Each component's band |k| <= K,
+    folded onto k = 0..K, is read from its Taylor table on the 8N lattice
+    (`_table_eval`), whatever K.  The error is the dropped tail, at most
+    u sum |c_k|, plus the Taylor remainder, at most u sum |c_k|, plus the
+    rounding of the table's irfft, about u sum |c_k| log2(8N).  d = 2: per
+    component one matrix product (zgemm) of the axis-0 phase matrix with the
+    coefficient plane, summed row-wise against the axis-1 phase matrix.  The
+    band and the kernel depend on the coefficients alone and each point gets
+    the same operations whatever the batch size, so the first n rows of a
+    batch equal an n-point call bit for bit.
 
     x: a batch of shape (m, d); one point is a one-row batch.  Returns
     (m, components), real; a point with a NaN or infinite coordinate reads
@@ -564,8 +558,7 @@ def evaluate(f: SpectralField, x) -> np.ndarray:
     # BLAS's matrix-vector path both round a lone row differently
     rows = np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts
     if f.grid.dimension == 1:
-        per_comp = [_horner_eval(a, rows[:, 0]) if t is None else _table_eval(t, a, rows[:, 0])
-                    for a, t in zip(bands, f._eval_tables)]
+        per_comp = [_table_eval(t, a, rows[:, 0]) for a, t in zip(bands, f._eval_tables)]
     else:
         e0, e1 = _phase_matrix(f.grid, rows[:, 0]), _phase_matrix(f.grid, rows[:, 1])
         per_comp = [np.sum((e0 @ c) * e1, axis=1) for c in f.coeffs]
@@ -581,9 +574,8 @@ def _value_and_slope(f: SpectralField, x: np.ndarray) -> tuple:
     `evaluate`'s bit for bit, and u' is its derivative, the N/2 mode's slope
     included (`_nyquist_slope`).  One point runs as a two-row batch, as in
     `evaluate`."""
-    a, table = f._eval_bands[0], f._eval_tables[0]
     rows = np.repeat(x, 2) if len(x) == 1 else x
-    u, du = _horner_eval(a, rows, True) if table is None else _table_eval(table, a, rows, True)
+    u, du = _table_eval(f._eval_tables[0], f._eval_bands[0], rows, True)
     return u[:len(x)], du[:len(x)]
 
 
@@ -628,7 +620,8 @@ def _horner_eval(a: np.ndarray, x: np.ndarray, slope: bool = False):
     backward-stable on the unit circle and needs no (points, modes) matrix.
     With slope, returns (value, d/dx value): a second accumulator carries
     p'(z) for p(z) = sum a_k z^k, and d/dx Re p(z) = Re(i z p'(z)); the value
-    is the same bit for bit."""
+    is the same bit for bit.  `_table_eval` takes it for the points past its
+    table's reach only."""
     z = np.exp(1j * x)
     acc = np.full(x.shape, a[-1], dtype=complex)
     der = np.zeros_like(acc) if slope else None
@@ -653,47 +646,52 @@ def _taylor_depth(k_max: int, rows: int) -> int:
 
 
 def _taylor_table(a: np.ndarray, n: int) -> np.ndarray:
-    """T[i, j] = Re sum_{k=0}^{K} a_k (ik)^j e^{ik x_i} / j! on the F = 8N rows
-    x_i = 2 pi i/F, j = 0..p with p+1 = `_taylor_depth`(K, F), for the folded
-    band a of an N-lattice field (Anderson & Dahleh, SIAM J. Sci. Comput. 1996).
-    All columns come from one batched irfft: with norm="forward" it returns
-    Re(b_0) + 2 Re sum_{k>=1} b_k e^{ik x_i}, so the modes k >= 1 enter halved."""
+    """T[j, i] = Re sum_{k=0}^{K} a_k (ik)^j e^{ik x_i} / j! for the orders
+    j = 0..p, p+1 = `_taylor_depth`(K, F), on the F = 8N rows x_i = 2 pi i/F,
+    for the folded band a of an N-lattice field (Anderson & Dahleh, SIAM J.
+    Sci. Comput. 1996).  The table is one batched irfft's own (order, row)
+    output, so each order is a contiguous row.  Its spectrum is as wide as
+    the band: irfft(..., n=F) pads the modes past K with zeros.  With
+    norm="forward" it returns Re(b_0) + 2 Re sum_{k>=1} b_k e^{ik x_i}, so
+    the modes k >= 1 enter halved."""
     rows, k = _TABLE_OVERSAMPLE * n, np.arange(len(a))
-    spec = np.zeros((_taylor_depth(len(a) - 1, rows), rows // 2 + 1), dtype=complex)
-    spec[0, :len(a)] = a
+    spec = np.empty((_taylor_depth(len(a) - 1, rows), len(a)), dtype=complex)
+    spec[0] = a
     for j in range(1, len(spec)):
-        spec[j, :len(a)] = spec[j - 1, :len(a)] * (1j * k / j)
+        spec[j] = spec[j - 1] * (1j * k / j)
     spec[:, 1:] *= 0.5
-    return np.fft.irfft(spec, n=rows, axis=1, norm="forward").T.copy()
+    return np.fft.irfft(spec, n=rows, axis=1, norm="forward")
 
 
 def _table_eval(table: np.ndarray, a: np.ndarray, x: np.ndarray, slope: bool = False):
-    """Re sum_{k=0}^{K} a_k e^{ikx} from the Taylor table of the band a
-    (`_taylor_table`): each point reads the row i = rint(x F/2 pi) and sums its
-    Taylor series in dx = x - 2 pi i/F, |dx| <= pi/F, by Horner's rule.  The
-    offset is reduced Cody-Waite style, (x - i hi) - i lo with 2 pi/F = hi + lo
+    """Re sum_{k=0}^{K} a_k e^{ikx} from the (order, row) Taylor table of the
+    band a (`_taylor_table`): each point reads the row i = rint(x F/2 pi) of
+    every order and sums its Taylor series in dx = x - 2 pi i/F, |dx| <= pi/F,
+    by Horner's rule, one contiguous gathered row per level.  The offset is
+    reduced Cody-Waite style, (x - i hi) - i lo with 2 pi/F = hi + lo
     (`_TWO_PI_HI`): the first difference is exact, so dx carries no multiple
     of 2 pi's rounding.  The points are finite (`evaluate`); those
     _TABLE_REACH rows or more from 0 take `_horner_eval` on the band instead,
-    as a batch of two rows at least.  With slope, returns (value, d/dx value)
-    from the same gathered rows: a second Horner accumulator carries the
-    series' derivative in dx, and the value is the same bit for bit."""
-    rows, depth = table.shape
+    as a batch of two rows at least, and a batch with none such (an empty
+    one too) skips that split.  With slope, returns (value, d/dx value) from
+    the same gathered rows: a second Horner accumulator carries the series'
+    derivative in dx, and the value is the same bit for bit."""
+    depth, rows = table.shape
     near = np.abs(x) < _TABLE_REACH * (2.0 * np.pi / rows)
-    xn = np.where(near, x, 0.0)
+    far = None if near.all() else np.flatnonzero(~near)
+    xn = x if far is None else np.where(near, x, 0.0)
     i = np.rint(xn * (rows / (2.0 * np.pi)))
     dx = (xn - i * (_TWO_PI_HI / rows)) - i * (_TWO_PI_LO / rows)
-    terms = np.take(table, i.astype(np.intp) & (rows - 1), axis=0)
-    acc = terms[:, -1].copy()
+    terms = np.take(table, i.astype(np.intp) & (rows - 1), axis=1)
+    acc = terms[-1].copy()
     der = np.zeros_like(acc) if slope else None
     for j in range(depth - 2, -1, -1):
         if slope:
             der *= dx
             der += acc
         acc *= dx
-        acc += terms[:, j]
-    far = np.flatnonzero(~near)
-    if far.size:
+        acc += terms[j]
+    if far is not None:
         hx = _horner_eval(a, np.resize(x[far], max(far.size, 2)), slope)
         for out, h in zip((acc, der), hx if slope else (hx,)):
             out[far] = h[:far.size]
@@ -784,6 +782,15 @@ class TimeField(_Field):
 
     def reversed_time(self) -> "TimeField":
         return replace(self, coeffs=self.coeffs[::-1])
+
+
+def _runs(tf: TimeField) -> tuple:
+    """(the first node of each run of equal nodes of tf (`_run_starts`), as a
+    TimeField of two nodes at least, as a TimeField holds; for each node of
+    tf, the index of its run's node there), so that what is computed per
+    node is computed once per run."""
+    firsts, run = np.unique(_run_starts(tf.coeffs), return_inverse=True)
+    return replace(tf, coeffs=tf.coeffs[np.resize(firsts, max(firsts.size, 2))]), run
 
 
 # --- snapshot format ----------------------------------------------------------

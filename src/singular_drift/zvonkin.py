@@ -174,21 +174,22 @@ def _newton_1d(ctx: TransformContext, u_t, y: np.ndarray, x: np.ndarray) -> tupl
     out = np.empty((3, y.size))
     # per moving point: its row, y, the iterate x, the last kept read's
     # |residual| and plain step, and whether x is a Newton iterate; the first
-    # read has no Newton iterate to judge, and only a read where some point
-    # stops writes out and gathers the moving points
+    # read has no Newton iterate to judge, only a read where some point drops
+    # its iterate or takes the plain step runs the selects, and only one
+    # where some point stops writes out and gathers the moving points
     row = np.arange(y.size)
     for k in range(INVERSE_MAX_ITER):
         u, du = _value_and_slope(u_t, x)
         r = x + u - y
         a = np.abs(r)
         slope = 1.0 + du
-        if k:
-            drop = newton & (a > q * a_kept)
+        if k and (drop := newton & (a > q * a_kept)).any():
             a_kept, g_kept = np.where(drop, a_kept, a), np.where(drop, g_kept, y - u)
             newton = ~drop & (slope >= floor)
         else:
             a_kept, g_kept, newton = a, y - u, slope >= floor
-        nxt = np.where(newton, x - r / np.maximum(slope, floor), g_kept)
+        nxt = (x - r / slope if newton.all()
+               else np.where(newton, x - r / np.maximum(slope, floor), g_kept))
         done = a < tol
         if done.any():
             out[:, row[done]] = x[done], u[done], du[done]

@@ -167,6 +167,18 @@ def test_solver_refuses_a_drift_that_is_not_real(grid64):
         integral_operator(TimeField.zero(grid64, 1.0, 64), b, 1.0)
 
 
+@pytest.mark.parametrize("node", [0, 32, 64], ids=["first", "middle", "last"])
+def test_solver_refuses_a_drift_with_one_node_not_real(grid64, node):
+    # the reality check reads one node per run of equal nodes: a lone mode
+    # added at the first, a middle or the last node of a static drift makes
+    # a run of its own, and the march refuses it
+    coeffs = np.tile(SpectralField.from_grid(grid64, np.sin(grid64.axis_points())).coeffs,
+                     (65, 1, 1))
+    coeffs[node, 0, 3] += 1.0
+    with pytest.raises(ValueError, match="not real"):
+        solve_fwd(TimeField(grid64, 1.0, coeffs), 1.0)
+
+
 @pytest.mark.parametrize("lam", [
     -0.5, -100.0, np.inf, np.nan,
     pytest.param([2.0, -1.0], id="stack-negative"),

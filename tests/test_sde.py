@@ -310,6 +310,24 @@ def test_simulate_classical_reads_node_m_at_step_m(grid64, steps, horizon):
     assert np.array_equal(np.asarray(simulate_classical(b, cfg).states), ref)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("base", [None, 16], ids=["drawn", "summed"])
+def test_simulate_classical_is_a_path_major_euler_loop(dim, base):
+    # the time-major steps give, bit for bit, the Euler loop over the
+    # (paths, steps, d) increments into a (paths, steps+1, d) array, with
+    # increments drawn at the step count and summed from a finer draw
+    b = random_time_field(GridSpec(dim, 16), 4, 0.3, seed=7)
+    cfg = small_sim(x0=(0.3, -0.2)[:dim], steps=8, paths=37, base_steps=base)
+    dw = brownian_increments(cfg)
+    assert dw.shape == (37, 8, dim)
+    ref = np.empty((37, 9, dim))
+    ref[:, 0] = cfg.x0
+    for m in range(8):
+        drift = evaluate(b.node(m * b.nodes // 8), ref[:, m])
+        ref[:, m + 1] = ref[:, m] + drift * cfg.dt + dw[:, m]
+    assert np.array_equal(simulate_classical(b, cfg).states, ref)
+
+
 def test_virtual_x_follows_a_drift_that_switches_on(grid64):
     # b = 1.5 cos x from T/2 on and 0 before, so the classical X is x0 + W on
     # [0, T/2].  The virtual X must meet it there on shared noise, up to the

@@ -499,17 +499,32 @@ def test_evaluate_table_matches_direct_sum(modes):
     assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
 
 
-@pytest.mark.parametrize("past", [0, 1], ids=["horner", "table"])
-def test_evaluate_band_at_the_kernel_switch_matches_direct_sum(past):
-    # the widest band Horner's rule sums, and the narrowest the table reads
-    grid = GridSpec(1, 256)
-    band = spectral._TABLE_MIN_MODES - 1 + past
-    f = random_field(grid, 0.3, 9, band=band)
-    assert len(f._eval_bands[0]) == band + 1
-    assert (f._eval_tables[0] is not None) == bool(past)
-    x = _table_points(256, np.random.default_rng(14))
-    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
-    assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+@pytest.mark.parametrize("modes", [16, 64, 256])
+def test_evaluate_every_band_reads_its_table(modes, monkeypatch):
+    # one kernel for every band K = 0..N/2: each reads its (order, row) table,
+    # the depth-1 table of K = 0 included, within the bound of the direct sum;
+    # Horner's rule, kept for points past the table's reach, never runs
+    grid, rows = GridSpec(1, modes), spectral._TABLE_OVERSAMPLE * modes
+    full = random_field(grid, 0.3, 9).coeffs + SpectralField.constant(grid, 0.7).coeffs
+    x = _table_points(modes, np.random.default_rng(14))
+    monkeypatch.setattr(spectral, "_horner_eval", None)      # a call fails
+    for band in range(modes // 2 + 1):
+        f = SpectralField(grid, full * (np.abs(grid.kappa_axis()) <= band))
+        k_max = band if band < modes // 2 - 1 else modes // 2
+        assert len(f._eval_bands[0]) == k_max + 1
+        assert f._eval_tables[0].shape == (spectral._taylor_depth(k_max, rows), rows)
+        assert (f._eval_tables[0].shape[0] == 1) == (band == 0)
+        err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+        assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
+def test_evaluate_and_slope_read_an_empty_batch():
+    # no point at all is every point in the table's reach: both readers
+    # return empty columns
+    f = random_field(GridSpec(1, 64), 0.3, 9, band=5)
+    assert evaluate(f, np.zeros((0, 1))).shape == (0, 1)
+    u, du = spectral._value_and_slope(f, np.zeros(0))
+    assert u.shape == du.shape == (0,)
 
 
 @pytest.mark.parametrize("modes", [8, 64, 256, 1024])
@@ -564,25 +579,25 @@ def test_evaluate_reads_non_finite_points_as_nan(field):
 
 
 def test_evaluate_full_band_takes_the_table(monkeypatch):
-    # a wide band never reaches Horner's rule, a narrow one always does
+    # a wide band and a narrow one both read their (order, row) tables, 12
+    # and 7 orders of 8N rows, and never reach Horner's rule
     grid = GridSpec(1, 256)
     wide, narrow = random_field(grid, 0.3, 9), random_field(grid, 0.3, 9, band=5)
-    assert wide._eval_tables[0].shape == (8 * 256, 12)
-    assert narrow._eval_tables == [None]
+    assert wide._eval_tables[0].shape == (12, 8 * 256)
+    assert narrow._eval_tables[0].shape == (spectral._taylor_depth(5, 8 * 256), 8 * 256)
 
     def refuse(a, x):
-        raise AssertionError("Horner's rule ran on a wide band")
+        raise AssertionError("Horner's rule ran on a point in the table's reach")
 
     monkeypatch.setattr(spectral, "_horner_eval", refuse)
-    evaluate(wide, np.linspace(0.0, 7.0, 50)[:, None])
-    with pytest.raises(AssertionError, match="Horner"):
-        evaluate(narrow, np.zeros((2, 1)))
+    for f in (wide, narrow):
+        evaluate(f, np.linspace(0.0, 7.0, 50)[:, None])
 
 
 @pytest.mark.parametrize("field", [
     random_field(GridSpec(1, 64), 0.3, 9, band=5),
     random_field(GridSpec(1, 64), 0.3, 9),
-], ids=["horner", "table"])
+], ids=["narrow", "table"])
 def test_value_and_slope_read_evaluate_and_gradient(field):
     # one read gives evaluate's value bit for bit and that value's slope:
     # gradient's reading plus the N/2 mode's slope, which gradient zeroes; a
