@@ -518,6 +518,20 @@ def test_evaluate_every_band_reads_its_table(modes, monkeypatch):
         assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
 
 
+@pytest.mark.parametrize("band", [15, 16], ids=["horner", "table"])
+def test_evaluate_band_at_the_kernel_switch_matches_direct_sum(band):
+    # bands 15 and 16 sat either side of the old 16-mode switch between
+    # Horner's rule and the table (the ids name the kernel each took); both
+    # now read their own table, within the bound of the direct sum
+    grid = GridSpec(1, 256)
+    f = random_field(grid, 0.3, 9, band=band)
+    assert len(f._eval_bands[0]) == band + 1
+    assert f._eval_tables[0].shape[1] == spectral._TABLE_OVERSAMPLE * 256
+    x = _table_points(256, np.random.default_rng(14))
+    err = np.max(np.abs(evaluate(f, x) - _direct_sum(f, x)))
+    assert err <= 1e-14 * np.sum(np.abs(f.coeffs))
+
+
 def test_evaluate_and_slope_read_an_empty_batch():
     # no point at all is every point in the table's reach: both readers
     # return empty columns
